@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from . import tensor as T
 from .graph import HeteroGraph, adjacency
-from .model import GrafenneConfig, glorot
+from .model import GrafenneConfig, gat_layer, gin_layer, glorot, sage_layer
 
 RESPARSIFY_EPS = 1e-8
 
@@ -183,12 +183,6 @@ class DenseGnnModel:
     def parameter_count(self):
         return sum(p.values.size for p in self.params.values())
 
-    def clone(self):
-        twin = DenseGnnModel(self.config, self.in_dim, self.num_classes)
-        for k, p in self.params.items():
-            twin.params[k].values = p.values.copy()
-        return twin
-
     def _act(self, x):
         return T.leaky_relu(x, self.config.leaky_slope)
 
@@ -214,50 +208,20 @@ class DenseGnnModel:
 
     def _layer(self, l, h, src, dst, n):
         p = self.params
+        pre = f"layer{l}"
         backend = self.config.phase2
         if backend == "sage":
-            if len(src):
-                neigh = T.segment_sum(T.gather_rows(h, src), dst, n)
-            else:
-                neigh = T.Tensor(np.zeros_like(h.values))
-            deg = np.bincount(dst, minlength=n).astype(np.float64)
-            inv = T.Tensor((1.0 / np.maximum(deg, 1.0)).reshape(-1, 1))
-            mean = T.mul(neigh, inv)
-            return T.relu(T.matmul(T.concat([h, mean], axis=1), p[f"layer{l}/W"]))
+            return sage_layer(h, src, dst, n, p[f"{pre}/W"])
         if backend == "gat":
-            d = self.config.dim
-            loop = np.arange(n, dtype=np.int64)
-            src2 = np.concatenate([src, loop])
-            dst2 = np.concatenate([dst, loop])
-            order = np.lexsort((src2, dst2))
-            src2, dst2 = src2[order], dst2[order]
-            w15 = p[f"layer{l}/w15"]
-            s_dst = T.matmul(self._act(T.matmul(h, p[f"layer{l}/W13"])), _vec_slice(w15, 0, d))
-            s_src = T.matmul(self._act(T.matmul(h, p[f"layer{l}/W14"])), _vec_slice(w15, d, 2 * d))
-            score = T.add(T.gather_rows(s_dst, dst2), T.gather_rows(s_src, src2))
-            alpha = T.segment_softmax(score, dst2, n)
-            msgs = T.mul(T.gather_rows(T.matmul(h, p[f"layer{l}/W16"]), src2),
-                         T.reshape(alpha, (len(src2), 1)))
-            return T.segment_sum(msgs, dst2, n)
-        # gin
-        if len(src):
-            neigh = T.segment_sum(T.gather_rows(h, src), dst, n)
-        else:
-            neigh = T.Tensor(np.zeros_like(h.values))
-        eps = p[f"layer{l}/epsilon"]
-        scaled = T.mul(h, T.add(eps, 1.0))
-        weights = [p[f"layer{l}/mlp/A0"], p[f"layer{l}/mlp/b0"],
-                   p[f"layer{l}/mlp/A1"], p[f"layer{l}/mlp/b1"]]
-        return T.mlp(T.add(scaled, neigh), weights, self._act)
+            return gat_layer(h, src, dst, n, p[f"{pre}/W13"], p[f"{pre}/W14"],
+                             p[f"{pre}/w15"], p[f"{pre}/W16"], self._act)
+        weights = [p[f"{pre}/mlp/A0"], p[f"{pre}/mlp/b0"], p[f"{pre}/mlp/A1"], p[f"{pre}/mlp/b1"]]
+        return gin_layer(h, src, dst, n, p[f"{pre}/epsilon"], weights, self._act)
 
     def logits(self, h):
         if self.num_classes is None:
             raise ValueError("model built without a classification head")
         return T.add(T.matmul(h, self.params["head/W"]), self.params["head/b"])
-
-
-def _vec_slice(w, lo, hi):
-    return T.gather_rows(w, np.arange(lo, hi, dtype=np.int64))
 
 
 def dense_gnn_forward(g, dense, backend="sage", L=2, dim=64, seed=0, model=None):

@@ -4,10 +4,16 @@ a pluggable backend (SAGE/GAT/GIN), (3) graph nodes message back to
 feature nodes. Graph nodes start at zero, feature nodes at learnable
 embeddings, so parameter count is independent of node and feature counts.
 
-Attention scores use the split form
+Phases 1 and 3 are one attention routine (_attend) with the roles of
+graph and feature nodes swapped. Attention scores use the split form
     w . LeakyReLU(a || b || c) = w_a . LR(a) + w_b . LR(b) + w_c . LR(c)
-(exact, LeakyReLU being elementwise) so nothing of size (edges, 3d) is
-ever materialized.
+(exact, LeakyReLU being elementwise), and the edge-weight channel c = x w
+uses LeakyReLU's positive homogeneity,
+    LR(x w) = |x| LR(sign(x) w),
+so it costs two d-vector scores and one per-edge vector. Every
+aggregation, attention-weighted or a plain neighbour sum, is one
+tensor.spmm over edges sorted by destination, so no (edges, d) tensor is
+ever materialized on the tape.
 """
 
 from __future__ import annotations
@@ -178,15 +184,6 @@ class GrafenneModel:
     def non_embedding_parameter_count(self):
         return sum(p.size for p in self.params.values())
 
-    def clone(self):
-        twin = GrafenneModel(self.config, self.num_classes)
-        for name, p in self.params.items():
-            twin.params[name].values = p.values.copy()
-        twin.table.ensure(sorted(self.table.rows))
-        for f, row in self.table.rows.items():
-            twin.table.rows[f].values = row.values.copy()
-        return twin
-
     def _act(self, x):
         return T.leaky_relu(x, self.config.leaky_slope)
 
@@ -213,96 +210,104 @@ class GrafenneModel:
         return T.add(T.matmul(hg, self.params["head/W"]), self.params["head/b"])
 
     def _edge_channel(self, weights, w_vec, w_att):
-        # per-edge scalar times learned vector, through LeakyReLU, dotted down
-        col = T.Tensor(weights.reshape(-1, 1))
-        return T.matmul(self._act(T.mul(col, w_vec)), w_att)
+        # w_att . LR(w_e * w_vec) per edge, in the positively homogeneous
+        # form |w_e| * (w_att . LR(sign(w_e) * w_vec)): two d-vector scores
+        # mixed by max(w_e, 0) and max(-w_e, 0), so no (edges, d) tensor
+        coef = T.Tensor(np.stack([np.maximum(weights, 0.0), np.maximum(-weights, 0.0)], axis=1))
+        signed = T.stack_rows([w_vec, T.mul(w_vec, -1.0)])
+        return T.matmul(coef, T.matmul(self._act(signed), w_att))
 
-    def _phase1(self, l, alt, hg, hf, rng):
-        p = self.params
+    def _attend(self, l, phase, h_dst, h_src, dst, src, weight, num_dst):
+        """Attention aggregate of phases 1 and 3: every dst state combines
+        its own projection with the softmax-weighted sum of its src
+        neighbours' messages along the edges (dst, src, weight), dst
+        ascending."""
+        w_dst, w_src, w_edge, w_att, w_self, w_msg = (
+            self.params[f"layer{l}/{phase}/{name}"] for name in _ATTEND_PARAMS[phase])
         d = self.config.dim
-        fe_v, fe_f, fe_w = _cap_edge_arrays(
-            alt.fe_node, (alt.fe_feat, alt.fe_weight), self.config.cap_features,
-            rng, alt.n) if rng is not None else (alt.fe_node, alt.fe_feat, alt.fe_weight)
-        self_part = T.matmul(hg, p[f"layer{l}/p1/W5"])
-        if len(fe_v) == 0:
-            agg = T.Tensor(np.zeros((alt.n, d)))
+        self_part = T.matmul(h_dst, w_self)
+        if len(dst) == 0:
+            agg = T.Tensor(np.zeros((num_dst, d)))
         else:
             # attention vector split into its three concat segments
-            w4 = p[f"layer{l}/p1/w4"]
-            sa = T.matmul(self._act(T.matmul(hg, p[f"layer{l}/p1/W1"])), _slice_vec(w4, 0, d))
-            sb = T.matmul(self._act(T.matmul(hf, p[f"layer{l}/p1/W2"])), _slice_vec(w4, d, 2 * d))
-            sc = self._edge_channel(fe_w, p[f"layer{l}/p1/w3"], _slice_vec(w4, 2 * d, 3 * d))
-            score = T.add(T.add(T.gather_rows(sa, fe_v), T.gather_rows(sb, fe_f)), sc)
-            alpha = T.segment_softmax(score, fe_v, alt.n)
-            msgs = T.mul(T.gather_rows(T.matmul(hf, p[f"layer{l}/p1/W6"]), fe_f),
-                         T.reshape(alpha, (len(fe_v), 1)))
-            agg = T.segment_sum(msgs, fe_v, alt.n)
+            s_dst = T.matmul(self._act(T.matmul(h_dst, w_dst)), T.slice_rows(w_att, 0, d))
+            s_src = T.matmul(self._act(T.matmul(h_src, w_src)), T.slice_rows(w_att, d, 2 * d))
+            s_edge = self._edge_channel(weight, w_edge, T.slice_rows(w_att, 2 * d, 3 * d))
+            score = T.add(T.add(T.gather_rows(s_dst, dst), T.gather_rows(s_src, src)), s_edge)
+            alpha = T.segment_softmax(score, dst, num_dst)
+            agg = T.spmm(alpha, dst, src, num_dst, T.matmul(h_src, w_msg))
         combined = T.concat([self_part, agg], axis=1)
-        return T.mlp(combined, self._mlp_params(f"layer{l}/p1/mlp"), self._act)
+        return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), self._act)
+
+    def _phase1(self, l, alt, hg, hf, rng):
+        edges = (alt.fe_node, alt.fe_feat, alt.fe_weight)
+        if rng is not None:
+            edges = _cap_edge_arrays(edges[0], edges[1:], self.config.cap_features, rng, alt.n)
+        return self._attend(l, "p1", hg, hf, *edges, alt.n)
 
     def _phase2(self, l, alt, hg, rng):
         p = self.params
-        n = alt.n
+        pre = f"layer{l}/p2"
         src, dst = alt.ge_src, alt.ge_dst
         if rng is not None:
-            dst, src = _cap_edge_arrays(dst, (src,), self.config.cap_graph, rng, n)
+            dst, src = _cap_edge_arrays(dst, (src,), self.config.cap_graph, rng, alt.n)
         backend = self.config.phase2
         if backend == "sage":
-            neigh = T.segment_sum(T.gather_rows(hg, src), dst, n) if len(src) else \
-                T.Tensor(np.zeros_like(hg.values))
-            deg = np.bincount(dst, minlength=n).astype(np.float64)
-            inv = T.Tensor((1.0 / np.maximum(deg, 1.0)).reshape(-1, 1))
-            mean = T.mul(neigh, inv)
-            return T.relu(T.matmul(T.concat([hg, mean], axis=1), p[f"layer{l}/p2/W13"]))
+            return sage_layer(hg, src, dst, alt.n, p[f"{pre}/W13"])
         if backend == "gat":
-            d = self.config.dim
-            loop = np.arange(n, dtype=np.int64)
-            src2 = np.concatenate([src, loop])
-            dst2 = np.concatenate([dst, loop])
-            order = np.lexsort((src2, dst2))
-            src2, dst2 = src2[order], dst2[order]
-            w15 = p[f"layer{l}/p2/w15"]
-            s_dst = T.matmul(self._act(T.matmul(hg, p[f"layer{l}/p2/W13"])), _slice_vec(w15, 0, d))
-            s_src = T.matmul(self._act(T.matmul(hg, p[f"layer{l}/p2/W14"])), _slice_vec(w15, d, 2 * d))
-            score = T.add(T.gather_rows(s_dst, dst2), T.gather_rows(s_src, src2))
-            alpha = T.segment_softmax(score, dst2, n)
-            msgs = T.mul(T.gather_rows(T.matmul(hg, p[f"layer{l}/p2/W16"]), src2),
-                         T.reshape(alpha, (len(src2), 1)))
-            return T.segment_sum(msgs, dst2, n)
-        # gin
-        neigh = T.segment_sum(T.gather_rows(hg, src), dst, n) if len(src) else \
-            T.Tensor(np.zeros_like(hg.values))
-        eps = p[f"layer{l}/p2/epsilon"]
-        scaled = T.mul(hg, T.add(eps, 1.0))
-        return T.mlp(T.add(scaled, neigh), self._mlp_params(f"layer{l}/p2/mlp"), self._act)
+            return gat_layer(hg, src, dst, alt.n, p[f"{pre}/W13"], p[f"{pre}/W14"],
+                             p[f"{pre}/w15"], p[f"{pre}/W16"], self._act)
+        return gin_layer(hg, src, dst, alt.n, p[f"{pre}/epsilon"],
+                         self._mlp_params(f"{pre}/mlp"), self._act)
 
     def _phase3(self, l, alt, hg_new, hf, rng):
-        p = self.params
-        d = self.config.dim
         if alt.m == 0:
             return hf
-        fe_f, fe_v, fe_w = _cap_edge_arrays(
-            alt.fe3_feat, (alt.fe3_node, alt.fe3_weight), self.config.cap_nodes,
-            rng, alt.m) if rng is not None else (alt.fe3_feat, alt.fe3_node, alt.fe3_weight)
-        self_part = T.matmul(hf, p[f"layer{l}/p3/W11"])
-        if len(fe_f) == 0:
-            agg = T.Tensor(np.zeros((alt.m, d)))
-        else:
-            w10 = p[f"layer{l}/p3/w10"]
-            sa = T.matmul(self._act(T.matmul(hf, p[f"layer{l}/p3/W7"])), _slice_vec(w10, 0, d))
-            sb = T.matmul(self._act(T.matmul(hg_new, p[f"layer{l}/p3/W8"])), _slice_vec(w10, d, 2 * d))
-            sc = self._edge_channel(fe_w, p[f"layer{l}/p3/w9"], _slice_vec(w10, 2 * d, 3 * d))
-            score = T.add(T.add(T.gather_rows(sa, fe_f), T.gather_rows(sb, fe_v)), sc)
-            alpha = T.segment_softmax(score, fe_f, alt.m)
-            msgs = T.mul(T.gather_rows(T.matmul(hg_new, p[f"layer{l}/p3/W12"]), fe_v),
-                         T.reshape(alpha, (len(fe_f), 1)))
-            agg = T.segment_sum(msgs, fe_f, alt.m)
-        combined = T.concat([self_part, agg], axis=1)
-        return T.mlp(combined, self._mlp_params(f"layer{l}/p3/mlp"), self._act)
+        edges = (alt.fe3_feat, alt.fe3_node, alt.fe3_weight)
+        if rng is not None:
+            edges = _cap_edge_arrays(edges[0], edges[1:], self.config.cap_nodes, rng, alt.m)
+        return self._attend(l, "p3", hf, hg_new, *edges, alt.m)
 
 
-def _slice_vec(w, lo, hi):
-    return T.gather_rows(w, np.arange(lo, hi, dtype=np.int64))
+# parameter names of the attention phases, in the order (dst score, src
+# score, edge vector, attention vector, self projection, message)
+_ATTEND_PARAMS = {"p1": ("W1", "W2", "w3", "w4", "W5", "W6"),
+                  "p3": ("W7", "W8", "w9", "w10", "W11", "W12")}
+
+
+def _neighbour_sum(h, src, dst, n):
+    """Row v is the sum of h[u] over the edges u -> v; dst ascending."""
+    return T.spmm(np.ones(len(src)), dst, src, n, h)
+
+
+def sage_layer(h, src, dst, n, w):
+    """ReLU([h || mean of in-neighbours] @ w); dst ascending."""
+    neigh = _neighbour_sum(h, src, dst, n)
+    deg = np.bincount(dst, minlength=n).astype(np.float64)
+    mean = T.mul(neigh, T.Tensor((1.0 / np.maximum(deg, 1.0)).reshape(-1, 1)))
+    return T.relu(T.matmul(T.concat([h, mean], axis=1), w))
+
+
+def gat_layer(h, src, dst, n, w_dst, w_src, w_att, w_msg, act):
+    """Attention over in-neighbours plus a self-loop; dst ascending."""
+    d = w_msg.shape[1]
+    loop = np.arange(n, dtype=np.int64)
+    src2 = np.concatenate([src, loop])
+    dst2 = np.concatenate([dst, loop])
+    order = np.lexsort((src2, dst2))
+    src2, dst2 = src2[order], dst2[order]
+    s_dst = T.matmul(act(T.matmul(h, w_dst)), T.slice_rows(w_att, 0, d))
+    s_src = T.matmul(act(T.matmul(h, w_src)), T.slice_rows(w_att, d, 2 * d))
+    score = T.add(T.gather_rows(s_dst, dst2), T.gather_rows(s_src, src2))
+    alpha = T.segment_softmax(score, dst2, n)
+    return T.spmm(alpha, dst2, src2, n, T.matmul(h, w_msg))
+
+
+def gin_layer(h, src, dst, n, epsilon, mlp_params, act):
+    """MLP((1 + epsilon) h + sum of in-neighbours); dst ascending."""
+    neigh = _neighbour_sum(h, src, dst, n)
+    scaled = T.mul(h, T.add(epsilon, 1.0))
+    return T.mlp(T.add(scaled, neigh), mlp_params, act)
 
 
 class VanillaAltModel:
@@ -337,26 +342,14 @@ class VanillaAltModel:
         dst = np.concatenate([alt.ge_dst, alt.fe_feat + n, alt.fe_node])
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
-        deg = np.bincount(dst, minlength=n + m).astype(np.float64)
-        inv = T.Tensor((1.0 / np.maximum(deg, 1.0)).reshape(-1, 1))
         for l in range(self.config.layers):
-            neigh = T.segment_sum(T.gather_rows(h, src), dst, n + m) if len(src) else \
-                T.Tensor(np.zeros_like(h.values))
-            mean = T.mul(neigh, inv)
-            h = T.relu(T.matmul(T.concat([h, mean], axis=1), self.params[f"layer{l}/W"]))
-        hg = T.gather_rows(h, np.arange(n, dtype=np.int64))
-        hf = T.gather_rows(h, np.arange(n, n + m, dtype=np.int64)) if m else \
-            T.Tensor(np.zeros((0, self.config.dim)))
+            h = sage_layer(h, src, dst, n + m, self.params[f"layer{l}/W"])
+        hg = T.slice_rows(h, 0, n)
+        hf = T.slice_rows(h, n, n + m)
         return hg, hf
 
     def logits(self, hg):
         return T.add(T.matmul(hg, self.params["head/W"]), self.params["head/b"])
-
-
-def vanilla_forward_on_alt(alt, config, num_classes=None):
-    """One-shot ablation forward (fresh parameters)."""
-    model = VanillaAltModel(config, num_classes)
-    return model.forward(alt)
 
 
 def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):

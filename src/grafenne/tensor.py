@@ -4,25 +4,28 @@ Define-by-run tape: every op links the output tensor to its parents and
 attaches a gradient closure. backward() runs one reverse topological sweep
 and accumulates gradients additively, so several backward calls can reuse
 one forward tape (zero grads in between).
+
+The tape is acyclic: a closure holds its parents and reads its own
+output's grad through a weak reference (_grad_reader), so a dropped tape
+is freed by reference counting alone, without waiting for the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
 
-import itertools
+import weakref
 
 import numpy as np
-
-_ids = itertools.count()
+import scipy.sparse as sp
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "node_id", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_ids)
         self._parents = ()
         self._backward = None
 
@@ -100,6 +103,16 @@ def _attach(out, parents, backward_fn):
     return out
 
 
+def _grad_reader(out):
+    """Zero-argument reader of out.grad that holds out only weakly.
+
+    backward() keeps every node of the tape alive while closures run, and
+    a closure that held out strongly would make out -> closure -> out a
+    reference cycle."""
+    ref = weakref.ref(out)
+    return lambda: ref().grad
+
+
 def _unbroadcast(g, shape):
     """Sum g down to `shape` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -113,9 +126,10 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values + b.values)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         if a.requires_grad:
             a.grad += _unbroadcast(g, a.shape)
         if b.requires_grad:
@@ -127,9 +141,10 @@ def add(a, b):
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values - b.values)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         if a.requires_grad:
             a.grad += _unbroadcast(g, a.shape)
         if b.requires_grad:
@@ -141,9 +156,10 @@ def sub(a, b):
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values * b.values)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         if a.requires_grad:
             a.grad += _unbroadcast(g * b.values, a.shape)
         if b.requires_grad:
@@ -160,9 +176,10 @@ def matmul(a, b):
         raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
     out = Tensor(av @ bv)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         if a.values.ndim == 2 and b.values.ndim == 2:
             if a.requires_grad:
                 a.grad += g @ bv.T
@@ -190,9 +207,10 @@ def matmul(a, b):
 def reshape(x, shape):
     x = as_tensor(x)
     out = Tensor(x.values.reshape(shape))
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad.reshape(x.shape)
+        x.grad += grad_out().reshape(x.shape)
 
     return _attach(out, (x,), _bw)
 
@@ -204,9 +222,10 @@ def concat(parts, axis=0):
     out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
     sizes = [p.values.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
@@ -220,9 +239,10 @@ def leaky_relu(x, slope=0.2):
     x = as_tensor(x)
     pos = x.values >= 0  # subgradient at 0 takes the positive branch
     out = Tensor(np.where(pos, x.values, slope * x.values))
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad * np.where(pos, 1.0, slope)
+        x.grad += grad_out() * np.where(pos, 1.0, slope)
 
     return _attach(out, (x,), _bw)
 
@@ -231,9 +251,10 @@ def relu(x):
     x = as_tensor(x)
     pos = x.values >= 0
     out = Tensor(np.where(pos, x.values, 0.0))
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad * pos
+        x.grad += grad_out() * pos
 
     return _attach(out, (x,), _bw)
 
@@ -242,9 +263,10 @@ def sigmoid(x):
     x = as_tensor(x)
     out = Tensor(_sigmoid_values(x.values))
     sv = out.values
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad * sv * (1.0 - sv)
+        x.grad += grad_out() * sv * (1.0 - sv)
 
     return _attach(out, (x,), _bw)
 
@@ -263,9 +285,10 @@ def gather_rows(x, index):
     x = as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(x.values[index])
+    grad_out = _grad_reader(out)
 
     def _bw():
-        np.add.at(x.grad, index, out.grad)
+        np.add.at(x.grad, index, grad_out())
 
     return _attach(out, (x,), _bw)
 
@@ -277,11 +300,64 @@ def segment_sum(x, segment_ids, num_segments):
     vals = np.zeros((num_segments,) + x.values.shape[1:])
     np.add.at(vals, segment_ids, x.values)
     out = Tensor(vals)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad[segment_ids]
+        x.grad += grad_out()[segment_ids]
 
     return _attach(out, (x,), _bw)
+
+
+def slice_rows(x, lo, hi):
+    """out = x[lo:hi] along the first axis; backward adds into that slice."""
+    x = as_tensor(x)
+    out = Tensor(x.values[lo:hi].copy())
+    grad_out = _grad_reader(out)
+
+    def _bw():
+        x.grad[lo:hi] += grad_out()
+
+    return _attach(out, (x,), _bw)
+
+
+def spmm(alpha, rows, cols, num_rows, x):
+    """out[r] = sum of alpha[e] * x[cols[e]] over the entries e with rows[e] == r.
+
+    The product S_alpha @ x with a sparse S_alpha built as CSR straight
+    from `rows`, which must ascend (an empty row sums to zero), so the
+    E x d messages alpha[e] * x[cols[e]] are never formed. Entries are
+    summed in the order given, as a sequential scatter-add would. Backward
+    is S_alpha^T @ G for x and the SDDMM <G[rows[e]], x[cols[e]]> for
+    alpha, which may also be a constant array (ones for a plain sum).
+    """
+    alpha, x = as_tensor(alpha), as_tensor(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if x.values.ndim != 2:
+        raise ValueError(f"spmm expects a 2-D x, got shape {x.shape}")
+    if rows.ndim != 1 or cols.shape != rows.shape or alpha.shape != rows.shape:
+        raise ValueError(f"spmm needs 1-D rows, cols and alpha of one length, got "
+                         f"{rows.shape}, {cols.shape} and {alpha.shape}")
+    if np.any(rows[1:] < rows[:-1]):
+        raise ValueError("spmm needs rows in ascending order")
+    if rows.size and (rows[0] < 0 or rows[-1] >= num_rows
+                      or cols.min() < 0 or cols.max() >= x.shape[0]):
+        raise ValueError(f"spmm index out of range for a ({num_rows}, {x.shape[0]}) matrix")
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    s = sp.csr_matrix((alpha.values, cols, indptr), shape=(num_rows, x.shape[0]))
+    xv = x.values
+    out = Tensor(s @ xv)
+    grad_out = _grad_reader(out)
+
+    def _bw():
+        g = grad_out()
+        if x.requires_grad:
+            x.grad += s.T @ g
+        if alpha.requires_grad:
+            alpha.grad += (g[rows] * xv[cols]).sum(axis=1)
+
+    return _attach(out, (alpha, x), _bw)
 
 
 def _segment_ids_of(segments, n):
@@ -318,9 +394,10 @@ def segment_softmax(scores, segments, num_segments=None):
     np.add.at(denom, ids, e)
     p = e / denom[ids]
     out = Tensor(p)
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         dot = np.zeros(num)
         np.add.at(dot, ids, p * g)
         scores.grad += p * (g - dot[ids])
@@ -332,9 +409,10 @@ def stack_rows(rows):
     """Stack equal-length 1-D tensors into a matrix."""
     rows = [as_tensor(r) for r in rows]
     out = Tensor(np.stack([r.values for r in rows]))
+    grad_out = _grad_reader(out)
 
     def _bw():
-        g = out.grad
+        g = grad_out()
         for i, r in enumerate(rows):
             if r.requires_grad:
                 r.grad += g[i]
@@ -345,9 +423,10 @@ def stack_rows(rows):
 def sum_all(x):
     x = as_tensor(x)
     out = Tensor(x.values.sum())
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad
+        x.grad += grad_out()
 
     return _attach(out, (x,), _bw)
 
@@ -356,9 +435,10 @@ def mean_all(x):
     x = as_tensor(x)
     out = Tensor(x.values.mean())
     inv = 1.0 / x.values.size
+    grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += out.grad * inv
+        x.grad += grad_out() * inv
 
     return _attach(out, (x,), _bw)
 
@@ -392,11 +472,12 @@ def cross_entropy(logits, labels):
     z = logits.values - logits.values.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     out = Tensor((lse - z[np.arange(n), labels]).mean())
+    grad_out = _grad_reader(out)
 
     def _bw():
         soft = np.exp(z - lse[:, None])
         soft[np.arange(n), labels] -= 1.0
-        logits.grad += out.grad * soft / n
+        logits.grad += grad_out() * soft / n
 
     return _attach(out, (logits,), _bw)
 
@@ -411,9 +492,10 @@ def bce_with_logits(scores, targets):
     loss = np.maximum(s, 0.0) - s * t + np.log1p(np.exp(-np.abs(s)))
     out = Tensor(loss.mean())
     n = s.size
+    grad_out = _grad_reader(out)
 
     def _bw():
-        scores.grad += out.grad * (_sigmoid_values(s) - t) / n
+        scores.grad += grad_out() * (_sigmoid_values(s) - t) / n
 
     return _attach(out, (scores,), _bw)
 

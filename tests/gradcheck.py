@@ -235,6 +235,24 @@ def _case_softmax_groups(rng):
     return build, [scores, w]
 
 
+def _case_spmm(rng):
+    n, d, k, e = rng.integers(2, 6), rng.integers(1, 5), rng.integers(3, 7), rng.integers(2, 9)
+    rows = np.sort(rng.integers(0, k - 1, size=e))  # row k - 1 stays empty
+    cols = rng.integers(0, n, size=e)
+    cols[1] = cols[0]  # a repeated column
+    xs = rng.normal(size=(n, d))
+    alpha = rng.normal(size=(e,))
+    u = rng.normal(size=(k, d))
+
+    def build(x):
+        xs_, alpha_ = x
+        learned = T.spmm(alpha_, rows, cols, int(k), xs_)
+        summed = T.spmm(np.ones(e), rows, cols, int(k), T.leaky_relu(xs_))
+        return T.sum_all(T.mul(T.add(learned, summed), u))
+
+    return build, [xs, alpha]
+
+
 CASE_BUILDERS = [
     _case_chain,
     _case_pointwise,
@@ -248,6 +266,7 @@ CASE_BUILDERS = [
     _case_vectors,
     _case_deep,
     _case_softmax_groups,
+    _case_spmm,
 ]
 
 

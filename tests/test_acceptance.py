@@ -41,9 +41,9 @@ def check(name, ok, detail=""):
 # ----------------------------------------------------- 1: gradient suite
 
 _DIFF_OPS = ("add", "sub", "mul", "matmul", "reshape", "concat", "leaky_relu",
-             "relu", "sigmoid", "gather_rows", "segment_sum", "segment_softmax",
-             "stack_rows", "sum_all", "mean_all", "mlp", "cross_entropy",
-             "bce_with_logits")
+             "relu", "sigmoid", "gather_rows", "slice_rows", "segment_sum",
+             "segment_softmax", "spmm", "stack_rows", "sum_all", "mean_all", "mlp",
+             "cross_entropy", "bce_with_logits")
 
 
 class _Builder:
@@ -123,6 +123,15 @@ def _apply_op(b, name):
         idx = rng.integers(0, n, size=int(rng.integers(1, 9)))
         b._emit(lambda ts, i=i, idx=idx: T.gather_rows(ts[i], idx),
                 (len(idx),) + b.shapes[i][1:])
+    elif name == "slice_rows":
+        i = b.pick(lambda s: len(s) >= 1 and s[0] >= 1)
+        if i is None:
+            i = b.leaf((_dim(rng),))
+        n = b.shapes[i][0]
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo + 1, n + 1))
+        b._emit(lambda ts, i=i, lo=lo, hi=hi: T.slice_rows(ts[i], lo, hi),
+                (hi - lo,) + b.shapes[i][1:])
     elif name == "segment_sum":
         i = b.pick(lambda s: len(s) >= 1 and s[0] >= 1)
         if i is None:
@@ -142,6 +151,23 @@ def _apply_op(b, name):
         # softmax alone has zero row sums in the gradient; mix it back in
         b._emit(lambda ts, i=i, ids=ids, k=k:
                 T.mul(T.segment_softmax(ts[i], ids, k), ts[i]), (n,))
+    elif name == "spmm":
+        i = b.pick(lambda s: len(s) == 2)
+        if i is None:
+            i = b.leaf((_dim(rng), _dim(rng)))
+        n = b.shapes[i][0]
+        e = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 5))
+        rows = np.sort(rng.integers(0, k, size=e))  # rows never hit are empty
+        cols = rng.integers(0, n, size=e)           # columns repeat
+        if rng.random() < 0.5:
+            alpha = rng.uniform(-1.5, 1.5, size=e)  # constant weights
+            b._emit(lambda ts, i=i, a=alpha, r=rows, c=cols, k=k:
+                    T.spmm(a, r, c, k, ts[i]), (k, b.shapes[i][1]))
+        else:
+            j = b.leaf((e,))                        # learned weights
+            b._emit(lambda ts, i=i, j=j, r=rows, c=cols, k=k:
+                    T.spmm(ts[j], r, c, k, ts[i]), (k, b.shapes[i][1]))
     elif name == "stack_rows":
         i = b.pick(lambda s: len(s) == 1 and s[0] >= 1)
         if i is None:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel
                             VanillaAltModel, init_states, load_checkpoint,
                             recovery_probe, sample_caps, save_checkpoint)
 from naive_ref import (leaky, naive_forward, naive_vanilla_forward, _mlp)
-from test_graph import random_graph
+from test_graph import random_graph, toy
 
 
 def small_cfg(**kw):
@@ -136,6 +138,53 @@ def test_uniform_attention_when_messages_identical():
     g_single = HeteroGraph([0], [], {0: {0: 0.5}}, {})
     hg_single, _ = model.forward(to_allotropic(g_single))
     assert np.allclose(hg.values[0], hg_single.values[0], atol=1e-12)
+
+
+def test_edge_channel_matches_direct_form():
+    # |w| LR(sign(w) v) against LR(w v) with negative, zero and positive
+    # edge weights and exactly-zero components, where the subgradient of
+    # LeakyReLU takes the positive branch
+    model = GrafenneModel(small_cfg(dim=5))
+    weights = np.array([1.5, -0.7, 0.0, 2.0, -3.0, 0.0, 0.25])
+    w3 = np.array([0.4, 0.0, -1.2, 0.0, 0.9])
+    w_att = np.array([0.3, -1.1, 0.6, 2.0, -0.4])
+    upstream = np.random.default_rng(8).normal(size=len(weights))
+
+    def run(channel):
+        w3_t = T.Tensor(w3.copy(), requires_grad=True)
+        w_att_t = T.Tensor(w_att.copy(), requires_grad=True)
+        out = channel(w3_t, w_att_t)
+        T.backward(T.sum_all(T.mul(out, upstream)))
+        return out.values, w3_t.grad, w_att_t.grad
+
+    def direct(w3_t, w_att_t):
+        col = T.Tensor(weights.reshape(-1, 1))
+        return T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), w_att_t)
+
+    got = run(lambda w3_t, w_att_t: model._edge_channel(weights, w3_t, w_att_t))
+    want = run(direct)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("backend", ["sage", "gat", "gin"])
+def test_dropped_tape_is_freed_by_reference_counting(backend):
+    model = GrafenneModel(small_cfg(phase2=backend), num_classes=2)
+    alt = to_allotropic(toy())
+    gc.collect()
+    gc.disable()
+    try:
+        before = [o for o in gc.get_objects() if isinstance(o, T.Tensor)]
+        known = {id(o) for o in before}
+        hg, hf = model.forward(alt)
+        loss = T.add(T.cross_entropy(model.logits(hg), [0, 1, 0]), T.sum_all(T.mul(hf, hf)))
+        T.backward(loss)
+        del hg, hf, loss
+        alive = [o for o in gc.get_objects() if isinstance(o, T.Tensor)
+                 and not isinstance(o, T.Parameter) and id(o) not in known]
+    finally:
+        gc.enable()
+    assert alive == []
 
 
 def test_gin_clone_symmetry():

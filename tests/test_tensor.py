@@ -73,6 +73,35 @@ def test_segment_softmax_two_scores():
     assert np.allclose(out.values, [e1 / (e1 + e2), e2 / (e1 + e2)], atol=1e-9)
 
 
+def test_spmm_forward_equals_gather_scale_scatter():
+    rng = np.random.default_rng(5)
+    n, d, k, e = 9, 4, 12, 40
+    rows = np.sort(rng.integers(0, k, size=e))
+    rows[rows % 3 == 0] += 1  # empty segments, including row 0
+    cols = rng.integers(0, n, size=e)
+    x = T.Tensor(rng.normal(size=(n, d)))
+    alpha = rng.normal(size=e)
+    fused = T.spmm(alpha, rows, cols, k, x).values
+    staged = T.segment_sum(T.mul(T.gather_rows(x, cols), T.reshape(T.Tensor(alpha), (e, 1))),
+                           rows, k).values
+    assert np.array_equal(fused, staged)
+    assert not fused[0].any()
+
+
+def test_spmm_rejects_unsorted_rows():
+    x = T.Tensor(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="ascending"):
+        T.spmm(np.ones(3), [0, 2, 1], [0, 1, 2], 3, x)
+
+
+def test_slice_rows_backward_adds_into_the_slice():
+    x = T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    out = T.slice_rows(x, 1, 3)
+    assert np.array_equal(out.values, x.values[1:3])
+    T.backward(T.add(T.sum_all(out), T.sum_all(T.slice_rows(x, 2, 4))))
+    assert np.array_equal(x.grad, [[0, 0], [1, 1], [2, 2], [1, 1]])
+
+
 def test_segment_softmax_group_form_matches_ids():
     scores = np.array([0.3, -1.0, 2.0, 0.5])
     by_ids = T.segment_softmax(T.Tensor(scores), [0, 0, 1, 1]).values
