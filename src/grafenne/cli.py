@@ -359,7 +359,9 @@ def _schema_epilog(schema):
             d = f"[default {default}]"
         out.append(f"  {key:<{width}}  {kind:<6} {help_} {d}".rstrip())
     out.append("\nLines are 'key = value'; '#' starts a comment line. Unknown or"
-               "\nduplicate keys abort with exit code 2.")
+               "\nduplicate keys abort with exit code 2."
+               "\n\nexit codes: 0 success, 2 configuration error, 3 data error,"
+               "\n4 numerical error (a NaN or infinite training or validation loss).")
     return "\n".join(out)
 
 
@@ -399,6 +401,9 @@ def main(argv=None):
     except OSError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
+    except FloatingPointError as e:
+        print(f"numerical error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Timestamp 1 trains on the initial snapshot; each later timestamp applies a
 delta and adapts on the affected training nodes only (except ORACLE, which
 retrains from scratch). Whole-graph test accuracy is reported per timestamp
-against the split fixed at t=1.
+against the split fixed at t=1. EWC's penalty is one tensor.ewc_penalty
+node, and its importance pass sweeps one shared tape once per node. A NaN
+or infinite training loss raises FloatingPointError.
 """
 
 import csv
@@ -18,7 +20,7 @@ from .graph import make_split, to_allotropic
 from .model import GrafenneConfig, GrafenneModel
 from .optim import AdamState, adam_step, zero_grad
 from .stream import apply_delta
-from .tasks import accuracy
+from .tasks import accuracy, check_finite_loss
 
 STRATEGIES = ("EWC", "FT", "ER", "ORACLE")
 
@@ -110,19 +112,30 @@ def _grafenne_forward(model, g):
 def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
     """Mean squared per-node loss gradient, parameter entry by entry.
 
-    One backward per node over a shared forward tape; the result is plain
-    numpy, detached from any tape. Empty node set degenerates to zero
-    importance (with a warning) — pure fine-tuning."""
+    By default one forward and one tape order serve every node: each
+    node's reverse sweep starts at the logits, seeded with that node's
+    cross-entropy gradient (its softmax minus one-hot row). A given
+    per_node_loss(v) is instead swept from the scalar loss it builds. The
+    result is plain numpy, detached from any tape. Empty node set
+    degenerates to zero importance (with a warning) — pure fine-tuning."""
     if per_node_loss is None:
         if forward is None:
             forward = _grafenne_forward(model, g_t)
-        h = forward()
-        logits = model.logits(h)
+        logits = model.logits(forward())
+        tape = T._topo_order(logits)
         row_of = {v: i for i, v in enumerate(g_t.nodes)}
 
-        def per_node_loss(v):
-            return T.cross_entropy(T.gather_rows(logits, np.array([row_of[v]])),
-                                   np.array([g_t.labels[v]]))
+        def node_sweep(v):
+            r = row_of[v]
+            seed = np.zeros_like(logits.values)
+            seed[r] = T.softmax_minus_onehot(logits.values[r:r + 1], [g_t.labels[v]])[0]
+            return logits, seed, tape
+    else:
+        def node_sweep(v):
+            loss = per_node_loss(v)
+            T._check_loss(loss)
+            return loss, np.ones_like(loss.values), T._topo_order(loss)
+    # read after the forward: embedding rows are created lazily
     params = model.trainable_parameters()
     omega = {p.name: np.zeros_like(p.values) for p in params}
     order = sorted(nodes)
@@ -130,13 +143,13 @@ def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
         warnings.warn("importance over an empty node set is zero (fine-tuning)")
         return omega
     for v in order:
-        loss = per_node_loss(v)
-        # the shared tape keeps grads between backwards; reset the whole
+        root, seed, tape = node_sweep(v)
+        # the shared tape keeps grads between sweeps; reset the whole
         # reachable slice, not just parameters
-        for node in T._topo_order(loss):
+        for node in tape:
             node.grad = None
         zero_grad(params)
-        T.backward(loss)
+        T.sweep(root, seed, tape)
         for p in params:
             omega[p.name] += np.square(p.grad)
     inv = 1.0 / len(order)
@@ -156,8 +169,9 @@ def _sum_loss(model, h, g, nodes, labels=None):
 
 
 def continual_loss(model, affected_train_nodes, ewc, forward=None, graph=None):
-    """Sum of per-node task losses on the affected nodes plus the quadratic
-    importance-weighted penalty against the stored snapshot."""
+    """Sum of per-node task losses on the affected nodes plus lam / 2 times
+    the quadratic importance-weighted penalty against the stored snapshot,
+    one tensor.ewc_penalty node over every parameter that has both."""
     affected = sorted(affected_train_nodes)
     if affected:
         if graph is None:
@@ -167,7 +181,7 @@ def continual_loss(model, affected_train_nodes, ewc, forward=None, graph=None):
         task = _sum_loss(model, forward(), graph, affected)
     else:
         task = T.Tensor(np.asarray(0.0))
-    penalty = None
+    params, anchors, weights = [], [], []
     for p in model.trainable_parameters():
         snap = ewc.snapshot.get(p.name)
         if snap is None:
@@ -178,12 +192,12 @@ def continual_loss(model, affected_train_nodes, ewc, forward=None, graph=None):
         om = ewc.omega.get(p.name)
         if om is None:
             continue
-        diff = T.sub(p, T.Tensor(snap))
-        term = T.sum_all(T.mul(T.mul(diff, diff), T.Tensor(om)))
-        penalty = term if penalty is None else T.add(penalty, term)
-    if penalty is None:
+        params.append(p)
+        anchors.append(snap)
+        weights.append(om)
+    if not params:
         return task
-    return T.add(task, T.mul(penalty, ewc.lam / 2.0))
+    return T.add(task, T.mul(T.ewc_penalty(params, anchors, weights), ewc.lam / 2.0))
 
 
 @dataclass(frozen=True)
@@ -197,8 +211,9 @@ class StreamRecord:
 
 def _train_plain(model, forward, loss_fn, epochs, lr):
     state = AdamState()
-    for _ in range(epochs):
+    for epoch in range(epochs):
         loss = loss_fn(forward())
+        check_finite_loss("training", loss.item(), epoch, epochs)
         params = model.trainable_parameters()
         zero_grad(params)
         T.backward(loss)

@@ -127,12 +127,12 @@ def impute_then_grafenne(g, method, iterations=40):
         dense = feature_propagation(g, iterations=iterations)
     else:
         raise ValueError(f"unknown imputation method {method!r}")
-    feats = {}
-    for i, v in enumerate(dense.node_ids):
-        row = {f: float(dense.values[i, j]) for j, f in enumerate(dense.feat_ids)
-               if abs(dense.values[i, j]) >= RESPARSIFY_EPS}
-        if row:
-            feats[v] = row
+    rows, cols = np.nonzero(np.abs(dense.values) >= RESPARSIFY_EPS)  # row-major
+    fids = np.asarray(dense.feat_ids, dtype=np.int64)[cols].tolist()
+    values = dense.values[rows, cols].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(dense.node_ids) + 1)).tolist()
+    feats = {v: dict(zip(fids[lo:hi], values[lo:hi]))
+             for v, lo, hi in zip(dense.node_ids, bounds[:-1], bounds[1:]) if lo < hi}
     return g.replace(feats=feats)
 
 

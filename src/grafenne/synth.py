@@ -15,21 +15,21 @@ def make_community_graph(n=100, classes=2, feats_per_class=5, p_in=0.05,
     probability `noise`. Every node is labeled.
     """
     rng = np.random.default_rng([seed, 97])
-    labels = {v: v % classes for v in range(n)}
+    cls = np.arange(n) % classes
+    labels = dict(enumerate(cls.tolist()))
+    # one uniform per node pair u < v in row-major order, drawn a row at a
+    # time so that no n^2/2 array is held, then one per (node, class,
+    # feature): the stream a pair-by-pair loop would draw
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = p_in if labels[u] == labels[v] else p_out
-            if rng.random() < p:
-                edges.append((u, v))
+    for u in range(n - 1):
+        vs = np.arange(u + 1, n)
+        hit = rng.random(vs.size) < np.where(cls[vs] == cls[u], p_in, p_out)
+        edges.extend((u, v) for v in vs[hit].tolist())
+    own = cls[:, None, None] == np.arange(classes)[None, :, None]
+    held = rng.random((n, classes, feats_per_class)) < np.where(own, density, noise)
     feats = {}
     for v in range(n):
-        fmap = {}
-        for c in range(classes):
-            for k in range(feats_per_class):
-                p = density if c == labels[v] else noise
-                if rng.random() < p:
-                    fmap[c * feats_per_class + k] = 1.0
-        if fmap:
-            feats[v] = fmap
+        ids = np.flatnonzero(held[v]).tolist()  # c * feats_per_class + k, ascending
+        if ids:
+            feats[v] = dict.fromkeys(ids, 1.0)
     return HeteroGraph(range(n), edges, feats, labels, num_classes=classes)

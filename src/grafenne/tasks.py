@@ -212,6 +212,14 @@ def train(model, g, split, cfg, forward=None, record_history=False):
     return _train_node(model, g, split, cfg, forward, record_history)
 
 
+def check_finite_loss(kind, value, epoch, epochs):
+    """Raise FloatingPointError on a NaN or infinite loss: a NaN validation
+    loss never compares below the best, so training would otherwise stop
+    early on stale weights and report a plausible accuracy."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{kind} loss is {value} at epoch {epoch + 1} of {epochs}")
+
+
 def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
     state = AdamState()
     best_loss, best_snap, best_epoch = math.inf, None, -1
@@ -219,12 +227,14 @@ def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         loss = train_loss_fn(forward())
+        check_finite_loss("training", loss.item(), epoch, cfg.epochs)
         # refresh after the forward: embedding rows are created lazily
         params = model.trainable_parameters()
         zero_grad(params)
         T.backward(loss)
         state = adam_step(params, lr=cfg.lr, state=state)
         val_loss = val_loss_fn(forward()).item()
+        check_finite_loss("validation", val_loss, epoch, cfg.epochs)
         if record_history:
             history.append(val_loss)
         if best_snap is None or val_loss < best_loss:

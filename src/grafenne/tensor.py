@@ -1,9 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Define-by-run tape: every op links the output tensor to its parents and
-attaches a gradient closure. backward() runs one reverse topological sweep
-and accumulates gradients additively, so several backward calls can reuse
-one forward tape (zero grads in between).
+attaches a gradient closure. backward(loss) runs one reverse topological
+sweep from a scalar loss; sweep(root, seed, order) is that sweep with any
+seed gradient for the root over a precomputed _topo_order(root), so one
+tape order can serve several sweeps (zero grads in between).
+
+Gradients are lazy and shared: nothing is allocated before the sweep, a
+node's first contribution is stored as given (a 0-d contribution to a
+larger tensor is broadcast to its shape), later ones are added out of
+place, and a node that received none keeps grad None and is skipped. A
+stored array may therefore be another node's grad too (add hands one array
+to both parents, reshape and slices hand views), so no closure writes into
+a .grad array: the scatter ops copy the grad they add into first.
 
 The tape is acyclic: a closure holds its parents and reads its own
 output's grad through a weak reference (_grad_reader), so a dropped tape
@@ -113,6 +122,22 @@ def _grad_reader(out):
     return lambda: ref().grad
 
 
+def _accumulate(node, g):
+    """Add one gradient contribution to node.grad without writing into any
+    array: the first is stored (broadcast to the node's shape), later ones
+    are summed out of place."""
+    if node.grad is None:
+        shape = node.values.shape
+        node.grad = g if g.shape == shape else np.broadcast_to(g, shape).copy()
+    else:
+        node.grad = node.grad + g
+
+
+def _owned_grad(x):
+    """x.grad as an array the caller may write into: a copy, or zeros."""
+    return np.zeros_like(x.values) if x.grad is None else x.grad.copy()
+
+
 def _unbroadcast(g, shape):
     """Sum g down to `shape` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -131,9 +156,9 @@ def add(a, b):
     def _bw():
         g = grad_out()
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _attach(out, (a, b), _bw)
 
@@ -146,9 +171,9 @@ def sub(a, b):
     def _bw():
         g = grad_out()
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.shape)
+            _accumulate(b, -_unbroadcast(g, b.shape))
 
     return _attach(out, (a, b), _bw)
 
@@ -161,9 +186,9 @@ def mul(a, b):
     def _bw():
         g = grad_out()
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.values, a.shape)
+            _accumulate(a, _unbroadcast(g * b.values, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.values, b.shape)
+            _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return _attach(out, (a, b), _bw)
 
@@ -182,24 +207,24 @@ def matmul(a, b):
         g = grad_out()
         if a.values.ndim == 2 and b.values.ndim == 2:
             if a.requires_grad:
-                a.grad += g @ bv.T
+                _accumulate(a, g @ bv.T)
             if b.requires_grad:
-                b.grad += av.T @ g
+                _accumulate(b, av.T @ g)
         elif a.values.ndim == 2:  # (m,k) @ (k,) -> (m,)
             if a.requires_grad:
-                a.grad += g[:, None] * bv[None, :]
+                _accumulate(a, g[:, None] * bv[None, :])
             if b.requires_grad:
-                b.grad += av.T @ g
+                _accumulate(b, av.T @ g)
         elif b.values.ndim == 2:  # (k,) @ (k,n) -> (n,)
             if a.requires_grad:
-                a.grad += bv @ g
+                _accumulate(a, bv @ g)
             if b.requires_grad:
-                b.grad += av[:, None] * g[None, :]
+                _accumulate(b, av[:, None] * g[None, :])
         else:  # dot product -> scalar
             if a.requires_grad:
-                a.grad += g * bv
+                _accumulate(a, g * bv)
             if b.requires_grad:
-                b.grad += g * av
+                _accumulate(b, g * av)
 
     return _attach(out, (a, b), _bw)
 
@@ -210,7 +235,7 @@ def reshape(x, shape):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out().reshape(x.shape)
+        _accumulate(x, grad_out().reshape(x.shape))
 
     return _attach(out, (x,), _bw)
 
@@ -230,7 +255,7 @@ def concat(parts, axis=0):
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                p.grad += g[tuple(idx)]
+                _accumulate(p, g[tuple(idx)])
 
     return _attach(out, tuple(parts), _bw)
 
@@ -242,7 +267,7 @@ def leaky_relu(x, slope=0.2):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out() * np.where(pos, 1.0, slope)
+        _accumulate(x, grad_out() * np.where(pos, 1.0, slope))
 
     return _attach(out, (x,), _bw)
 
@@ -254,7 +279,7 @@ def relu(x):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out() * pos
+        _accumulate(x, grad_out() * pos)
 
     return _attach(out, (x,), _bw)
 
@@ -266,7 +291,7 @@ def sigmoid(x):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out() * sv * (1.0 - sv)
+        _accumulate(x, grad_out() * sv * (1.0 - sv))
 
     return _attach(out, (x,), _bw)
 
@@ -288,7 +313,9 @@ def gather_rows(x, index):
     grad_out = _grad_reader(out)
 
     def _bw():
-        np.add.at(x.grad, index, grad_out())
+        buf = _owned_grad(x)
+        np.add.at(buf, index, grad_out())
+        x.grad = buf
 
     return _attach(out, (x,), _bw)
 
@@ -303,7 +330,7 @@ def segment_sum(x, segment_ids, num_segments):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out()[segment_ids]
+        _accumulate(x, grad_out()[segment_ids])
 
     return _attach(out, (x,), _bw)
 
@@ -315,7 +342,9 @@ def slice_rows(x, lo, hi):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad[lo:hi] += grad_out()
+        buf = _owned_grad(x)
+        buf[lo:hi] += grad_out()
+        x.grad = buf
 
     return _attach(out, (x,), _bw)
 
@@ -353,9 +382,9 @@ def spmm(alpha, rows, cols, num_rows, x):
     def _bw():
         g = grad_out()
         if x.requires_grad:
-            x.grad += s.T @ g
+            _accumulate(x, s.T @ g)
         if alpha.requires_grad:
-            alpha.grad += (g[rows] * xv[cols]).sum(axis=1)
+            _accumulate(alpha, (g[rows] * xv[cols]).sum(axis=1))
 
     return _attach(out, (alpha, x), _bw)
 
@@ -400,7 +429,7 @@ def segment_softmax(scores, segments, num_segments=None):
         g = grad_out()
         dot = np.zeros(num)
         np.add.at(dot, ids, p * g)
-        scores.grad += p * (g - dot[ids])
+        _accumulate(scores, p * (g - dot[ids]))
 
     return _attach(out, (scores,), _bw)
 
@@ -415,7 +444,7 @@ def stack_rows(rows):
         g = grad_out()
         for i, r in enumerate(rows):
             if r.requires_grad:
-                r.grad += g[i]
+                _accumulate(r, g[i])
 
     return _attach(out, tuple(rows), _bw)
 
@@ -426,7 +455,7 @@ def sum_all(x):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out()
+        _accumulate(x, grad_out())
 
     return _attach(out, (x,), _bw)
 
@@ -438,9 +467,45 @@ def mean_all(x):
     grad_out = _grad_reader(out)
 
     def _bw():
-        x.grad += grad_out() * inv
+        _accumulate(x, grad_out() * inv)
 
     return _attach(out, (x,), _bw)
+
+
+def ewc_penalty(params, anchors, weights):
+    """Sum over p of sum(weights_p * (p - anchors_p)**2) as one tape node.
+
+    The diagonal quadratic penalty of elastic weight consolidation
+    (Kirkpatrick et al. 2017). anchors and weights are constant arrays of
+    each parameter's shape. Terms are summed in parameter order and each
+    gradient 2 * g * weights_p * (p - anchors_p) is formed as h + h with
+    h = (g * weights_p) * (p - anchors_p): the rounding of the staged
+    sub/mul/mul/sum_all/add form, one node instead of five per parameter.
+    """
+    params = [as_tensor(p) for p in params]
+    if not len(params) == len(anchors) == len(weights):
+        raise ValueError(f"ewc_penalty needs one anchor and one weight per parameter, got "
+                         f"{len(params)}, {len(anchors)} and {len(weights)}")
+    diffs, total = [], np.float64(0.0)
+    for i, (p, a, w) in enumerate(zip(params, anchors, weights)):
+        if np.shape(a) != p.shape or np.shape(w) != p.shape:
+            raise ValueError(f"ewc_penalty term {i}: anchor {np.shape(a)} and weight "
+                             f"{np.shape(w)} do not match parameter {p.shape}")
+        d = p.values - a
+        term = ((d * d) * w).sum()
+        total = term if i == 0 else total + term
+        diffs.append(d)
+    out = Tensor(total)
+    grad_out = _grad_reader(out)
+
+    def _bw():
+        g = grad_out()
+        for p, w, d in zip(params, weights, diffs):
+            if p.requires_grad:
+                h = (g * w) * d
+                _accumulate(p, h + h)
+
+    return _attach(out, tuple(params), _bw)
 
 
 def mlp(x, weights, activation=leaky_relu):
@@ -460,6 +525,22 @@ def mlp(x, weights, activation=leaky_relu):
     return h
 
 
+def _log_softmax_parts(v):
+    """Rows of v shifted by their max, and their log-sum-exp."""
+    z = v - v.max(axis=1, keepdims=True)
+    return z, np.log(np.exp(z).sum(axis=1))
+
+
+def softmax_minus_onehot(logits, labels):
+    """softmax(logits) - onehot(labels) row by row: the gradient of the
+    summed cross entropy with respect to the logits (cross_entropy's
+    backward divides it by n)."""
+    z, lse = _log_softmax_parts(logits)
+    soft = np.exp(z - lse[:, None])
+    soft[np.arange(len(labels)), labels] -= 1.0
+    return soft
+
+
 def cross_entropy(logits, labels):
     """Mean negative log softmax probability of the true class."""
     logits = as_tensor(logits)
@@ -469,15 +550,13 @@ def cross_entropy(logits, labels):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"label out of range [0,{c})")
-    z = logits.values - logits.values.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    lv = logits.values
+    z, lse = _log_softmax_parts(lv)
     out = Tensor((lse - z[np.arange(n), labels]).mean())
     grad_out = _grad_reader(out)
 
     def _bw():
-        soft = np.exp(z - lse[:, None])
-        soft[np.arange(n), labels] -= 1.0
-        logits.grad += grad_out() * soft / n
+        _accumulate(logits, grad_out() * softmax_minus_onehot(lv, labels) / n)
 
     return _attach(out, (logits,), _bw)
 
@@ -495,7 +574,7 @@ def bce_with_logits(scores, targets):
     grad_out = _grad_reader(out)
 
     def _bw():
-        scores.grad += grad_out() * (_sigmoid_values(s) - t) / n
+        _accumulate(scores, grad_out() * (_sigmoid_values(s) - t) / n)
 
     return _attach(out, (scores,), _bw)
 
@@ -518,17 +597,23 @@ def _topo_order(root):
     return order
 
 
-def backward(loss):
-    """Reverse sweep from a scalar loss; accumulates into .grad."""
+def sweep(root, seed, order):
+    """Reverse sweep over order = _topo_order(root), with `seed` added to
+    root's grad; accumulates into .grad and skips nodes that got none."""
+    _accumulate(root, seed)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward()
+
+
+def _check_loss(loss):
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing to differentiate")
-    order = _topo_order(loss)
-    for node in order:
-        if node.requires_grad and node.grad is None:
-            node.grad = np.zeros_like(node.values)
-    loss.grad = loss.grad + np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
+
+
+def backward(loss):
+    """Reverse sweep from a scalar loss; accumulates into .grad."""
+    _check_loss(loss)
+    sweep(loss, np.ones_like(loss.values), _topo_order(loss))

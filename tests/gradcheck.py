@@ -187,6 +187,20 @@ def _case_penalty(rng):
     return build, [a, b, omega]
 
 
+def _case_ewc(rng):
+    shapes = [tuple(rng.integers(1, 5, size=2)), (), (int(rng.integers(1, 6)),)]
+    values = [rng.normal(size=s) for s in shapes]
+    anchors = [rng.normal(size=s) for s in shapes]
+    weights = [rng.random(size=s) * (rng.random(size=s) < 0.7) for s in shapes]  # some ω = 0
+    u = rng.normal(size=shapes[0])
+
+    def build(x):
+        pen = T.ewc_penalty(x, anchors, weights)
+        return T.add(T.sum_all(T.mul(x[0], u)), T.mul(pen, 0.75))
+
+    return build, values
+
+
 def _case_vectors(rng):
     k, n = rng.integers(1, 7), rng.integers(1, 6)
     a = rng.normal(size=(k,))
@@ -267,6 +281,7 @@ CASE_BUILDERS = [
     _case_deep,
     _case_softmax_groups,
     _case_spmm,
+    _case_ewc,
 ]
 
 

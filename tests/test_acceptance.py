@@ -43,7 +43,7 @@ def check(name, ok, detail=""):
 _DIFF_OPS = ("add", "sub", "mul", "matmul", "reshape", "concat", "leaky_relu",
              "relu", "sigmoid", "gather_rows", "slice_rows", "segment_sum",
              "segment_softmax", "spmm", "stack_rows", "sum_all", "mean_all", "mlp",
-             "cross_entropy", "bce_with_logits")
+             "cross_entropy", "bce_with_logits", "ewc_penalty")
 
 
 class _Builder:
@@ -200,6 +200,14 @@ def _apply_op(b, name):
             i = b.leaf((_dim(rng),))
         t = rng.integers(0, 2, size=b.shapes[i][0]).astype(float)
         b._emit(lambda ts, i=i, t=t: T.bce_with_logits(ts[i], t), ())
+    elif name == "ewc_penalty":
+        picks = sorted({b.pick() for _ in range(int(rng.integers(1, 4)))})
+        shapes = [b.shapes[i] for i in picks]
+        anchors = [rng.normal(size=s) for s in shapes]
+        weights = [rng.uniform(0.0, 2.0, size=s) * (rng.random(size=s) < 0.7)
+                   for s in shapes]  # some ω = 0
+        b._emit(lambda ts, picks=picks, a=anchors, w=weights:
+                T.ewc_penalty([ts[i] for i in picks], a, w), ())
     else:  # pragma: no cover
         raise AssertionError(name)
 

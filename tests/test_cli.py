@@ -261,6 +261,24 @@ def test_translate_malformed_exits_3(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+def test_run_non_finite_loss_exits_4(tmp_path, capsys):
+    # an lr of 1e300 throws the weights to overflow after one Adam step
+    conf = write(tmp_path / "run.conf", toy_source() +
+                 "dataset = toy\nmethods = sage\np = 0\nseeds = 0\n"
+                 "epochs = 5\nlr = 1e300\ndim = 8\nlayers = 2\npatience = 5\n")
+    out = tmp_path / "o.csv"
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "--config", conf, "--out", str(out)]) == 4
+    assert "numerical error: validation loss is nan at epoch 1 of 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_documents_exit_code_4(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "4 numerical error" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------- entry point
 
 

@@ -8,7 +8,7 @@ import grafenne.tensor as T
 from grafenne.continual import (EwcState, ReplayBuffer, StreamConfig, StreamRecord,
                                 compute_importance, continual_loss, run_stream,
                                 sample_U, stream_rows, write_stream_csv,
-                                _grafenne_forward)
+                                _grafenne_forward, _train_plain)
 from grafenne.graph import make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.optim import zero_grad
@@ -105,6 +105,47 @@ def test_importance_recomputation_oracle():
         want[k] /= len(nodes)
         denom = np.maximum(np.abs(want[k]), 1e-12)
         assert (np.abs(omega[k] - want[k]) / denom).max() < 1e-8
+
+
+def test_importance_seeded_sweep_equals_per_node_cross_entropy():
+    g = drift_graph(n=14)
+    nodes = [1, 4, 6, 9, 13]
+
+    def importance(explicit):
+        model = GrafenneModel(GrafenneConfig(layers=2, dim=4, phase2="gat", seed=5), 2)
+        per_node_loss = None
+        if explicit:
+            logits = model.logits(_grafenne_forward(model, g)())
+            row_of = {v: i for i, v in enumerate(g.nodes)}
+
+            def per_node_loss(v):
+                return T.cross_entropy(T.gather_rows(logits, np.array([row_of[v]])),
+                                       np.array([g.labels[v]]))
+        return compute_importance(model, g, nodes, per_node_loss=per_node_loss)
+
+    seeded, explicit = importance(False), importance(True)
+    assert seeded.keys() == explicit.keys()
+    for k in seeded:
+        assert np.array_equal(seeded[k], explicit[k]), k
+
+
+def test_importance_of_an_embedding_row_absent_from_the_graph_is_zero():
+    g = drift_graph(n=12)
+    model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=2), 2)
+    _grafenne_forward(model, g)()  # creates every feature's embedding row
+    gone = max(g.feature_ids())
+    g_now = g.replace(feats={v: {f: x for f, x in fmap.items() if f != gone}
+                             for v, fmap in g.feats.items()})
+    omega = compute_importance(model, g_now, [0, 3, 5])
+    assert not omega[f"feat_embed/{gone}"].any()
+    assert any(omega[f"feat_embed/{f}"].any() for f in g_now.feature_ids())
+
+
+def test_train_plain_raises_on_a_nan_loss():
+    toy = ToyModel(np.array([1.0, np.nan]))
+    w = toy.params[0]
+    with pytest.raises(FloatingPointError, match="training loss is nan at epoch 1 of 3"):
+        _train_plain(toy, lambda: w, lambda h: T.sum_all(T.mul(h, h)), 3, 0.1)
 
 
 def test_importance_bitwise_repeatable():

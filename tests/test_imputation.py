@@ -254,6 +254,27 @@ def test_impute_then_grafenne_fp_alt_edges():
             assert out.feats[v][f] == x
 
 
+@pytest.mark.parametrize("method", ["nm", "fp"])
+def test_impute_then_grafenne_matches_the_entry_loop(method):
+    from grafenne.imputation import RESPARSIFY_EPS
+    base = random_graph(np.random.default_rng(7), n_max=25)
+    # two isolated nodes and a feature that only they hold, observed as 1
+    # and -1: its column mean is 0, so NM and FP both leave exact zeros
+    a, b, f = max(base.nodes) + 1, max(base.nodes) + 2, max(base.feature_ids()) + 1
+    g = base.replace(nodes=base.nodes + (a, b), feats={**base.feats, a: {f: 1.0}, b: {f: -1.0}})
+    dense = impute_neighborhood_mean(g) if method == "nm" else feature_propagation(g, 40)
+    want = {}
+    for i, v in enumerate(dense.node_ids):
+        row = {f: float(dense.values[i, j]) for j, f in enumerate(dense.feat_ids)
+               if abs(dense.values[i, j]) >= RESPARSIFY_EPS}
+        if row:
+            want[v] = row
+    got = impute_then_grafenne(g, method, iterations=40).feats
+    assert ([(v, list(fmap.items())) for v, fmap in got.items()]
+            == [(v, list(fmap.items())) for v, fmap in g.replace(feats=want).feats.items()])
+    assert any(abs(x) < RESPARSIFY_EPS for x in dense.values.ravel())  # some entries drop
+
+
 def test_impute_then_grafenne_unknown_method():
     g = HeteroGraph([0], [], {0: {0: 1.0}}, {})
     with pytest.raises(ValueError, match="unknown imputation method"):

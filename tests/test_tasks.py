@@ -300,3 +300,13 @@ def test_all_methods_smoke(method):
     res = run_experiment(g, method, p=0.0, cfg=cfg, dim=6, layers=2)
     v = res.values[0]
     assert 0.0 <= v <= 1.0 and np.isfinite(v)
+
+
+def test_train_raises_on_a_nan_loss():
+    g = sep_graph()
+    split = make_split(g, seed=0)
+    model, fwd = method_model("grafenne", g, "node_classification", dim=4, layers=1, seed=0)
+    head = model.params["head/W"]
+    head.values = np.full_like(head.values, np.nan)
+    with pytest.raises(FloatingPointError, match="training loss is nan at epoch 1 of 5"):
+        train(model, g, split, TrainConfig(epochs=5, lr=0.01, seeds=(0,)), forward=fwd)

@@ -196,6 +196,94 @@ def test_backward_unused_tensor_grad_is_zero():
     assert unused.grad is None or not unused.grad.any()
 
 
+def test_lazy_grads_leave_shared_arrays_alone():
+    # add hands one array to both parents, and the gather's scatter-add
+    # into x must not write into the array x already shares with y
+    x = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    y = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    s = T.add(x, y)
+    loss = T.add(T.sum_all(T.mul(s, s)), T.sum_all(T.gather_rows(x, [2, 0, 2])))
+    T.backward(loss)
+    assert np.array_equal(y.grad, 2 * s.values)
+    assert np.array_equal(s.grad, 2 * s.values)
+    assert np.array_equal(x.grad, 2 * s.values + [[1, 1], [0, 0], [2, 2]])
+    # one tensor on both sides of add: its first contribution is the
+    # output's own grad array, which the second and the scatter leave alone
+    w = T.Tensor(np.arange(4.0), requires_grad=True)
+    z = T.add(w, w)
+    T.backward(T.add(T.sum_all(T.mul(z, z)), T.sum_all(T.gather_rows(w, [1, 1]))))
+    assert np.array_equal(z.grad, 2 * z.values)
+    assert np.array_equal(w.grad, 4 * z.values + [0, 2, 0, 0])
+
+
+def test_lazy_grads_broadcast_first_scalar_contribution():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    T.backward(T.sum_all(x))
+    assert x.grad.shape == (2, 3) and np.array_equal(x.grad, np.ones((2, 3)))
+    z = T.Tensor(np.ones(4), requires_grad=True)
+    T.backward(T.mean_all(z))
+    assert z.grad.shape == (4,) and np.array_equal(z.grad, np.full(4, 0.25))
+    z.grad[0] = 7.0  # a broadcast grad is a writable array of its own
+    assert z.grad[1] == 0.25
+
+
+def test_sweep_skips_nodes_without_grad_and_seeds_any_root():
+    x = T.Tensor([1.0, -2.0], requires_grad=True)
+    h = T.mul(x, 3.0)
+    out = T.mul(h, h)
+    order = T._topo_order(out)
+    T.sweep(out, np.array([1.0, 0.0]), order)
+    assert np.array_equal(x.grad, [18.0, 0.0])
+    unused = T.mul(x, 5.0)
+    T.backward(T.sum_all(out))
+    assert unused.grad is None
+
+
+def test_ewc_penalty_matches_staged_form_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4), (), (5,)]
+    values = [rng.normal(size=s) for s in shapes]
+    anchors = [rng.normal(size=s) for s in shapes]
+    weights = [rng.random(size=s) * (rng.random(size=s) < 0.6) for s in shapes]
+    weights[1] = np.asarray(0.0)
+
+    def run(fused):
+        ps = [T.Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)]
+        task = T.sum_all(T.mul(ps[0], ps[0]))
+        if fused:
+            pen = T.ewc_penalty(ps, anchors, weights)
+        else:
+            pen = None
+            for p, a, w in zip(ps, anchors, weights):
+                diff = T.sub(p, T.Tensor(a))
+                term = T.sum_all(T.mul(T.mul(diff, diff), T.Tensor(w)))
+                pen = term if pen is None else T.add(pen, term)
+        loss = T.add(task, T.mul(pen, 1e5 / 2.0))
+        zero_grad(ps)
+        T.backward(loss)
+        return loss.values, [p.grad for p in ps]
+
+    (l1, g1), (l2, g2) = run(True), run(False)
+    assert np.array_equal(l1, l2)
+    for a, b in zip(g1, g2):
+        assert np.array_equal(a, b)
+
+
+def test_ewc_penalty_rejects_mismatched_shapes():
+    p = T.Parameter(np.zeros(3), "p")
+    with pytest.raises(ValueError, match="do not match"):
+        T.ewc_penalty([p], [np.zeros(2)], [np.zeros(3)])
+    with pytest.raises(ValueError, match="one anchor"):
+        T.ewc_penalty([p], [], [np.zeros(3)])
+
+
+def test_softmax_minus_onehot_is_cross_entropy_gradient():
+    logits = np.random.default_rng(2).normal(size=(3, 4))
+    x = T.Tensor(logits, requires_grad=True)
+    T.backward(T.cross_entropy(x, [1, 0, 3]))
+    assert np.array_equal(x.grad, T.softmax_minus_onehot(logits, [1, 0, 3]) / 3)
+
+
 def test_adam_zero_grad_no_move():
     p = T.Parameter(np.array([1.0, -2.0]), "p")
     p.zero_grad()
