@@ -5,11 +5,14 @@ experiments over a drift stream), ``transform`` (allotropic dump),
 ``translate`` (feature-file rescaling). Each takes a flat ``key = value``
 config file; the key tables live in each subcommand's ``--help``. Unknown
 and duplicate keys are hard errors — silent typos corrupt experiments.
+Only ``run`` and ``stream`` take ``--seed`` and ``--workers``.
 
-Exit codes: 0 success, 2 config/usage error, 3 data error.
+Exit codes: 0 success, 2 config/usage error, 3 data error, 4 numerical
+error (a NaN or infinite training or validation loss).
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -212,10 +215,11 @@ def cmd_run(cfg, args):
     if len(cfg["caps"]) != 3:
         raise ConfigError("caps needs exactly 3 integers")
     seeds = (args.seed,) if args.seed is not None else cfg["seeds"]
+    train_cfg = TrainConfig(task=cfg["task"], epochs=cfg["epochs"], lr=cfg["lr"],
+                            seeds=seeds, patience=cfg["patience"],
+                            neg_ratio=cfg["neg_ratio"])
     try:
-        TrainConfig(task=cfg["task"], epochs=cfg["epochs"], lr=cfg["lr"],
-                    seeds=seeds, patience=cfg["patience"],
-                    neg_ratio=cfg["neg_ratio"]).validate()
+        train_cfg.validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
     out = _resolve_out(cfg, args)
@@ -225,10 +229,7 @@ def cmd_run(cfg, args):
     for method in cfg["methods"]:
         for p in cfg["p"]:
             for seed in seeds:
-                tc = TrainConfig(task=cfg["task"], epochs=cfg["epochs"],
-                                 lr=cfg["lr"], seeds=(seed,),
-                                 patience=cfg["patience"],
-                                 neg_ratio=cfg["neg_ratio"])
+                tc = dataclasses.replace(train_cfg, seeds=(seed,))
                 payloads.append((g, method, p, tc, cfg["dim"], cfg["layers"],
                                  cfg["fp_iterations"], tuple(cfg["caps"])))
                 index.append((method, p, seed))
@@ -376,17 +377,18 @@ def make_parser():
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", help="output path (overrides the 'out' key)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel experiment cells (default 1)")
-        p.add_argument("--seed", type=int,
-                       help="run: restrict to this single seed; stream: override "
-                            "the seed key; elsewhere ignored")
+        if name in ("run", "stream"):
+            p.add_argument("--workers", type=int, default=1,
+                           help="parallel experiment cells (default 1)")
+            p.add_argument("--seed", type=int,
+                           help="run: restrict to this single seed; stream: override "
+                                "the seed key")
     return parser
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     try:

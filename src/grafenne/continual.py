@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .graph import make_split, to_allotropic
+from .graph import make_split
 from .model import GrafenneConfig, GrafenneModel
 from .optim import AdamState, adam_step, zero_grad
 from .stream import apply_delta
-from .tasks import accuracy, check_finite_loss
+from .tasks import accuracy, allotropic_forward, check_finite_loss
 
 STRATEGIES = ("EWC", "FT", "ER", "ORACLE")
 
@@ -104,11 +104,6 @@ def sample_U(train_nodes, size, seed):
     return tuple(sorted(pool[i] for i in idx))
 
 
-def _grafenne_forward(model, g):
-    alt = to_allotropic(g)
-    return lambda: model.forward(alt)[0]
-
-
 def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
     """Mean squared per-node loss gradient, parameter entry by entry.
 
@@ -120,7 +115,7 @@ def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
     degenerates to zero importance (with a warning) — pure fine-tuning."""
     if per_node_loss is None:
         if forward is None:
-            forward = _grafenne_forward(model, g_t)
+            forward = allotropic_forward(model, g_t)
         logits = model.logits(forward())
         tape = T._topo_order(logits)
         row_of = {v: i for i, v in enumerate(g_t.nodes)}
@@ -177,7 +172,7 @@ def continual_loss(model, affected_train_nodes, ewc, forward=None, graph=None):
         if graph is None:
             raise ValueError("continual_loss needs the current graph for labels")
         if forward is None:
-            forward = _grafenne_forward(model, graph)
+            forward = allotropic_forward(model, graph)
         task = _sum_loss(model, forward(), graph, affected)
     else:
         task = T.Tensor(np.asarray(0.0))
@@ -224,7 +219,7 @@ def _evaluate(model, g, test_nodes):
     alive = sorted(v for v in test_nodes if v in g.labels)
     if not alive:
         raise ValueError("test set is empty at this timestamp")
-    fwd = _grafenne_forward(model, g)
+    fwd = allotropic_forward(model, g)
     row_of = {v: i for i, v in enumerate(g.nodes)}
     rows = np.array([row_of[v] for v in alive], dtype=np.int64)
     preds = model.logits(fwd()).values[rows].argmax(axis=1)
@@ -262,7 +257,7 @@ def run_stream(g_1, deltas, strategy, cfg=None):
         return GrafenneModel(model_cfg, g_1.num_classes)
 
     def full_train(model, g):
-        fwd = _grafenne_forward(model, g)
+        fwd = allotropic_forward(model, g)
         pool = sorted(train_pool)
         _train_plain(model, fwd,
                      lambda h: T.mul(_sum_loss(model, h, g, pool), 1.0 / len(pool)),
@@ -300,7 +295,7 @@ def run_stream(g_1, deltas, strategy, cfg=None):
                 model = fresh_model()
                 full_train(model, g)
         elif affected_train:
-            fwd = _grafenne_forward(model, g)
+            fwd = allotropic_forward(model, g)
             if strategy == "EWC":
                 u = sample_U(train_pool, min(cfg.u_size, len(train_pool)),
                              seed=cfg.seed * 100003 + delta.t)
@@ -345,10 +340,8 @@ def stream_rows(records, timing="none"):
     return rows
 
 
-def write_stream_csv(path, rows, append=False):
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+def write_stream_csv(path, rows):
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if not append:
-            w.writerow(STREAM_HEADER)
+        w.writerow(STREAM_HEADER)
         w.writerows(rows)

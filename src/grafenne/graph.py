@@ -97,13 +97,22 @@ class HeteroGraph:
                             labels=dict(self.labels))
 
 
-def adjacency(g):
-    """node -> sorted tuple of graph neighbors."""
-    nbr = {v: [] for v in g.nodes}
-    for u, v in g.edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    return {v: tuple(sorted(ns)) for v, ns in nbr.items()}
+def by_destination(*blocks):
+    """Concatenate blocks of directed edges (src, dst) and sort them by
+    (dst, src): the layout every aggregation reads, ascending destinations
+    for tensor.spmm and a fixed summation order within each."""
+    src = np.concatenate([s for s, _ in blocks])
+    dst = np.concatenate([d for _, d in blocks])
+    order = np.lexsort((src, dst))
+    return src[order], dst[order]
+
+
+def directed_edges(nodes, edges):
+    """Both directions of the undirected `edges`, as rows of the ascending
+    id array `nodes`, sorted by (dst, src)."""
+    rows = np.searchsorted(nodes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    u, v = rows[:, 0], rows[:, 1]
+    return by_destination((u, v), (v, u))
 
 
 class AllotropicGraph:
@@ -137,15 +146,7 @@ class AllotropicGraph:
         self.fe3_feat = self.fe_feat[order3]
         self.fe3_weight = self.fe_weight[order3]
 
-        src, dst = [], []
-        for u, v in self.graph_edges:
-            ur, vr = self.node_row[u], self.node_row[v]
-            src += [ur, vr]
-            dst += [vr, ur]
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        order = np.lexsort((src, dst))
-        self.ge_src, self.ge_dst = src[order], dst[order]
+        self.ge_src, self.ge_dst = directed_edges(self.node_ids, self.graph_edges)
 
     @property
     def n(self):

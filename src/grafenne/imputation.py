@@ -11,8 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
-from .graph import HeteroGraph, adjacency
-from .model import GrafenneConfig, gat_layer, gin_layer, glorot, sage_layer
+from .graph import directed_edges
+from .model import ModelBase
 
 RESPARSIFY_EPS = 1e-8
 
@@ -55,13 +55,8 @@ def _expand(g, feature_ids=None):
 
 def _adjacency_matrix(g):
     n = g.num_nodes
-    row_of = {v: i for i, v in enumerate(g.nodes)}
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows += [row_of[u], row_of[v]]
-        cols += [row_of[v], row_of[u]]
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    src, dst = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
+    return sp.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
 
 
 def impute_special_label(g, sentinel=0.0, feature_ids=None):
@@ -90,12 +85,12 @@ def impute_neighborhood_mean(g, feature_ids=None):
     return DenseFeatures(out, mask, node_ids, feat_ids)
 
 
-def feature_propagation(g, iterations=40, clamp=True, feature_ids=None):
+def feature_propagation(g, iterations=40, feature_ids=None):
     """Diffuse observed values through the symmetric-normalized adjacency.
 
     Missing entries start at 0 and take the diffusion value; observed
-    entries are re-clamped after every iteration (clamp=True), so they
-    are exactly preserved. Isolated nodes receive no diffusion.
+    entries are re-clamped after every iteration, so they are exactly
+    preserved. Isolated nodes receive no diffusion.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -110,9 +105,6 @@ def feature_propagation(g, iterations=40, clamp=True, feature_ids=None):
     x = observed.copy()
     for _ in range(iterations):
         x = a_hat @ x
-        if clamp:
-            x[mask] = observed[mask]
-    if clamp:
         x[mask] = observed[mask]
     return DenseFeatures(x, mask, node_ids, feat_ids)
 
@@ -136,98 +128,30 @@ def impute_then_grafenne(g, method, iterations=40):
     return g.replace(feats=feats)
 
 
-class DenseGnnModel:
+class DenseGnnModel(ModelBase):
     """Plain L-layer GNN over the original edges with h^0 = dense features.
 
-    Backends mirror the phase-2 variants; the first layer maps |F| -> d,
+    Each layer is GRAFENNE's phase-2 backbone; the first maps |F| -> d,
     so the parameter count grows with the feature universe (unlike the
     allotropic model, whose only |F|-dependent state is the embedding
     table).
     """
 
     def __init__(self, config, in_dim, num_classes=None):
-        config.validate()
-        self.config = config
+        super().__init__(config, num_classes)
         self.in_dim = int(in_dim)
-        self.num_classes = num_classes
-        self.params = {}
         rng = np.random.default_rng([config.seed, 17])
-        d = config.dim
         for l in range(config.layers):
-            d_in = self.in_dim if l == 0 else d
-            pre = f"layer{l}"
-            if config.phase2 == "sage":
-                self._add(rng, f"{pre}/W", (d_in + d_in, d))
-            elif config.phase2 == "gat":
-                self._add(rng, f"{pre}/W13", (d_in, d))
-                self._add(rng, f"{pre}/W14", (d_in, d))
-                self._add(rng, f"{pre}/w15", (2 * d,))
-                self._add(rng, f"{pre}/W16", (d_in, d))
-            else:
-                self._add(rng, f"{pre}/mlp/A0", (d_in, d))
-                self.params[f"{pre}/mlp/b0"] = T.Parameter(np.zeros(d), f"{pre}/mlp/b0")
-                self._add(rng, f"{pre}/mlp/A1", (d, d))
-                self.params[f"{pre}/mlp/b1"] = T.Parameter(np.zeros(d), f"{pre}/mlp/b1")
-                self.params[f"{pre}/epsilon"] = T.Parameter(
-                    np.asarray(config.gin_epsilon), f"{pre}/epsilon")
-        if num_classes is not None:
-            self._add(rng, "head/W", (d, num_classes))
-            self.params["head/b"] = T.Parameter(np.zeros(num_classes), "head/b")
-
-    def _add(self, rng, name, shape):
-        self.params[name] = T.Parameter(glorot(rng, shape), name)
-
-    def trainable_parameters(self):
-        return [self.params[k] for k in sorted(self.params)]
-
-    def parameter_count(self):
-        return sum(p.values.size for p in self.params.values())
-
-    def _act(self, x):
-        return T.leaky_relu(x, self.config.leaky_slope)
-
-    def _edge_arrays(self, g):
-        row_of = {v: i for i, v in enumerate(g.nodes)}
-        und = [(row_of[u], row_of[v]) for u, v in g.edges]
-        src = np.array([u for u, v in und] + [v for u, v in und], dtype=np.int64)
-        dst = np.array([v for u, v in und] + [u for u, v in und], dtype=np.int64)
-        order = np.lexsort((src, dst))
-        return src[order], dst[order]
+            self._add_backbone(rng, f"layer{l}", self.in_dim if l == 0 else config.dim)
+        self._add_head(rng, num_classes)
 
     def forward(self, g, dense):
         if dense.values.shape[1] != self.in_dim:
             raise ValueError(
                 f"dense feature width {dense.values.shape[1]} does not match "
                 f"first-layer weights built for {self.in_dim} features")
-        src, dst = self._edge_arrays(g)
-        n = g.num_nodes
+        src, dst = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
         h = T.Tensor(dense.values)
         for l in range(self.config.layers):
-            h = self._layer(l, h, src, dst, n)
+            h = self._backbone(f"layer{l}", h, src, dst, g.num_nodes)
         return h
-
-    def _layer(self, l, h, src, dst, n):
-        p = self.params
-        pre = f"layer{l}"
-        backend = self.config.phase2
-        if backend == "sage":
-            return sage_layer(h, src, dst, n, p[f"{pre}/W"])
-        if backend == "gat":
-            return gat_layer(h, src, dst, n, p[f"{pre}/W13"], p[f"{pre}/W14"],
-                             p[f"{pre}/w15"], p[f"{pre}/W16"], self._act)
-        weights = [p[f"{pre}/mlp/A0"], p[f"{pre}/mlp/b0"], p[f"{pre}/mlp/A1"], p[f"{pre}/mlp/b1"]]
-        return gin_layer(h, src, dst, n, p[f"{pre}/epsilon"], weights, self._act)
-
-    def logits(self, h):
-        if self.num_classes is None:
-            raise ValueError("model built without a classification head")
-        return T.add(T.matmul(h, self.params["head/W"]), self.params["head/b"])
-
-
-def dense_gnn_forward(g, dense, backend="sage", L=2, dim=64, seed=0, model=None):
-    """Forward pass of the plain-GNN baseline; builds a fresh seeded model
-    unless one is passed in."""
-    if model is None:
-        cfg = GrafenneConfig(layers=L, dim=dim, phase2=backend, seed=seed)
-        model = DenseGnnModel(cfg, in_dim=len(dense.feat_ids))
-    return model.forward(g, dense)

@@ -24,9 +24,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .graph import to_allotropic
+from .graph import by_destination
 
 _PHASE2 = ("sage", "gat", "gin")
+
+# parameter names of the attention phases, in the order (dst score, src
+# score, edge vector, attention vector, self projection, message)
+_ATTEND_PARAMS = {"p1": ("W1", "W2", "w3", "w4", "W5", "W6"),
+                  "p3": ("W7", "W8", "w9", "w10", "W11", "W12")}
 
 
 @dataclass
@@ -54,7 +59,7 @@ class GrafenneConfig:
 
 
 def glorot(rng, shape):
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[1] if len(shape) > 1 else 1
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -97,15 +102,6 @@ def init_states(alt, table, dim):
     return hg, hf
 
 
-def sample_caps(neighbors, cap, rng):
-    """Uniform sub-list of at most cap entries; cap=0 keeps everything."""
-    neighbors = list(neighbors)
-    if cap <= 0 or len(neighbors) <= cap:
-        return neighbors
-    idx = rng.choice(len(neighbors), size=cap, replace=False)
-    return [neighbors[i] for i in np.sort(idx)]
-
-
 def _cap_edge_arrays(seg, arrays, cap, rng, num_segments):
     """Keep at most cap edges per segment; seg must be sorted ascending."""
     if cap <= 0 or len(seg) == 0:
@@ -125,77 +121,113 @@ def _cap_edge_arrays(seg, arrays, cap, rng, num_segments):
     return (seg[keep], *[a[keep] for a in arrays])
 
 
-class GrafenneModel:
-    def __init__(self, config, num_classes=None):
+class ModelBase:
+    """What GrafenneModel, VanillaAltModel and DenseGnnModel share: named
+    parameters drawn in a fixed order from a seeded RNG, the LeakyReLU
+    activation, the SAGE/GAT/GIN backbone layer and the linear head.
+    forward and GRAFENNE's _phase1/2/3 stay in each model's own class body,
+    where bench/tracing.py looks them up to time them."""
+
+    table = None  # learnable feature-embedding rows, where a model has them
+
+    def __init__(self, config, num_classes):
         self.config = config.validate()
         self.num_classes = num_classes
         self.params = {}
-        self.table = FeatureEmbeddingTable(config.dim, config.seed)
-        rng = np.random.default_rng([config.seed, 11])
-        d = config.dim
-        for l in range(config.layers):
-            pre = f"layer{l}"
-            self._add(rng, f"{pre}/p1/W1", (d, d))
-            self._add(rng, f"{pre}/p1/W2", (d, d))
-            self._add(rng, f"{pre}/p1/w3", (d,))
-            self._add(rng, f"{pre}/p1/w4", (3 * d,))
-            self._add(rng, f"{pre}/p1/W5", (d, d))
-            self._add(rng, f"{pre}/p1/W6", (d, d))
-            self._add_mlp(rng, f"{pre}/p1/mlp", 2 * d, d)
-            if config.phase2 == "sage":
-                self._add(rng, f"{pre}/p2/W13", (2 * d, d))
-            elif config.phase2 == "gat":
-                self._add(rng, f"{pre}/p2/W13", (d, d))
-                self._add(rng, f"{pre}/p2/W14", (d, d))
-                self._add(rng, f"{pre}/p2/w15", (2 * d,))
-                self._add(rng, f"{pre}/p2/W16", (d, d))
-            else:  # gin
-                self._add_mlp(rng, f"{pre}/p2/mlp", d, d)
-                self.params[f"{pre}/p2/epsilon"] = T.Parameter(
-                    np.array(config.gin_epsilon), f"{pre}/p2/epsilon")
-            self._add(rng, f"{pre}/p3/W7", (d, d))
-            self._add(rng, f"{pre}/p3/W8", (d, d))
-            self._add(rng, f"{pre}/p3/w9", (d,))
-            self._add(rng, f"{pre}/p3/w10", (3 * d,))
-            self._add(rng, f"{pre}/p3/W11", (d, d))
-            self._add(rng, f"{pre}/p3/W12", (d, d))
-            self._add_mlp(rng, f"{pre}/p3/mlp", 2 * d, d)
-        if num_classes is not None:
-            self._add(rng, "head/W", (d, num_classes))
-            self.params["head/b"] = T.Parameter(np.zeros(num_classes), "head/b")
 
     def _add(self, rng, name, shape):
         assert name not in self.params, name
         self.params[name] = T.Parameter(glorot(rng, shape), name)
 
+    def _add_zeros(self, name, size):
+        self.params[name] = T.Parameter(np.zeros(size), name)
+
     def _add_mlp(self, rng, prefix, d_in, d_out):
         self._add(rng, f"{prefix}/A0", (d_in, d_out))
-        self.params[f"{prefix}/b0"] = T.Parameter(np.zeros(d_out), f"{prefix}/b0")
+        self._add_zeros(f"{prefix}/b0", d_out)
         self._add(rng, f"{prefix}/A1", (d_out, d_out))
-        self.params[f"{prefix}/b1"] = T.Parameter(np.zeros(d_out), f"{prefix}/b1")
+        self._add_zeros(f"{prefix}/b1", d_out)
 
     def _mlp_params(self, prefix):
         p = self.params
         return [p[f"{prefix}/A0"], p[f"{prefix}/b0"], p[f"{prefix}/A1"], p[f"{prefix}/b1"]]
 
-    def trainable_parameters(self):
-        return list(self.params.values()) + self.table.parameters()
+    def _add_head(self, rng, num_classes):
+        if num_classes is not None:
+            self._add(rng, "head/W", (self.config.dim, num_classes))
+            self._add_zeros("head/b", num_classes)
 
-    def non_embedding_parameter_count(self):
-        return sum(p.size for p in self.params.values())
+    def _add_backbone(self, rng, prefix, d_in):
+        """Parameters of one SAGE/GAT/GIN layer d_in -> dim."""
+        d = self.config.dim
+        backend = self.config.phase2
+        if backend == "sage":
+            self._add(rng, f"{prefix}/W13", (2 * d_in, d))
+        elif backend == "gat":
+            self._add(rng, f"{prefix}/W13", (d_in, d))
+            self._add(rng, f"{prefix}/W14", (d_in, d))
+            self._add(rng, f"{prefix}/w15", (2 * d,))
+            self._add(rng, f"{prefix}/W16", (d_in, d))
+        else:  # gin
+            self._add_mlp(rng, f"{prefix}/mlp", d_in, d)
+            self.params[f"{prefix}/epsilon"] = T.Parameter(
+                np.array(self.config.gin_epsilon), f"{prefix}/epsilon")
+
+    def _backbone(self, prefix, h, src, dst, n):
+        """One SAGE/GAT/GIN layer over the edges src -> dst, dst ascending."""
+        p = self.params
+        backend = self.config.phase2
+        if backend == "sage":
+            return sage_layer(h, src, dst, n, p[f"{prefix}/W13"])
+        if backend == "gat":
+            return gat_layer(h, src, dst, n, p[f"{prefix}/W13"], p[f"{prefix}/W14"],
+                             p[f"{prefix}/w15"], p[f"{prefix}/W16"], self._act)
+        return gin_layer(h, src, dst, n, p[f"{prefix}/epsilon"],
+                         self._mlp_params(f"{prefix}/mlp"), self._act)
 
     def _act(self, x):
         return T.leaky_relu(x, self.config.leaky_slope)
 
-    def _sampling_rng(self, rng):
-        if rng is not None:
-            return rng
-        return np.random.default_rng([self.config.seed, 3571])
+    def trainable_parameters(self):
+        rows = self.table.parameters() if self.table is not None else []
+        return list(self.params.values()) + rows
+
+    def non_embedding_parameter_count(self):
+        return sum(p.size for p in self.params.values())
+
+    def logits(self, h):
+        if self.num_classes is None:
+            raise ValueError("model built without a classification head")
+        return T.add(T.matmul(h, self.params["head/W"]), self.params["head/b"])
+
+
+class GrafenneModel(ModelBase):
+    def __init__(self, config, num_classes=None):
+        super().__init__(config, num_classes)
+        self.table = FeatureEmbeddingTable(config.dim, config.seed)
+        rng = np.random.default_rng([config.seed, 11])
+        for l in range(config.layers):
+            self._add_attention(rng, l, "p1")
+            self._add_backbone(rng, f"layer{l}/p2", config.dim)
+            self._add_attention(rng, l, "p3")
+        self._add_head(rng, num_classes)
+
+    def _add_attention(self, rng, l, phase):
+        d = self.config.dim
+        shapes = ((d, d), (d, d), (d,), (3 * d,), (d, d), (d, d))
+        for name, shape in zip(_ATTEND_PARAMS[phase], shapes):
+            self._add(rng, f"layer{l}/{phase}/{name}", shape)
+        self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d)
 
     def forward(self, alt, rng=None):
-        """Run L triple-phase layers; returns (graph states, feature states)."""
+        """Run L triple-phase layers; returns (graph states, feature states).
+        With sampling caps set, rng draws the capped edges (by default a
+        fixed one per model seed); without caps it is not used."""
         cfg = self.config
-        rng = self._sampling_rng(rng) if max(cfg.cap_features, cfg.cap_nodes, cfg.cap_graph) else None
+        if not max(cfg.cap_features, cfg.cap_nodes, cfg.cap_graph):
+            rng = None
+        elif rng is None:
+            rng = np.random.default_rng([cfg.seed, 3571])
         hg, hf = init_states(alt, self.table, cfg.dim)
         for l in range(cfg.layers):
             hg_new = self._phase1(l, alt, hg, hf, rng)
@@ -203,11 +235,6 @@ class GrafenneModel:
             hf = self._phase3(l, alt, hg_new, hf, rng)
             hg = hg_new
         return hg, hf
-
-    def logits(self, hg):
-        if self.num_classes is None:
-            raise ValueError("model built without a classification head")
-        return T.add(T.matmul(hg, self.params["head/W"]), self.params["head/b"])
 
     def _edge_channel(self, weights, w_vec, w_att):
         # w_att . LR(w_e * w_vec) per edge, in the positively homogeneous
@@ -246,19 +273,10 @@ class GrafenneModel:
         return self._attend(l, "p1", hg, hf, *edges, alt.n)
 
     def _phase2(self, l, alt, hg, rng):
-        p = self.params
-        pre = f"layer{l}/p2"
         src, dst = alt.ge_src, alt.ge_dst
         if rng is not None:
             dst, src = _cap_edge_arrays(dst, (src,), self.config.cap_graph, rng, alt.n)
-        backend = self.config.phase2
-        if backend == "sage":
-            return sage_layer(hg, src, dst, alt.n, p[f"{pre}/W13"])
-        if backend == "gat":
-            return gat_layer(hg, src, dst, alt.n, p[f"{pre}/W13"], p[f"{pre}/W14"],
-                             p[f"{pre}/w15"], p[f"{pre}/W16"], self._act)
-        return gin_layer(hg, src, dst, alt.n, p[f"{pre}/epsilon"],
-                         self._mlp_params(f"{pre}/mlp"), self._act)
+        return self._backbone(f"layer{l}/p2", hg, src, dst, alt.n)
 
     def _phase3(self, l, alt, hg_new, hf, rng):
         if alt.m == 0:
@@ -267,12 +285,6 @@ class GrafenneModel:
         if rng is not None:
             edges = _cap_edge_arrays(edges[0], edges[1:], self.config.cap_nodes, rng, alt.m)
         return self._attend(l, "p3", hf, hg_new, *edges, alt.m)
-
-
-# parameter names of the attention phases, in the order (dst score, src
-# score, edge vector, attention vector, self projection, message)
-_ATTEND_PARAMS = {"p1": ("W1", "W2", "w3", "w4", "W5", "W6"),
-                  "p3": ("W7", "W8", "w9", "w10", "W11", "W12")}
 
 
 def _neighbour_sum(h, src, dst, n):
@@ -292,10 +304,7 @@ def gat_layer(h, src, dst, n, w_dst, w_src, w_att, w_msg, act):
     """Attention over in-neighbours plus a self-loop; dst ascending."""
     d = w_msg.shape[1]
     loop = np.arange(n, dtype=np.int64)
-    src2 = np.concatenate([src, loop])
-    dst2 = np.concatenate([dst, loop])
-    order = np.lexsort((src2, dst2))
-    src2, dst2 = src2[order], dst2[order]
+    src2, dst2 = by_destination((src, dst), (loop, loop))
     s_dst = T.matmul(act(T.matmul(h, w_dst)), T.slice_rows(w_att, 0, d))
     s_src = T.matmul(act(T.matmul(h, w_src)), T.slice_rows(w_att, d, 2 * d))
     score = T.add(T.gather_rows(s_dst, dst2), T.gather_rows(s_src, src2))
@@ -310,46 +319,30 @@ def gin_layer(h, src, dst, n, epsilon, mlp_params, act):
     return T.mlp(T.add(scaled, neigh), mlp_params, act)
 
 
-class VanillaAltModel:
+class VanillaAltModel(ModelBase):
     """Ablation: plain GraphSAGE over all of G^alt, feature nodes treated
     as ordinary unweighted neighbors, initialization as in the full model."""
 
     def __init__(self, config, num_classes=None):
-        self.config = config.validate()
-        self.num_classes = num_classes
-        self.params = {}
+        super().__init__(config, num_classes)
         self.table = FeatureEmbeddingTable(config.dim, config.seed)
         rng = np.random.default_rng([config.seed, 17])
-        d = config.dim
         for l in range(config.layers):
-            name = f"layer{l}/W"
-            self.params[name] = T.Parameter(glorot(rng, (2 * d, d)), name)
-        if num_classes is not None:
-            self.params["head/W"] = T.Parameter(glorot(rng, (d, num_classes)), "head/W")
-            self.params["head/b"] = T.Parameter(np.zeros(num_classes), "head/b")
-
-    def trainable_parameters(self):
-        return list(self.params.values()) + self.table.parameters()
-
-    def non_embedding_parameter_count(self):
-        return sum(p.size for p in self.params.values())
+            self._add(rng, f"layer{l}/W", (2 * config.dim, config.dim))
+        self._add_head(rng, num_classes)
 
     def forward(self, alt, rng=None):
         n, m = alt.n, alt.m
         hg0, hf0 = init_states(alt, self.table, self.config.dim)
         h = T.concat([hg0, hf0], axis=0) if m else hg0
-        src = np.concatenate([alt.ge_src, alt.fe_node, alt.fe_feat + n])
-        dst = np.concatenate([alt.ge_dst, alt.fe_feat + n, alt.fe_node])
-        order = np.lexsort((src, dst))
-        src, dst = src[order], dst[order]
+        feat = alt.fe_feat + n
+        src, dst = by_destination((alt.ge_src, alt.ge_dst), (alt.fe_node, feat),
+                                  (feat, alt.fe_node))
         for l in range(self.config.layers):
             h = sage_layer(h, src, dst, n + m, self.params[f"layer{l}/W"])
         hg = T.slice_rows(h, 0, n)
         hf = T.slice_rows(h, n, n + m)
         return hg, hf
-
-    def logits(self, hg):
-        return T.add(T.matmul(hg, self.params["head/W"]), self.params["head/b"])
 
 
 def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):

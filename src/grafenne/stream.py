@@ -3,8 +3,9 @@ and delta application producing fresh snapshots."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +65,11 @@ def apply_delta(g, delta):
         if v not in nodes:
             raise GraphError(f"t={delta.t}: deleting nonexistent node {v}")
         nodes.remove(v)
-        edges = {e for e in edges if v not in e}
         feats.pop(v, None)
         labels.pop(v, None)
+    if delta.del_nodes:
+        gone = set(delta.del_nodes)
+        edges = {e for e in edges if e[0] not in gone and e[1] not in gone}
     for v, label in delta.add_nodes:
         if v in nodes:
             raise GraphError(f"t={delta.t}: adding existing node {v}")
@@ -97,16 +100,14 @@ def _binary_valued(g):
     return all(w == 1.0 for fmap in g.feats.values() for w in fmap.values())
 
 
-def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed,
-                    value_mode="auto"):
+def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed):
     """Synthetic drift: per timestamp, each node is affected w.p. p_n; an
     affected node adds each absent registry feature w.p. p_f_add and drops
     each present one w.p. p_f_del. Each existing edge dies w.p. p_e_del and
     about |E|*p_e_add random non-edges are born. Timestamps run 2..T+1 so
     the input graph is snapshot 1. Node set stays fixed.
 
-    Added values are 1.0 for binary-valued graphs, else uniform(0,1]
-    (value_mode: auto|binary|uniform).
+    Added values are 1.0 for binary-valued graphs, else uniform(0,1].
     """
     for name, p in [("p_n", p_n), ("p_f_add", p_f_add), ("p_f_del", p_f_del),
                     ("p_e_add", p_e_add), ("p_e_del", p_e_del)]:
@@ -114,10 +115,7 @@ def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed,
             raise ValueError(f"{name}={p} outside [0,1]")
     if T < 1:
         raise ValueError(f"T={T} < 1")
-    if value_mode == "auto":
-        value_mode = "binary" if _binary_valued(g) else "uniform"
-    if value_mode not in ("binary", "uniform"):
-        raise ValueError(f"bad value_mode {value_mode!r}")
+    binary = _binary_valued(g)
 
     rng = np.random.default_rng(seed)
     nodes = list(g.nodes)
@@ -136,7 +134,7 @@ def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed,
                     if r < p_f_del:
                         del_feats.append((v, f))
                 elif r < p_f_add:
-                    value = 1.0 if value_mode == "binary" else 1.0 - rng.random()
+                    value = 1.0 if binary else 1.0 - rng.random()
                     add_feats.append((v, f, value))
 
         ordered = sorted(edges)
@@ -199,6 +197,9 @@ def read_stream(path, node_ids=None, feat_ids=None):
     from .graph import DataError
     node_ids = dict(node_ids) if node_ids is not None else None
     feat_ids = dict(feat_ids) if feat_ids is not None else None
+    # a fresh name gets one more than the largest id assigned so far
+    new_node = itertools.count(max((node_ids or {}).values(), default=-1) + 1)
+    new_feat = itertools.count(max((feat_ids or {}).values(), default=-1) + 1)
 
     def nid(name, allow_new):
         if node_ids is None:
@@ -206,14 +207,14 @@ def read_stream(path, node_ids=None, feat_ids=None):
         if name not in node_ids:
             if not allow_new:
                 raise DataError(f"unknown node '{name}'")
-            node_ids[name] = max(node_ids.values(), default=-1) + 1
+            node_ids[name] = next(new_node)
         return node_ids[name]
 
     def fid(name):
         if feat_ids is None:
             return int(name)
         if name not in feat_ids:
-            feat_ids[name] = max(feat_ids.values(), default=-1) + 1
+            feat_ids[name] = next(new_feat)
         return feat_ids[name]
 
     by_t = {}

@@ -76,22 +76,6 @@ class RunResult:
         return 0.0 if s < 0.01 else s
 
 
-def classify_head(h, c=None, weights=None, bias=None):
-    """Linear map d -> c producing class logits.
-
-    Zero-initialized weights are created when none are passed, which makes
-    the softmax uniform and the cross entropy ln(c)."""
-    h = T.as_tensor(h)
-    if weights is None:
-        if c is None:
-            raise ValueError("classify_head needs either c or explicit weights")
-        weights = T.Parameter(np.zeros((h.shape[1], c)), "head/W")
-    weights = T.as_tensor(weights)
-    if bias is None:
-        bias = T.Parameter(np.zeros(weights.shape[1]), "head/b")
-    return T.add(T.matmul(h, weights), T.as_tensor(bias))
-
-
 def link_score(h_u, h_v):
     """Dot-product decoder; sigmoid of the logit is the edge probability."""
     h_u, h_v = T.as_tensor(h_u), T.as_tensor(h_v)
@@ -185,10 +169,8 @@ def make_link_split(g, fractions=(0.6, 0.2, 0.2), seed=0, neg_ratio=1.0):
                      neg_parts[0], neg_parts[1], neg_parts[2], graph)
 
 
-def _default_forward(model, g):
-    if isinstance(model, DenseGnnModel):
-        dense = impute_special_label(g)
-        return lambda: model.forward(g, dense)
+def allotropic_forward(model, g):
+    """forward() of a model over g's allotropic form: the graph-node states."""
     alt = to_allotropic(g)
     return lambda: model.forward(alt)[0]
 
@@ -202,8 +184,9 @@ def _restore(params, snap):
         p.values = snap[p.name].copy()
 
 
-def train(model, g, split, cfg, forward=None, record_history=False):
-    """Full-batch training with best-validation-loss model selection.
+def train(model, g, split, cfg, forward, record_history=False):
+    """Full-batch training with best-validation-loss model selection;
+    forward() returns the node states the head and the losses read.
 
     Returns a single-seed RunResult keyed by the model's own seed."""
     cfg.validate()
@@ -249,8 +232,6 @@ def _train_node(model, g, split, cfg, forward, record_history):
     for part, name in ((split.train, "train"), (split.val, "val"), (split.test, "test")):
         if not part:
             raise ValueError(f"empty {name} split")
-    if forward is None:
-        forward = _default_forward(model, g)
     row_of = {v: i for i, v in enumerate(g.nodes)}
     rows = {k: np.array([row_of[v] for v in part], dtype=np.int64)
             for k, part in (("train", split.train), ("val", split.val), ("test", split.test))}
@@ -274,10 +255,7 @@ def _train_link(model, split, cfg, forward, record_history):
                        (split.test_pos, "test")):
         if not part:
             raise ValueError(f"empty {name} split")
-    graph = split.graph
-    if forward is None:
-        forward = _default_forward(model, graph)
-    row_of = {v: i for i, v in enumerate(graph.nodes)}
+    row_of = {v: i for i, v in enumerate(split.graph.nodes)}
 
     def pack(pos, neg):
         pairs = list(pos) + list(neg)
@@ -313,8 +291,7 @@ def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
 
     def grafenne_on(graph, backend):
         model = GrafenneModel(GrafenneConfig(phase2=backend, **base), num_classes)
-        alt = to_allotropic(graph)
-        return model, lambda: model.forward(alt)[0]
+        return model, allotropic_forward(model, graph)
 
     def dense_on(graph, backend, dense):
         model = DenseGnnModel(GrafenneConfig(phase2=backend, **base),
@@ -328,8 +305,7 @@ def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
         return dense_on(g, method, impute_special_label(g))
     if method == "vanilla_alt":
         model = VanillaAltModel(GrafenneConfig(phase2="sage", **base), num_classes)
-        alt = to_allotropic(g)
-        return model, lambda: model.forward(alt)[0]
+        return model, allotropic_forward(model, g)
     if "+" in method:
         imp, backend = method.split("+", 1)
         if imp in ("nm", "fp"):
@@ -393,11 +369,8 @@ def result_rows(dataset, method, task, p, result, timing="none"):
     return rows
 
 
-def write_results_csv(path, rows, append=False):
-    mode = "a" if append else "w"
-    fresh = not append
-    with open(path, mode, newline="") as fh:
+def write_results_csv(path, rows):
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if fresh:
-            w.writerow(RESULT_HEADER)
+        w.writerow(RESULT_HEADER)
         w.writerows(rows)

@@ -54,9 +54,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = np.zeros_like(self.values)
 
-    def detach(self):
-        return Tensor(self.values.copy())
-
     def backward(self):
         backward(self)
 
@@ -389,23 +386,9 @@ def spmm(alpha, rows, cols, num_rows, x):
     return _attach(out, (alpha, x), _bw)
 
 
-def _segment_ids_of(segments, n):
-    """Accept either a 1-D id array or a list of index groups."""
-    if isinstance(segments, (list, tuple)) and segments and not np.isscalar(segments[0]):
-        ids = np.full(n, -1, dtype=np.int64)
-        for k, group in enumerate(segments):
-            ids[np.asarray(list(group), dtype=np.int64)] = k
-        if (ids < 0).any():
-            raise ValueError("segments do not partition the score vector")
-        return ids, len(segments)
-    ids = np.asarray(segments, dtype=np.int64)
-    if ids.shape != (n,):
-        raise ValueError(f"segment ids shape {ids.shape} != ({n},)")
-    return ids, int(ids.max()) + 1 if n else 0
-
-
 def segment_softmax(scores, segments, num_segments=None):
-    """Softmax within each segment, stabilized by the segment max.
+    """Softmax within each segment, `segments` giving each score's segment
+    id, stabilized by the segment max.
 
     Empty segments are simply never referenced, so they produce no NaNs.
     """
@@ -413,8 +396,10 @@ def segment_softmax(scores, segments, num_segments=None):
     if scores.values.ndim != 1:
         raise ValueError(f"segment_softmax expects 1-D scores, got {scores.shape}")
     n = scores.values.shape[0]
-    ids, inferred = _segment_ids_of(segments, n)
-    num = num_segments if num_segments is not None else inferred
+    ids = np.asarray(segments, dtype=np.int64)
+    if ids.shape != (n,):
+        raise ValueError(f"segment ids shape {ids.shape} != ({n},)")
+    num = num_segments if num_segments is not None else (int(ids.max()) + 1 if n else 0)
 
     smax = np.full(num, -np.inf)
     np.maximum.at(smax, ids, scores.values)

@@ -239,11 +239,11 @@ def _case_softmax_groups(rng):
     scores = rng.normal(size=(n,))
     w = rng.normal(size=(n,))
     cut = int(rng.integers(1, n))
-    groups = [list(range(cut)), list(range(cut, n))]
+    ids = (np.arange(n) >= cut).astype(np.int64)  # two segments, split at cut
 
     def build(x):
         scores_, w_ = x
-        alpha = T.segment_softmax(scores_, groups)
+        alpha = T.segment_softmax(scores_, ids)
         return T.sum_all(T.mul(alpha, T.mul(w_, w_)))
 
     return build, [scores, w]

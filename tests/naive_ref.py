@@ -95,6 +95,15 @@ def naive_phase3(pv, g, hg_new, hf, slope):
     return out
 
 
+def adjacency(g):
+    """node -> sorted tuple of graph neighbors."""
+    nbr = {v: [] for v in g.nodes}
+    for u, v in g.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return {v: tuple(sorted(ns)) for v, ns in nbr.items()}
+
+
 def _layer_params(model, l, phase):
     pre = f"layer{l}/{phase}/"
     return {name[len(pre):]: p.values for name, p in model.params.items()
@@ -103,8 +112,6 @@ def _layer_params(model, l, phase):
 
 def naive_forward(model, g):
     """Reference forward pass; returns (hg map, hf map)."""
-    from grafenne.graph import adjacency
-
     cfg = model.config
     slope = cfg.leaky_slope
     feat_ids = g.feature_ids()

@@ -279,6 +279,28 @@ def test_help_documents_exit_code_4(capsys):
     assert "4 numerical error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["transform", "translate"])
+@pytest.mark.parametrize("flag", ["--seed", "--workers"])
+def test_seed_and_workers_are_usage_errors_outside_run_and_stream(tmp_path, capsys,
+                                                                  command, flag):
+    conf = write(tmp_path / "t.conf", toy_source() if command == "transform" else
+                 f"features = {DATA/'features.tsv'}\nscale = 2\n")
+    out = tmp_path / "o.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", conf, "--out", str(out), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_below_one_exits_2(tmp_path, capsys):
+    for command, conf in (("run", toy_run_conf(tmp_path)),
+                          ("stream", write(tmp_path / "s.conf", toy_source() + "T = 1\n"))):
+        assert main([command, "--config", conf, "--out", str(tmp_path / "o.csv"),
+                     "--workers", "0"]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- entry point
 
 

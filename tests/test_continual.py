@@ -7,13 +7,13 @@ import pytest
 import grafenne.tensor as T
 from grafenne.continual import (EwcState, ReplayBuffer, StreamConfig, StreamRecord,
                                 compute_importance, continual_loss, run_stream,
-                                sample_U, stream_rows, write_stream_csv,
-                                _grafenne_forward, _train_plain)
+                                sample_U, stream_rows, write_stream_csv, _train_plain)
 from grafenne.graph import make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.optim import zero_grad
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
 from grafenne.synth import make_community_graph
+from grafenne.tasks import allotropic_forward
 
 
 class ToyModel:
@@ -85,7 +85,7 @@ def test_importance_recomputation_oracle():
     g = drift_graph(n=12)
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=2), 2)
     nodes = [0, 3, 5, 8, 11]
-    fwd = _grafenne_forward(model, g)
+    fwd = allotropic_forward(model, g)
     fwd()  # populate the embedding table
     omega = compute_importance(model, g, nodes)
 
@@ -115,7 +115,7 @@ def test_importance_seeded_sweep_equals_per_node_cross_entropy():
         model = GrafenneModel(GrafenneConfig(layers=2, dim=4, phase2="gat", seed=5), 2)
         per_node_loss = None
         if explicit:
-            logits = model.logits(_grafenne_forward(model, g)())
+            logits = model.logits(allotropic_forward(model, g)())
             row_of = {v: i for i, v in enumerate(g.nodes)}
 
             def per_node_loss(v):
@@ -132,7 +132,7 @@ def test_importance_seeded_sweep_equals_per_node_cross_entropy():
 def test_importance_of_an_embedding_row_absent_from_the_graph_is_zero():
     g = drift_graph(n=12)
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=2), 2)
-    _grafenne_forward(model, g)()  # creates every feature's embedding row
+    allotropic_forward(model, g)()  # creates every feature's embedding row
     gone = max(g.feature_ids())
     g_now = g.replace(feats={v: {f: x for f, x in fmap.items() if f != gone}
                              for v, fmap in g.feats.items()})
@@ -172,7 +172,7 @@ def test_continual_loss_scalar_penalty():
 def test_continual_loss_theta_equal_is_task_only():
     g = drift_graph(n=14)
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=1), 2)
-    fwd = _grafenne_forward(model, g)
+    fwd = allotropic_forward(model, g)
     fwd()
     snap = {p.name: p.values.copy() for p in model.trainable_parameters()}
     omega = {k: np.ones_like(v) for k, v in snap.items()}
@@ -186,7 +186,7 @@ def test_continual_loss_theta_equal_is_task_only():
 def test_continual_loss_lambda_zero_equals_task():
     g = drift_graph(n=14)
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=1), 2)
-    fwd = _grafenne_forward(model, g)
+    fwd = allotropic_forward(model, g)
     fwd()
     snap = {p.name: p.values + 0.3 for p in model.trainable_parameters()}
     omega = {k: np.ones_like(v) for k, v in snap.items()}
@@ -297,7 +297,7 @@ def test_oracle_is_scratch_training():
     split = make_split(g, cfg.split_fractions, seed=cfg.seed)
     from grafenne.continual import _sum_loss, _train_plain
     pool = sorted(split.train)
-    fwd = _grafenne_forward(twin, g2)
+    fwd = allotropic_forward(twin, g2)
     _train_plain(twin, fwd,
                  lambda h: T.mul(_sum_loss(twin, h, g2, pool), 1.0 / len(pool)),
                  cfg.epochs, cfg.lr)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from grafenne.graph import HeteroGraph, adjacency, to_allotropic
-from grafenne.imputation import (DenseFeatures, DenseGnnModel, dense_gnn_forward,
+from grafenne.graph import HeteroGraph, to_allotropic
+from grafenne.imputation import (DenseFeatures, DenseGnnModel,
                                  feature_propagation, impute_neighborhood_mean,
                                  impute_special_label, impute_then_grafenne)
 from grafenne.model import GrafenneConfig, GrafenneModel
-from naive_ref import leaky, _mlp, _softmax
+from naive_ref import adjacency, leaky, _mlp, _softmax
 from test_graph import random_graph
 
 
@@ -140,7 +140,7 @@ def test_dense_sage_hand():
     d = impute_special_label(g)
     cfg = GrafenneConfig(layers=1, dim=2, phase2="sage", seed=0)
     model = DenseGnnModel(cfg, in_dim=2)
-    model.params["layer0/W"].values = np.vstack([np.eye(2), np.eye(2)])
+    model.params["layer0/W13"].values = np.vstack([np.eye(2), np.eye(2)])
     h = model.forward(g, d).values
     # relu(x_v + x_u) per node
     assert np.allclose(h[0], [4.0, 0.0])
@@ -164,7 +164,9 @@ def test_dense_twins(backend):
     g = HeteroGraph([0, 1, 2], [(0, 2), (1, 2)],
                     {0: {0: 1.0, 1: 2.0}, 1: {0: 1.0, 1: 2.0}, 2: {0: -1.0}}, {})
     d = impute_special_label(g)
-    h = dense_gnn_forward(g, d, backend=backend, L=2, dim=5, seed=3).values
+    model = DenseGnnModel(GrafenneConfig(layers=2, dim=5, phase2=backend, seed=3),
+                          in_dim=len(d.feat_ids))
+    h = model.forward(g, d).values
     assert np.allclose(h[0], h[1], atol=1e-12)
 
 
@@ -179,7 +181,7 @@ def naive_dense_layer(model, l, h, nbrs, slope):
         ns = nbrs[v]
         if backend == "sage":
             mean = np.mean([h[u] for u in ns], axis=0) if ns else np.zeros_like(hv)
-            out[v] = np.maximum(np.concatenate([hv, mean]) @ p["W"], 0.0)
+            out[v] = np.maximum(np.concatenate([hv, mean]) @ p["W13"], 0.0)
         elif backend == "gat":
             cand = sorted(set(ns) | {v})
             sc = [float(leaky(np.concatenate([hv @ p["W13"], h[u] @ p["W14"]]), slope)
@@ -217,7 +219,7 @@ def test_dense_param_count_grows_with_features():
     cfg = GrafenneConfig(layers=2, dim=8, phase2="sage", seed=0)
     small = DenseGnnModel(cfg, in_dim=10)
     big = DenseGnnModel(cfg, in_dim=100)
-    assert big.parameter_count() > small.parameter_count()
+    assert big.non_embedding_parameter_count() > small.non_embedding_parameter_count()
     # the allotropic model's trainable core is feature-count invariant
     ga = GrafenneModel(GrafenneConfig(layers=2, dim=8, phase2="sage", seed=0))
     gb = GrafenneModel(GrafenneConfig(layers=2, dim=8, phase2="sage", seed=0))

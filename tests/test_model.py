@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from grafenne import tensor as T
-from grafenne.graph import HeteroGraph, adjacency, to_allotropic
+from grafenne.graph import HeteroGraph, to_allotropic
 from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel,
                             VanillaAltModel, init_states, load_checkpoint,
-                            recovery_probe, sample_caps, save_checkpoint)
-from naive_ref import (leaky, naive_forward, naive_vanilla_forward, _mlp)
+                            recovery_probe, save_checkpoint)
+from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp)
 from test_graph import random_graph, toy
 
 
@@ -276,21 +276,6 @@ def test_phase_state_separation():
     g_before = hg2.values.copy()
     model._phase3(0, alt, hg2, hf0, None)
     assert np.array_equal(hg2.values, g_before)  # phase 3 leaves graph states alone
-
-
-def test_sample_caps():
-    rng = np.random.default_rng(0)
-    assert sample_caps([1, 2, 3], 0, rng) == [1, 2, 3]
-    assert sample_caps([1, 2, 3], 5, rng) == [1, 2, 3]
-    counts = np.zeros(100)
-    for _ in range(1000):
-        for item in sample_caps(list(range(100)), 5, rng):
-            counts[item] += 1
-    expect = 1000 * 5 / 100
-    sigma = np.sqrt(1000 * 0.05 * 0.95)
-    # 100 simultaneous bins: allow 4 sigma per item, 1 sigma on average
-    assert (np.abs(counts - expect) <= 4 * sigma).all()
-    assert np.abs(counts - expect).mean() <= sigma
 
 
 def test_capped_forward_finite_and_seeded():

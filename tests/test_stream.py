@@ -155,3 +155,94 @@ def test_read_stream_field_count_enforced(tmp_path):
     p.write_text("2\tNOPE\t0\n", encoding="utf-8")
     with pytest.raises(DataError, match="unknown op"):
         read_stream(str(p))
+
+
+def _old_rule_ids(lines, node_ids, feat_ids):
+    """Ids read_stream should assign, replayed with the rule 'a fresh name
+    gets max(existing ids) + 1', recomputed for every new name."""
+    node_ids, feat_ids = dict(node_ids), dict(feat_ids)
+    for op, *args in lines:
+        if op == "ADDN" and args[0] not in node_ids:
+            node_ids[args[0]] = max(node_ids.values(), default=-1) + 1
+        if op in ("ADDF", "DELF") and args[1] not in feat_ids:
+            feat_ids[args[1]] = max(feat_ids.values(), default=-1) + 1
+    return node_ids, feat_ids
+
+
+@pytest.mark.parametrize("node_ids,feat_ids", [({}, {}), ({"a": 0, "b": 7}, {"x": 3}),
+                                                ({"a": 5}, {})])
+def test_read_stream_fresh_ids_follow_max_plus_one(tmp_path, node_ids, feat_ids):
+    lines = [("ADDN", "n1", "0"), ("ADDF", "n1", "y", "1.5"), ("ADDN", "n2", "-1"),
+             ("ADDE", "n1", "n2"), ("ADDF", "n2", "x", "2.0"), ("DELF", "n1", "z"),
+             ("ADDN", "n3", "1"), ("ADDF", "n3", "y", "0.5"), ("ADDF", "n3", "w", "0.5")]
+    if "a" in node_ids:
+        lines.append(("ADDE", "a", "n3"))
+    p = tmp_path / "s.tsv"
+    p.write_text("".join("3\t" + "\t".join(line) + "\n" for line in lines), encoding="utf-8")
+    want_nodes, want_feats = _old_rule_ids(lines, node_ids, feat_ids)
+    (delta,) = read_stream(str(p), node_ids=node_ids, feat_ids=feat_ids)
+    of = lambda op: [line[1:] for line in lines if line[0] == op]
+    assert delta.add_nodes == tuple((want_nodes[n], None if int(c) < 0 else int(c))
+                                    for n, c in of("ADDN"))
+    assert delta.add_feats == tuple((want_nodes[n], want_feats[f], float(w))
+                                    for n, f, w in of("ADDF"))
+    assert delta.del_feats == ((want_nodes["n1"], want_feats["z"]),)
+    assert delta.add_edges[0] == (want_nodes["n1"], want_nodes["n2"])
+
+
+def test_read_stream_many_fresh_names_is_linear(tmp_path):
+    import time
+    n = 20000
+    p = tmp_path / "big.tsv"
+    p.write_text("".join(f"2\tADDN\tnode{i}\t-1\n2\tADDF\tnode{i}\tfeat{i}\t1.0\n"
+                         for i in range(n)), encoding="utf-8")
+    t0 = time.perf_counter()
+    (delta,) = read_stream(str(p), node_ids={"a": 0}, feat_ids={"f": 0})
+    elapsed = time.perf_counter() - t0
+    assert [v for v, _ in delta.add_nodes] == list(range(1, n + 1))
+    assert [f for _, f, _ in delta.add_feats] == list(range(1, n + 1))
+    # on a 2-vCPU x86-64 VM: 8.7 s with one max() over the id map per new name,
+    # 0.08 s with a counter
+    assert elapsed < 2.0, elapsed
+
+
+def _apply_edges_per_node(g, delta):
+    """The edge set apply_delta should produce, with the incident edges of
+    each deleted node dropped one node at a time."""
+    edges = set(g.edges) - {(min(u, v), max(u, v)) for u, v in delta.del_edges}
+    for v in delta.del_nodes:
+        edges = {e for e in edges if v not in e}
+    return edges | {(min(u, v), max(u, v)) for u, v in delta.add_edges}
+
+
+def test_apply_delta_node_deletion_matches_per_node_rule():
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(60):
+        g = random_graph(rng, n_max=25)
+        nodes = list(g.nodes)
+        gone = [int(v) for v in rng.choice(nodes, size=int(rng.integers(1, len(nodes) + 1)),
+                                           replace=False)]
+        alive = [v for v in nodes if v not in gone]
+        kept = [e for e in g.edges if e[0] not in gone and e[1] not in gone]
+        del_edges = tuple(e for e in g.edges if e in kept and rng.random() < 0.2)
+        new = max(nodes) + 1
+        add_nodes = ((new, 1), (new + 1, None))
+        pairs = [(u, v) for u in alive + [new, new + 1] for v in alive + [new, new + 1] if u < v]
+        add_edges = tuple(e for e in pairs
+                          if (e not in set(g.edges) or e in del_edges) and rng.random() < 0.1)
+        delta = StreamDelta(t=3, del_nodes=tuple(gone), add_nodes=add_nodes,
+                            add_edges=add_edges, del_edges=del_edges)
+        out, affected = apply_delta(g, delta)
+        assert set(out.edges) == _apply_edges_per_node(g, delta)
+        assert set(out.nodes) == set(alive) | {new, new + 1}
+        assert not set(gone) & (set(out.feats) | set(out.labels))
+        assert affected == delta.affected_nodes()
+        checked += len(gone)
+    assert checked > 60
+    g = random_graph(np.random.default_rng(5), n_max=10)
+    v = g.nodes[0]
+    with pytest.raises(GraphError, match=f"t=4: deleting nonexistent node {v}"):
+        apply_delta(g, StreamDelta(t=4, del_nodes=(v, v)))
+    with pytest.raises(GraphError, match=rf"t=4: bad edge addition \({v},{g.nodes[1]}\)"):
+        apply_delta(g, StreamDelta(t=4, del_nodes=(v,), add_edges=((v, g.nodes[1]),)))

@@ -5,7 +5,7 @@ import grafenne.tensor as T
 from grafenne.graph import GraphError, HeteroGraph, apply_missing_mask, make_split
 from grafenne.synth import make_community_graph
 from grafenne.tasks import (METHODS, LinkSplit, RunResult, TrainConfig, accuracy,
-                            auc_roc, classify_head, link_score, make_link_split,
+                            auc_roc, link_score, make_link_split,
                             method_model, negative_sample, result_rows,
                             run_experiment, train, write_results_csv)
 
@@ -16,46 +16,6 @@ def sep_graph(seed=3):
 
 
 # ---------------------------------------------------------------- heads
-
-
-def test_classify_head_zero_weights():
-    h = T.Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-    logits = classify_head(h, c=3)
-    assert (logits.values == 0.0).all()
-    loss = T.cross_entropy(logits, np.zeros(5, dtype=int))
-    assert loss.item() == pytest.approx(np.log(3), abs=1e-12)
-
-
-def test_classify_head_identity():
-    h = np.random.default_rng(1).normal(size=(4, 4))
-    logits = classify_head(T.Tensor(h), weights=np.eye(4), bias=np.zeros(4))
-    assert np.array_equal(logits.values, h)
-
-
-def test_classify_head_gradcheck():
-    rng = np.random.default_rng(2)
-    h = T.Tensor(rng.normal(size=(6, 3)))
-    w = T.Parameter(rng.normal(size=(3, 2)), "W")
-    b = T.Parameter(np.zeros(2), "b")
-    y = rng.integers(0, 2, size=6)
-
-    def loss_value():
-        return T.cross_entropy(classify_head(h, weights=w, bias=b), y)
-
-    loss = loss_value()
-    T.backward(loss)
-    eps = 1e-6
-    for p in (w, b):
-        flat_grad = p.grad.ravel()
-        for idx in range(p.values.size):
-            orig = p.values.ravel()[idx]
-            p.values.ravel()[idx] = orig + eps
-            up = loss_value().item()
-            p.values.ravel()[idx] = orig - eps
-            dn = loss_value().item()
-            p.values.ravel()[idx] = orig
-            fd = (up - dn) / (2 * eps)
-            assert abs(fd - flat_grad[idx]) / max(abs(fd), 1e-3) < 1e-4
 
 
 def test_link_score_cases():

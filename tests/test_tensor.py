@@ -102,13 +102,6 @@ def test_slice_rows_backward_adds_into_the_slice():
     assert np.array_equal(x.grad, [[0, 0], [1, 1], [2, 2], [1, 1]])
 
 
-def test_segment_softmax_group_form_matches_ids():
-    scores = np.array([0.3, -1.0, 2.0, 0.5])
-    by_ids = T.segment_softmax(T.Tensor(scores), [0, 0, 1, 1]).values
-    by_groups = T.segment_softmax(T.Tensor(scores), [[0, 1], [2, 3]]).values
-    assert np.array_equal(by_ids, by_groups)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20), st.floats(-100, 100), st.data())
 def test_segment_softmax_properties(scores, shift, data):
