@@ -113,6 +113,7 @@ def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
     per_node_loss(v) is instead swept from the scalar loss it builds. The
     result is plain numpy, detached from any tape. Empty node set
     degenerates to zero importance (with a warning) — pure fine-tuning."""
+    params = model.trainable_parameters()
     if per_node_loss is None:
         if forward is None:
             forward = allotropic_forward(model, g_t)
@@ -130,8 +131,6 @@ def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
             loss = per_node_loss(v)
             T._check_loss(loss)
             return loss, np.ones_like(loss.values), T._topo_order(loss)
-    # read after the forward: embedding rows are created lazily
-    params = model.trainable_parameters()
     omega = {p.name: np.zeros_like(p.values) for p in params}
     order = sorted(nodes)
     if not order:
@@ -206,10 +205,10 @@ class StreamRecord:
 
 def _train_plain(model, forward, loss_fn, epochs, lr):
     state = AdamState()
+    params = model.trainable_parameters()
     for epoch in range(epochs):
         loss = loss_fn(forward())
         check_finite_loss("training", loss.item(), epoch, epochs)
-        params = model.trainable_parameters()
         zero_grad(params)
         T.backward(loss)
         state = adam_step(params, lr=lr, state=state)
@@ -227,14 +226,21 @@ def _evaluate(model, g, test_nodes):
 
 
 def _entries_changed(before, model):
+    """Parameter entries that differ from `before`, a pair (values by
+    name, feature id -> embedding row). Rows are matched by feature id,
+    since ORACLE's fresh model lays its rows out anew; rows of features
+    new since `before` count whole."""
+    values, old_row = before
+    table = model.table
     changed = 0
-    for p in model.trainable_parameters():
-        old = before.get(p.name)
-        if old is None or old.shape != p.values.shape:
-            changed += p.values.size
-        else:
-            changed += int((old != p.values).sum())
-    return changed
+    for name, p in model.params.items():
+        old = values.get(name)
+        changed += p.values.size if old is None else int((old != p.values).sum())
+    shared = [(r, old_row[f]) for f, r in table.row.items() if f in old_row]
+    if shared:
+        now, then = np.array(shared).T
+        changed += int((table.weight.values[now] != values[table.weight.name][then]).sum())
+    return changed + (len(table.row) - len(shared)) * table.dim
 
 
 def run_stream(g_1, deltas, strategy, cfg=None):
@@ -270,7 +276,7 @@ def run_stream(g_1, deltas, strategy, cfg=None):
     full_train(model, g)
     secs = time.perf_counter() - t0
     records.append(StreamRecord(strategy, 1, _evaluate(model, g, test_pool), secs,
-                                _entries_changed({}, model)))
+                                _entries_changed(({}, {}), model)))
 
     ewc = EwcState(lam=cfg.lam, u_size=cfg.u_size)
     buffer = ReplayBuffer(cfg.replay_capacity(), seed=cfg.seed)
@@ -288,7 +294,8 @@ def run_stream(g_1, deltas, strategy, cfg=None):
             test_pool.discard(v)
         affected_train = sorted(v for v in affected
                                 if v in train_pool and v in g.labels)
-        before = {p.name: p.values.copy() for p in model.trainable_parameters()}
+        before = ({p.name: p.values.copy() for p in model.trainable_parameters()},
+                  dict(model.table.row))
         t0 = time.perf_counter()
         if strategy == "ORACLE":
             if not delta.is_empty():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -125,22 +126,26 @@ class AllotropicGraph:
     summation order.
     """
 
-    __slots__ = ("node_ids", "feat_ids", "node_row", "feat_row",
+    __slots__ = ("node_ids", "feat_ids",
                  "fe_node", "fe_feat", "fe_weight",
                  "fe3_node", "fe3_feat", "fe3_weight",
                  "ge_src", "ge_dst", "graph_edges")
 
-    def __init__(self, node_ids, feat_ids, feature_edges, graph_edges):
-        self.node_ids = np.asarray(sorted(node_ids), dtype=np.int64)
-        self.feat_ids = np.asarray(sorted(feat_ids), dtype=np.int64)
-        self.node_row = {int(v): i for i, v in enumerate(self.node_ids)}
-        self.feat_row = {int(f): i for i, f in enumerate(self.feat_ids)}
+    def __init__(self, node_ids, feature_edges, graph_edges):
+        """feature_edges is three arrays (node id, feature id, value) with
+        one entry per (node, feature) pair, in any order; the feature nodes
+        are the distinct feature ids among them."""
+        nodes, feats, weights = feature_edges
+        self.node_ids = np.sort(np.asarray(node_ids, dtype=np.int64))
+        self.feat_ids = np.unique(np.asarray(feats, dtype=np.int64))
         self.graph_edges = tuple(sorted(graph_edges))
 
-        fe = sorted((self.node_row[v], self.feat_row[f], float(w)) for v, f, w in feature_edges)
-        self.fe_node = np.array([e[0] for e in fe], dtype=np.int64)
-        self.fe_feat = np.array([e[1] for e in fe], dtype=np.int64)
-        self.fe_weight = np.array([e[2] for e in fe], dtype=np.float64)
+        node = np.searchsorted(self.node_ids, nodes)
+        feat = np.searchsorted(self.feat_ids, feats)
+        order = np.lexsort((feat, node))
+        self.fe_node = node[order]
+        self.fe_feat = feat[order]
+        self.fe_weight = np.asarray(weights, dtype=np.float64)[order]
         order3 = np.lexsort((self.fe_node, self.fe_feat))
         self.fe3_node = self.fe_node[order3]
         self.fe3_feat = self.fe_feat[order3]
@@ -172,11 +177,11 @@ class AllotropicGraph:
 def to_allotropic(g):
     """Build G^alt: one feature node per distinct feature, weighted
     feature edges from stored values, original edges retained."""
-    feature_edges = []
-    for v in g.nodes:
-        for f, w in sorted(g.node_feats(v).items()):
-            feature_edges.append((v, f, w))
-    return AllotropicGraph(g.nodes, g.feature_ids(), feature_edges, g.edges)
+    fmaps = g.feats.values()
+    nodes = np.repeat(np.fromiter(g.feats, dtype=np.int64), [len(f) for f in fmaps])
+    feats = np.fromiter(chain.from_iterable(fmaps), dtype=np.int64)
+    weights = np.fromiter(chain.from_iterable(f.values() for f in fmaps), dtype=np.float64)
+    return AllotropicGraph(g.nodes, (nodes, feats, weights), g.edges)
 
 
 def project_back(alt):

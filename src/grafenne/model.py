@@ -66,28 +66,28 @@ def glorot(rng, shape):
 
 
 class FeatureEmbeddingTable:
-    """feature id -> learnable d-vector; rows are created lazily and
-    initialized from (seed, feature id) so they don't depend on the order
-    features were first seen."""
+    """feature id -> learnable d-vector, stored as row `row[f]` of the one
+    Parameter `weight`. Rows are appended when a feature is first seen and
+    never removed or reordered; each is drawn from (seed, feature id), so
+    it does not depend on the order features were first seen."""
 
     def __init__(self, dim, seed):
         self.dim = dim
         self.seed = seed
-        self.rows = {}
+        self.weight = T.Parameter(np.zeros((0, dim)), "feat_embed")
+        self.row = {}
 
     def ensure(self, feat_ids):
-        for f in feat_ids:
-            f = int(f)
-            if f not in self.rows:
+        """Append a row for every id without one. weight.values is rebound,
+        not written in place, so live tapes keep their forward arrays."""
+        draws = []
+        for f in map(int, feat_ids):
+            if f not in self.row:
+                self.row[f] = len(self.row)
                 rng = np.random.default_rng([self.seed, 13, f])
-                init = rng.normal(0.0, 1.0 / np.sqrt(self.dim), size=self.dim)
-                self.rows[f] = T.Parameter(init, f"feat_embed/{f}")
-
-    def parameters(self):
-        return [self.rows[f] for f in sorted(self.rows)]
-
-    def __len__(self):
-        return len(self.rows)
+                draws.append(rng.normal(0.0, 1.0 / np.sqrt(self.dim), size=self.dim))
+        if draws:
+            self.weight.values = np.vstack([self.weight.values, *draws])
 
 
 def init_states(alt, table, dim):
@@ -95,10 +95,7 @@ def init_states(alt, table, dim):
     feature nodes."""
     table.ensure(alt.feat_ids)
     hg = T.Tensor(np.zeros((alt.n, dim)))
-    if alt.m:
-        hf = T.stack_rows([table.rows[int(f)] for f in alt.feat_ids])
-    else:
-        hf = T.Tensor(np.zeros((0, dim)))
+    hf = T.gather_rows(table.weight, [table.row[f] for f in alt.feat_ids])
     return hg, hf
 
 
@@ -128,7 +125,7 @@ class ModelBase:
     forward and GRAFENNE's _phase1/2/3 stay in each model's own class body,
     where bench/tracing.py looks them up to time them."""
 
-    table = None  # learnable feature-embedding rows, where a model has them
+    table = None  # FeatureEmbeddingTable, where a model has one
 
     def __init__(self, config, num_classes):
         self.config = config.validate()
@@ -189,8 +186,9 @@ class ModelBase:
         return T.leaky_relu(x, self.config.leaky_slope)
 
     def trainable_parameters(self):
-        rows = self.table.parameters() if self.table is not None else []
-        return list(self.params.values()) + rows
+        """Every parameter; the list is fixed from construction on."""
+        table = [self.table.weight] if self.table is not None else []
+        return list(self.params.values()) + table
 
     def non_embedding_parameter_count(self):
         return sum(p.size for p in self.params.values())
@@ -331,7 +329,7 @@ class VanillaAltModel(ModelBase):
             self._add(rng, f"layer{l}/W", (2 * config.dim, config.dim))
         self._add_head(rng, num_classes)
 
-    def forward(self, alt, rng=None):
+    def forward(self, alt):
         n, m = alt.n, alt.m
         hg0, hf0 = init_states(alt, self.table, self.config.dim)
         h = T.concat([hg0, hf0], axis=0) if m else hg0
@@ -412,9 +410,18 @@ def save_checkpoint(model, path):
         "config": asdict(model.config),
         "num_classes": model.num_classes,
     }
+    table = model.table
     arrays = {f"p/{name}": p.values for name, p in model.params.items()}
-    arrays.update({f"t/{f}": row.values for f, row in model.table.rows.items()})
+    arrays.update({f"t/{f}": table.weight.values[r] for f, r in table.row.items()})
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def _read_array(blob, key, shape):
+    value = blob[key]
+    if value.shape != shape:
+        raise ValueError(f"checkpoint array {key!r} has shape {value.shape}, "
+                         f"the model expects {shape}")
+    return value
 
 
 def load_checkpoint(path):
@@ -424,14 +431,16 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         cls = {"GrafenneModel": GrafenneModel, "VanillaAltModel": VanillaAltModel}[meta["kind"]]
         model = cls(GrafenneConfig(**meta["config"]), meta["num_classes"])
+        table = model.table
+        rows = {}
         for key in blob.files:
             if key.startswith("p/"):
                 name = key[2:]
                 if name not in model.params:
                     raise ValueError(f"checkpoint parameter {name!r} unknown to model")
-                model.params[name].values = blob[key].copy()
+                model.params[name].values = _read_array(blob, key, model.params[name].shape)
             elif key.startswith("t/"):
-                fid = int(key[2:])
-                model.table.ensure([fid])
-                model.table.rows[fid].values = blob[key].copy()
+                rows[int(key[2:])] = _read_array(blob, key, (table.dim,))
+        table.ensure(rows)  # a fresh table appends rows in the saved order
+        table.weight.values = np.array(list(rows.values())).reshape(-1, table.dim)
     return model

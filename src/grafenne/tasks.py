@@ -207,12 +207,11 @@ def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
     state = AdamState()
     best_loss, best_snap, best_epoch = math.inf, None, -1
     history = [] if record_history else None
+    params = model.trainable_parameters()
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         loss = train_loss_fn(forward())
         check_finite_loss("training", loss.item(), epoch, cfg.epochs)
-        # refresh after the forward: embedding rows are created lazily
-        params = model.trainable_parameters()
         zero_grad(params)
         T.backward(loss)
         state = adam_step(params, lr=cfg.lr, state=state)
@@ -224,7 +223,7 @@ def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
             best_loss, best_snap, best_epoch = val_loss, _snapshot(params), epoch
         if epoch - best_epoch >= cfg.patience:
             break
-    _restore(model.trainable_parameters(), best_snap)
+    _restore(params, best_snap)
     return best_loss, history, time.perf_counter() - t0
 
 

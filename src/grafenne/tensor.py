@@ -51,34 +51,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.values)
-
-    def backward(self):
-        backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -117,7 +117,8 @@ def naive_forward(model, g):
     feat_ids = g.feature_ids()
     model.table.ensure(feat_ids)
     hg = {v: np.zeros(cfg.dim) for v in g.nodes}
-    hf = {f: model.table.rows[f].values.copy() for f in feat_ids}
+    table = model.table
+    hf = {f: table.weight.values[table.row[f]].copy() for f in feat_ids}
     nbrs = adjacency(g)
     for l in range(cfg.layers):
         hg1 = naive_phase1(_layer_params(model, l, "p1"), g, hg, hf, slope)
@@ -139,7 +140,8 @@ def naive_vanilla_forward(model, g):
     feat_ids = g.feature_ids()
     model.table.ensure(feat_ids)
     h = {("g", v): np.zeros(cfg.dim) for v in g.nodes}
-    h.update({("f", f): model.table.rows[f].values.copy() for f in feat_ids})
+    table = model.table
+    h.update({("f", f): table.weight.values[table.row[f]].copy() for f in feat_ids})
     nbrs = {k: set() for k in h}
     for u, v in g.edges:
         nbrs[("g", u)].add(("g", v))

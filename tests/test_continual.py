@@ -7,7 +7,8 @@ import pytest
 import grafenne.tensor as T
 from grafenne.continual import (EwcState, ReplayBuffer, StreamConfig, StreamRecord,
                                 compute_importance, continual_loss, run_stream,
-                                sample_U, stream_rows, write_stream_csv, _train_plain)
+                                sample_U, stream_rows, write_stream_csv, _entries_changed,
+                                _train_plain)
 from grafenne.graph import make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.optim import zero_grad
@@ -137,8 +138,10 @@ def test_importance_of_an_embedding_row_absent_from_the_graph_is_zero():
     g_now = g.replace(feats={v: {f: x for f, x in fmap.items() if f != gone}
                              for v, fmap in g.feats.items()})
     omega = compute_importance(model, g_now, [0, 3, 5])
-    assert not omega[f"feat_embed/{gone}"].any()
-    assert any(omega[f"feat_embed/{f}"].any() for f in g_now.feature_ids())
+    rows = omega["feat_embed"]
+    assert rows.shape == model.table.weight.shape
+    assert not rows[model.table.row[gone]].any()
+    assert any(rows[model.table.row[f]].any() for f in g_now.feature_ids())
 
 
 def test_train_plain_raises_on_a_nan_loss():
@@ -317,7 +320,44 @@ def test_new_feature_joins_model_mid_stream():
     recs, model = run_stream(g, deltas, "EWC", quick_cfg())
     assert len(recs) == 2
     assert recs[1].params_changed > 0
-    assert f"feat_embed/{new_feat}" in {p.name for p in model.trainable_parameters()}
+    assert new_feat in model.table.row
+    assert model.table.weight.shape == (len(model.table.row), quick_cfg().dim)
+
+
+def _per_row_changed(values, rows, model):
+    """Changed entries by the per-row rule: parameters by name, embedding
+    rows by feature id, a row of a feature absent from `rows` counting whole."""
+    changed = sum(int((values[name] != p.values).sum()) for name, p in model.params.items())
+    for f, r in model.table.row.items():
+        row = model.table.weight.values[r]
+        changed += row.size if f not in rows else int((rows[f] != row).sum())
+    return changed
+
+
+def test_entries_changed_matches_the_per_row_rule():
+    g = drift_graph(n=12)
+    cfg = GrafenneConfig(layers=1, dim=4, phase2="sage", seed=2)
+    model = GrafenneModel(cfg, 2)
+    allotropic_forward(model, g)()
+    values = {p.name: p.values.copy() for p in model.trainable_parameters()}
+    row = dict(model.table.row)
+    before = (values, row)
+    rows = {f: values["feat_embed"][r] for f, r in row.items()}
+    assert _entries_changed(before, model) == 0
+    # move one entry of a weight, one of a row and all of another, then grow
+    model.params["head/b"].values = model.params["head/b"].values + [1.0, 0.0]
+    block = model.table.weight.values.copy()
+    block[0, 1] += 1.0
+    block[2] -= 1.0
+    model.table.weight.values = block
+    ids = sorted(row)
+    model.table.ensure([ids[-1] + 5, ids[-1] + 3])
+    assert _entries_changed(before, model) == _per_row_changed(values, rows, model) == 1 + 1 + 4 + 8
+    # ORACLE compares a fresh model: fewer rows, laid out in another order
+    fresh = GrafenneModel(cfg, 2)
+    fresh.table.ensure([ids[-1] + 3] + ids[:0:-1])
+    assert _entries_changed(before, fresh) == _per_row_changed(values, rows, fresh)
+    assert _entries_changed(({}, {}), fresh) == sum(p.size for p in fresh.trainable_parameters())
 
 
 def test_run_stream_unknown_strategy():

@@ -62,7 +62,7 @@ def test_to_allotropic_toy_counts():
     assert triples == {(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)}
     assert alt.graph_edges == ((0, 1),)
     # node C (id 2) has no feature edges
-    assert not (alt.fe_node == alt.node_row[2]).any()
+    assert not (alt.node_ids[alt.fe_node] == 2).any()
 
 
 def test_to_allotropic_no_features():
@@ -79,6 +79,46 @@ def test_allotropic_invariants_random_graphs():
         assert alt.num_alt_nodes == g.num_nodes + g.num_features
         assert alt.num_alt_edges == g.num_edges + g.feature_entry_count()
         assert project_back(alt) == g.feats
+
+
+def _tuple_sort_arrays(g):
+    """G^alt's id and feature-edge arrays by their defining rule: sort the
+    (node row, feature row, value) tuples, then reorder by (feature, node)."""
+    node_ids, feat_ids = sorted(g.nodes), sorted(g.feature_ids())
+    node_row = {v: i for i, v in enumerate(node_ids)}
+    feat_row = {f: i for i, f in enumerate(feat_ids)}
+    fe = sorted((node_row[v], feat_row[f], w)
+                for v in g.nodes for f, w in g.node_feats(v).items())
+    fe_node = np.array([e[0] for e in fe], dtype=np.int64)
+    fe_feat = np.array([e[1] for e in fe], dtype=np.int64)
+    fe_weight = np.array([e[2] for e in fe], dtype=np.float64)
+    order3 = np.lexsort((fe_node, fe_feat))
+    return {"node_ids": np.asarray(node_ids, dtype=np.int64),
+            "feat_ids": np.asarray(feat_ids, dtype=np.int64),
+            "fe_node": fe_node, "fe_feat": fe_feat, "fe_weight": fe_weight,
+            "fe3_node": fe_node[order3], "fe3_feat": fe_feat[order3],
+            "fe3_weight": fe_weight[order3]}
+
+
+def test_allotropic_arrays_match_the_tuple_sort_rule():
+    rng = np.random.default_rng(12)
+    graphs = [toy(), HeteroGraph([0, 1], [(0, 1)], {}, {}), HeteroGraph([], [], {}, {})]
+    for _ in range(60):
+        g = random_graph(rng, n_max=20)
+        # scatter node and feature ids over a wide, non-contiguous range
+        node_of = dict(zip(g.nodes, rng.choice(10**6, size=g.num_nodes, replace=False).tolist()))
+        feat_of = dict(enumerate(rng.choice(10**6, size=12, replace=False).tolist()))
+        graphs.append(HeteroGraph(node_of.values(),
+                                  [(node_of[u], node_of[v]) for u, v in g.edges],
+                                  {node_of[v]: {feat_of[f]: x for f, x in fmap.items()}
+                                   for v, fmap in g.feats.items()}, {}))
+    assert any(not g.feats for g in graphs)
+    assert any(len(g.feats) < g.num_nodes for g in graphs if g.feats)
+    for g in graphs:
+        alt = to_allotropic(g)
+        for name, want in _tuple_sort_arrays(g).items():
+            got = getattr(alt, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_apply_missing_mask_bounds_and_identity():

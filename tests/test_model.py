@@ -18,6 +18,10 @@ def small_cfg(**kw):
     return GrafenneConfig(**base)
 
 
+def embedding(table, f):
+    return table.weight.values[table.row[f]]
+
+
 def tiny_graph():
     # one graph node with two features
     return HeteroGraph([0], [], {0: {0: 0.7, 1: -0.3}}, {})
@@ -36,8 +40,8 @@ def test_init_states():
     table = FeatureEmbeddingTable(dim=3, seed=1)
     hg, hf = init_states(alt, table, 3)
     assert not hg.values.any() and hg.shape == (1, 3)
-    assert np.array_equal(hf.values[0], table.rows[0].values)
-    assert np.array_equal(hf.values[1], table.rows[1].values)
+    assert np.array_equal(hf.values[0], embedding(table, 0))
+    assert np.array_equal(hf.values[1], embedding(table, 1))
     # a second graph sharing feature ids reuses identical rows
     g2 = HeteroGraph([0, 1], [(0, 1)], {1: {1: 2.0}}, {})
     _, hf2 = init_states(to_allotropic(g2), table, 3)
@@ -51,7 +55,36 @@ def test_embedding_rows_insertion_order_independent():
     b.ensure([7])
     b.ensure([1, 3])
     for f in (1, 3, 7):
-        assert np.array_equal(a.rows[f].values, b.rows[f].values)
+        assert np.array_equal(embedding(a, f), embedding(b, f))
+
+
+def test_table_growth_appends_rows_drawn_from_seed_and_id():
+    table = FeatureEmbeddingTable(dim=4, seed=9)
+    table.ensure([3, 1])
+    old = table.weight.values
+    old_bytes = old.tobytes()
+    table.ensure([1, 8, 8, 5])
+    # appended in first-seen order; the old block is rebound, not written
+    assert table.row == {3: 0, 1: 1, 8: 2, 5: 3}
+    assert table.weight.shape == (4, 4)
+    assert old.tobytes() == old_bytes
+    assert table.weight.values[:2].tobytes() == old_bytes
+    for f in (3, 1, 8, 5):
+        draw = np.random.default_rng([9, 13, f]).normal(0.0, 1.0 / np.sqrt(4), size=4)
+        assert embedding(table, f).tobytes() == draw.tobytes()
+
+
+def test_parameter_list_fixed_while_the_table_grows():
+    model = GrafenneModel(GrafenneConfig(layers=2, dim=64, seed=0), num_classes=7)
+    params = model.trainable_parameters()
+    assert len(params) == 45
+    g = random_graph(np.random.default_rng(4), n_max=12)
+    model.forward(to_allotropic(g))
+    model.forward(to_allotropic(tiny_graph()))
+    after = model.trainable_parameters()
+    assert len(after) == len(params) and all(a is b for a, b in zip(after, params))
+    assert model.table.weight is params[-1]
+    assert set(model.table.row) == set(g.feature_ids()) | {0, 1}
 
 
 def test_phase1_hand_tiny_instance():
@@ -61,8 +94,7 @@ def test_phase1_hand_tiny_instance():
     model = GrafenneModel(cfg)
     hg_t, _ = model.forward(to_allotropic(g))
     p = {k.split("p1/")[1]: v.values for k, v in model.params.items() if "/p1/" in k}
-    model.table.ensure([0, 1])
-    h0, h1 = model.table.rows[0].values, model.table.rows[1].values
+    h0, h1 = embedding(model.table, 0), embedding(model.table, 1)
     hv = np.zeros(2)
     m0 = leaky(np.concatenate([hv @ p["W1"], h0 @ p["W2"], 0.7 * p["w3"]]))
     m1 = leaky(np.concatenate([hv @ p["W1"], h1 @ p["W2"], -0.3 * p["w3"]]))
@@ -99,13 +131,13 @@ def _hand_phase1_state(model, g, v):
     p = {k.split("p1/")[1]: t.values for k, t in model.params.items() if "layer0/p1/" in k}
     hv = np.zeros(model.config.dim)
     pairs = sorted(g.node_feats(v).items())
-    msgs = [leaky(np.concatenate([hv @ p["W1"], model.table.rows[f].values @ p["W2"],
+    msgs = [leaky(np.concatenate([hv @ p["W1"], embedding(model.table, f) @ p["W2"],
                                   w * p["w3"]]))
             for f, w in pairs]
     s = np.array([m @ p["w4"] for m in msgs])
     e = np.exp(s - s.max())
     alpha = e / e.sum()
-    agg = sum(a * (model.table.rows[f].values @ p["W6"])
+    agg = sum(a * (embedding(model.table, f) @ p["W6"])
               for a, (f, _) in zip(alpha, pairs))
     return _mlp(np.concatenate([hv @ p["W5"], agg]),
                 p["mlp/A0"], p["mlp/b0"], p["mlp/A1"], p["mlp/b1"], 0.2)
@@ -133,7 +165,9 @@ def test_uniform_attention_when_messages_identical():
     g = HeteroGraph([0], [], {0: {0: 0.5, 1: 0.5}}, {})
     model = GrafenneModel(cfg)
     model.table.ensure([0, 1])
-    model.table.rows[1].values = model.table.rows[0].values.copy()
+    block = model.table.weight.values.copy()
+    block[model.table.row[1]] = block[model.table.row[0]]
+    model.table.weight.values = block
     hg, _ = model.forward(to_allotropic(g))
     g_single = HeteroGraph([0], [], {0: {0: 0.5}}, {})
     hg_single, _ = model.forward(to_allotropic(g_single))
@@ -238,11 +272,11 @@ def test_inductivity_parameter_counts():
     small.forward(to_allotropic(g_small))
     big.forward(to_allotropic(g_big))
     assert small.non_embedding_parameter_count() == big.non_embedding_parameter_count()
-    # table grows by exactly dim per new feature
-    before = len(small.table)
+    # table grows by exactly one row of dim entries per new feature
+    rows = small.table.weight.shape[0]
     small.table.ensure([999])
-    assert len(small.table) == before + 1
-    assert small.table.rows[999].size == cfg.dim
+    assert small.table.weight.shape == (rows + 1, cfg.dim)
+    assert small.table.row[999] == rows
 
 
 def test_unseen_nodes_and_features_forward():
@@ -332,10 +366,23 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert set(loaded.params) == set(model.params)
         for name, p in model.params.items():
             assert loaded.params[name].values.tobytes() == p.values.tobytes()
-        for f, row in model.table.rows.items():
-            assert loaded.table.rows[f].values.tobytes() == row.values.tobytes()
+        assert loaded.table.row == model.table.row
+        assert loaded.table.weight.values.tobytes() == model.table.weight.values.tobytes()
         hg2, _ = loaded.forward(alt)
         assert hg2.values.tobytes() == hg.values.tobytes()
+
+
+def test_load_checkpoint_rejects_arrays_of_the_wrong_shape(tmp_path):
+    model = GrafenneModel(small_cfg(), num_classes=3)
+    model.forward(to_allotropic(tiny_graph()))
+    save_checkpoint(model, tmp_path / "good.npz")
+    with np.load(tmp_path / "good.npz") as blob:
+        arrays = dict(blob)
+    # a (1,) bias would broadcast into the logits, a width-1 row into the block
+    for key in ("p/head/b", "t/1"):
+        np.savez(tmp_path / "bad.npz", **{**arrays, key: np.zeros(1)})
+        with pytest.raises(ValueError, match=f"'{key}' has shape"):
+            load_checkpoint(tmp_path / "bad.npz")
 
 
 def test_recovery_probe_d1():

@@ -279,7 +279,7 @@ def test_softmax_minus_onehot_is_cross_entropy_gradient():
 
 def test_adam_zero_grad_no_move():
     p = T.Parameter(np.array([1.0, -2.0]), "p")
-    p.zero_grad()
+    zero_grad([p])
     adam_step([p], lr=0.1)
     assert np.array_equal(p.values, [1.0, -2.0])
 
