@@ -8,18 +8,21 @@ and duplicate keys are hard errors — silent typos corrupt experiments.
 Only ``run`` and ``stream`` take ``--seed`` and ``--workers``.
 
 Exit codes: 0 success, 2 config/usage error, 3 data error, 4 numerical
-error (a NaN or infinite training or validation loss).
+error (a NaN or infinite training or validation loss, or a parameter
+left non-finite by training). A NaN or infinite number is a config error
+in a float key and a data error in a feature value.
 """
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .continual import (STRATEGIES, StreamConfig, run_stream, stream_rows,
                         write_stream_csv)
-from .graph import (DataError, GraphError, load_graph, to_allotropic,
+from .graph import (DataError, GraphError, feature_value, load_graph, to_allotropic,
                     write_allotropic)
 from .stream import generate_stream
 from .synth import make_community_graph
@@ -34,6 +37,13 @@ class ConfigError(ValueError):
 REQUIRED = object()
 
 
+def _float(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
 def _bool(s):
     if s.lower() in ("true", "1", "yes"):
         return True
@@ -44,11 +54,11 @@ def _bool(s):
 
 _KINDS = {
     "int": int,
-    "float": float,
+    "float": _float,
     "str": str,
     "bool": _bool,
     "ints": lambda s: tuple(int(x) for x in s.split(",")),
-    "floats": lambda s: tuple(float(x) for x in s.split(",")),
+    "floats": lambda s: tuple(_float(x) for x in s.split(",")),
     "strs": lambda s: tuple(x.strip() for x in s.split(",")),
 }
 
@@ -318,10 +328,7 @@ def cmd_translate(cfg, args):
         if len(fields) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
         name, fname, val = fields
-        try:
-            v = float(val)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad value {val!r}") from None
+        v = feature_value(val, path, lineno)
         lines.append(f"{name}\t{fname}\t{a * v + b!r}\n")
 
     def write(tmp):
@@ -362,7 +369,9 @@ def _schema_epilog(schema):
     out.append("\nLines are 'key = value'; '#' starts a comment line. Unknown or"
                "\nduplicate keys abort with exit code 2."
                "\n\nexit codes: 0 success, 2 configuration error, 3 data error,"
-               "\n4 numerical error (a NaN or infinite training or validation loss).")
+               "\n4 numerical error (a NaN or infinite training or validation loss, or a"
+               "\nnon-finite parameter after training). NaN and infinite numbers are"
+               "\nrejected in config files (2) and in feature files (3).")
     return "\n".join(out)
 
 

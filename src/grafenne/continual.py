@@ -18,9 +18,9 @@ import numpy as np
 from . import tensor as T
 from .graph import make_split
 from .model import GrafenneConfig, GrafenneModel
-from .optim import AdamState, adam_step, zero_grad
+from .optim import check_finite_params, descend, zero_grad
 from .stream import apply_delta
-from .tasks import accuracy, allotropic_forward, check_finite_loss
+from .tasks import _snapshot, accuracy, allotropic_forward, node_rows
 
 STRATEGIES = ("EWC", "FT", "ER", "ORACLE")
 
@@ -61,10 +61,8 @@ class EwcState:
     with stream length."""
 
     lam: float = 100000.0
-    u_size: int = 25
     snapshot: dict = field(default_factory=dict)
     omega: dict = field(default_factory=dict)
-    u_nodes: tuple = ()
 
 
 class ReplayBuffer:
@@ -114,30 +112,30 @@ def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
     result is plain numpy, detached from any tape. Empty node set
     degenerates to zero importance (with a warning) — pure fine-tuning."""
     params = model.trainable_parameters()
+    order = sorted(nodes)
     if per_node_loss is None:
         if forward is None:
             forward = allotropic_forward(model, g_t)
         logits = model.logits(forward())
         tape = T._topo_order(logits)
-        row_of = {v: i for i, v in enumerate(g_t.nodes)}
+        rows = node_rows(g_t, order)
 
-        def node_sweep(v):
-            r = row_of[v]
+        def node_sweep(k, v):
+            r = rows[k]
             seed = np.zeros_like(logits.values)
             seed[r] = T.softmax_minus_onehot(logits.values[r:r + 1], [g_t.labels[v]])[0]
             return logits, seed, tape
     else:
-        def node_sweep(v):
+        def node_sweep(k, v):
             loss = per_node_loss(v)
             T._check_loss(loss)
             return loss, np.ones_like(loss.values), T._topo_order(loss)
     omega = {p.name: np.zeros_like(p.values) for p in params}
-    order = sorted(nodes)
     if not order:
         warnings.warn("importance over an empty node set is zero (fine-tuning)")
         return omega
-    for v in order:
-        root, seed, tape = node_sweep(v)
+    for k, v in enumerate(order):
+        root, seed, tape = node_sweep(k, v)
         # the shared tape keeps grads between sweeps; reset the whole
         # reachable slice, not just parameters
         for node in tape:
@@ -154,25 +152,23 @@ def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
 
 def _sum_loss(model, h, g, nodes, labels=None):
     """Task loss summed (not averaged) over the given nodes."""
-    row_of = {v: i for i, v in enumerate(g.nodes)}
-    rows = np.array([row_of[v] for v in nodes], dtype=np.int64)
+    rows = node_rows(g, nodes)
     ys = np.array([g.labels[v] for v in nodes] if labels is None else labels,
                   dtype=np.int64)
     ce = T.cross_entropy(T.gather_rows(model.logits(h), rows), ys)
     return T.mul(ce, float(len(nodes)))
 
 
-def continual_loss(model, affected_train_nodes, ewc, forward=None, graph=None):
-    """Sum of per-node task losses on the affected nodes plus lam / 2 times
-    the quadratic importance-weighted penalty against the stored snapshot,
-    one tensor.ewc_penalty node over every parameter that has both."""
+def continual_loss(model, affected_train_nodes, ewc, h=None, graph=None):
+    """Sum of per-node task losses on the affected nodes, read from the
+    node states h of the current graph, plus lam / 2 times the quadratic
+    importance-weighted penalty against the stored snapshot, one
+    tensor.ewc_penalty node over every parameter that has both."""
     affected = sorted(affected_train_nodes)
     if affected:
-        if graph is None:
-            raise ValueError("continual_loss needs the current graph for labels")
-        if forward is None:
-            forward = allotropic_forward(model, graph)
-        task = _sum_loss(model, forward(), graph, affected)
+        if h is None or graph is None:
+            raise ValueError("continual_loss needs the node states and the current graph")
+        task = _sum_loss(model, h, graph, affected)
     else:
         task = T.Tensor(np.asarray(0.0))
     params, anchors, weights = [], [], []
@@ -204,24 +200,17 @@ class StreamRecord:
 
 
 def _train_plain(model, forward, loss_fn, epochs, lr):
-    state = AdamState()
     params = model.trainable_parameters()
-    for epoch in range(epochs):
-        loss = loss_fn(forward())
-        check_finite_loss("training", loss.item(), epoch, epochs)
-        zero_grad(params)
-        T.backward(loss)
-        state = adam_step(params, lr=lr, state=state)
+    for _ in descend(params, lambda: loss_fn(forward()), epochs, lr):
+        pass
+    check_finite_params(params)
 
 
-def _evaluate(model, g, test_nodes):
+def _evaluate(model, g, test_nodes, forward):
     alive = sorted(v for v in test_nodes if v in g.labels)
     if not alive:
         raise ValueError("test set is empty at this timestamp")
-    fwd = allotropic_forward(model, g)
-    row_of = {v: i for i, v in enumerate(g.nodes)}
-    rows = np.array([row_of[v] for v in alive], dtype=np.int64)
-    preds = model.logits(fwd()).values[rows].argmax(axis=1)
+    preds = model.logits(forward()).values[node_rows(g, alive)].argmax(axis=1)
     return accuracy(preds, np.array([g.labels[v] for v in alive]))
 
 
@@ -262,8 +251,7 @@ def run_stream(g_1, deltas, strategy, cfg=None):
     def fresh_model():
         return GrafenneModel(model_cfg, g_1.num_classes)
 
-    def full_train(model, g):
-        fwd = allotropic_forward(model, g)
+    def full_train(model, g, fwd):
         pool = sorted(train_pool)
         _train_plain(model, fwd,
                      lambda h: T.mul(_sum_loss(model, h, g, pool), 1.0 / len(pool)),
@@ -273,12 +261,14 @@ def run_stream(g_1, deltas, strategy, cfg=None):
     g = g_1
     model = fresh_model()
     t0 = time.perf_counter()
-    full_train(model, g)
+    # one allotropic forward per snapshot serves training, importance and evaluation
+    fwd = allotropic_forward(model, g)
+    full_train(model, g, fwd)
     secs = time.perf_counter() - t0
-    records.append(StreamRecord(strategy, 1, _evaluate(model, g, test_pool), secs,
+    records.append(StreamRecord(strategy, 1, _evaluate(model, g, test_pool, fwd), secs,
                                 _entries_changed(({}, {}), model)))
 
-    ewc = EwcState(lam=cfg.lam, u_size=cfg.u_size)
+    ewc = EwcState(lam=cfg.lam)
     buffer = ReplayBuffer(cfg.replay_capacity(), seed=cfg.seed)
     if strategy == "ER":
         for v in sorted(train_pool):
@@ -294,43 +284,35 @@ def run_stream(g_1, deltas, strategy, cfg=None):
             test_pool.discard(v)
         affected_train = sorted(v for v in affected
                                 if v in train_pool and v in g.labels)
-        before = ({p.name: p.values.copy() for p in model.trainable_parameters()},
-                  dict(model.table.row))
+        before = (_snapshot(model.trainable_parameters()), dict(model.table.row))
         t0 = time.perf_counter()
-        if strategy == "ORACLE":
-            if not delta.is_empty():
-                model = fresh_model()
-                full_train(model, g)
-        elif affected_train:
-            fwd = allotropic_forward(model, g)
+        retrain = strategy == "ORACLE" and not delta.is_empty()
+        if retrain:
+            model = fresh_model()
+        fwd = allotropic_forward(model, g)
+        if retrain:
+            full_train(model, g, fwd)
+        elif strategy != "ORACLE" and affected_train:
             if strategy == "EWC":
                 u = sample_U(train_pool, min(cfg.u_size, len(train_pool)),
                              seed=cfg.seed * 100003 + delta.t)
                 unaffected = tuple(v for v in u if v not in set(affected_train))
-                ewc.u_nodes = u
                 ewc.omega = compute_importance(model, g, unaffected, forward=fwd)
-                ewc.snapshot = {p.name: p.values.copy()
-                                for p in model.trainable_parameters()}
-                _train_plain(model, fwd,
-                             lambda h: continual_loss(model, affected_train, ewc,
-                                                      forward=lambda: h, graph=g),
-                             cfg.stream_epochs, cfg.lr)
+                ewc.snapshot = _snapshot(model.trainable_parameters())
+                loss_fn = lambda h: continual_loss(model, affected_train, ewc, h=h, graph=g)
             elif strategy == "FT":
-                _train_plain(model, fwd,
-                             lambda h: _sum_loss(model, h, g, affected_train),
-                             cfg.stream_epochs, cfg.lr)
-            else:  # ER
+                loss_fn = lambda h: _sum_loss(model, h, g, affected_train)
+            else:  # ER: the affected nodes plus the replayed ones, then buffer the former
                 replay = [(v, y) for v, y in buffer.entries() if v in g.labels]
                 nodes = affected_train + [v for v, _ in replay]
                 labels = [g.labels[v] for v in affected_train] + [y for _, y in replay]
-                _train_plain(model, fwd,
-                             lambda h: _sum_loss(model, h, g, nodes, labels),
-                             cfg.stream_epochs, cfg.lr)
                 for v in affected_train:
                     buffer.add(v, g.labels[v])
+                loss_fn = lambda h: _sum_loss(model, h, g, nodes, labels)
+            _train_plain(model, fwd, loss_fn, cfg.stream_epochs, cfg.lr)
         secs = time.perf_counter() - t0
         records.append(StreamRecord(strategy, delta.t,
-                                    _evaluate(model, g, test_pool), secs,
+                                    _evaluate(model, g, test_pool, fwd), secs,
                                     _entries_changed(before, model)))
     return records, model
 

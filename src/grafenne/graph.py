@@ -76,13 +76,6 @@ class HeteroGraph:
             ids.update(fmap.keys())
         return tuple(sorted(ids))
 
-    @property
-    def num_features(self):
-        return len(self.feature_ids())
-
-    def feature_entry_count(self):
-        return sum(len(f) for f in self.feats.values())
-
     def node_feats(self, v):
         return self.feats.get(v, {})
 
@@ -92,10 +85,6 @@ class HeteroGraph:
                     node_names=self.node_names, feat_names=self.feat_names)
         args.update(kw)
         return HeteroGraph(**args)
-
-    def copy(self):
-        return self.replace(feats={v: dict(f) for v, f in self.feats.items()},
-                            labels=dict(self.labels))
 
 
 def by_destination(*blocks):
@@ -164,14 +153,6 @@ class AllotropicGraph:
     @property
     def num_feature_edges(self):
         return len(self.fe_node)
-
-    @property
-    def num_alt_nodes(self):
-        return self.n + self.m
-
-    @property
-    def num_alt_edges(self):
-        return len(self.graph_edges) + self.num_feature_edges
 
 
 def to_allotropic(g):
@@ -272,6 +253,19 @@ class DataError(ValueError):
     """Malformed or inconsistent input files."""
 
 
+def feature_value(text, path, lineno):
+    """A feature value read from line `lineno` of `path`: a finite float,
+    else DataError. A NaN or infinity would flow through training into
+    the weights while the loss can stay finite."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise DataError(f"{path}:{lineno}: bad value {text!r} (need a finite number)")
+    return x
+
+
 def load_graph(edge_file, feature_file, label_file):
     """Ingest TSV triples (see file formats in the CLI help).
 
@@ -299,10 +293,7 @@ def load_graph(edge_file, feature_file, label_file):
         fmap = feats_by_name.setdefault(name, {})
         if fname in fmap:
             raise DataError(f"{feature_file}:{lineno}: duplicate feature '{fname}' for node '{name}'")
-        try:
-            fmap[fname] = float(val)
-        except ValueError:
-            raise DataError(f"{feature_file}:{lineno}: bad value '{val}'") from None
+        fmap[fname] = feature_value(val, feature_file, lineno)
 
     node_names = tuple(sorted(set(labels_by_name) | set(feats_by_name)))
     node_id = {name: i for i, name in enumerate(node_names)}

@@ -30,14 +30,6 @@ class DenseFeatures:
     node_ids: tuple
     feat_ids: tuple
 
-    @property
-    def node_row(self):
-        return {v: i for i, v in enumerate(self.node_ids)}
-
-    @property
-    def feat_col(self):
-        return {f: j for j, f in enumerate(self.feat_ids)}
-
 
 def _expand(g, feature_ids=None):
     node_ids = g.nodes

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .graph import by_destination
+from .optim import descend
 
 _PHASE2 = ("sage", "gat", "gin")
 
@@ -353,8 +354,6 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
     per-message MLP followed by a sum and a combine MLP, which is where
     the reconstruction x_v[i] = m[i] * m[d+i] has to be picked up.
     Returns (trained MSE, untrained MSE)."""
-    from .optim import AdamState, adam_step, zero_grad
-
     rng = np.random.default_rng([seed, 29])
     x = rng.normal(size=(trials, d))
     if hidden is None:
@@ -379,7 +378,6 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
         T.Parameter(glorot(prng, (hidden, d)), "probe/comb/A1"),
         T.Parameter(np.zeros(d), "probe/comb/b1"),
     ]
-    params = phi + rho
     m_in = T.Tensor(msgs)
     target = T.Tensor(x)
 
@@ -391,12 +389,8 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
         return T.mean_all(T.mul(diff, diff))
 
     untrained = mse().item()
-    state = AdamState()
-    for _ in range(epochs):
-        zero_grad(params)
-        loss = mse()
-        T.backward(loss)
-        state = adam_step(params, lr=lr, state=state)
+    for _ in descend(phi + rho, mse, epochs, lr):
+        pass
     return mse().item(), untrained
 
 

@@ -3,7 +3,6 @@ and delta application producing fresh snapshots."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -165,95 +164,3 @@ def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed):
         edges = taken
     return deltas
 
-
-def write_stream(deltas, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# stream v1: t op args\n")
-        for d in sorted(deltas, key=lambda d: d.t):
-            for u, v in d.del_edges:
-                fh.write(f"{d.t}\tDELE\t{u}\t{v}\n")
-            for v, f in d.del_feats:
-                fh.write(f"{d.t}\tDELF\t{v}\t{f}\n")
-            for v in d.del_nodes:
-                fh.write(f"{d.t}\tDELN\t{v}\n")
-            for v, label in d.add_nodes:
-                fh.write(f"{d.t}\tADDN\t{v}\t{-1 if label is None else label}\n")
-            for u, v in d.add_edges:
-                fh.write(f"{d.t}\tADDE\t{u}\t{v}\n")
-            for v, f, w in d.add_feats:
-                fh.write(f"{d.t}\tADDF\t{v}\t{f}\t{w!r}\n")
-
-
-_FIELD_COUNTS = {"ADDN": 4, "DELN": 3, "ADDE": 4, "DELE": 4, "ADDF": 5, "DELF": 4}
-
-
-def read_stream(path, node_ids=None, feat_ids=None):
-    """Parse a stream file into deltas ordered by timestamp.
-
-    With node_ids/feat_ids maps (external name -> internal id), unknown
-    names in additions are assigned fresh ids in order of appearance;
-    without maps, fields must already be integer internal ids.
-    """
-    from .graph import DataError
-    node_ids = dict(node_ids) if node_ids is not None else None
-    feat_ids = dict(feat_ids) if feat_ids is not None else None
-    # a fresh name gets one more than the largest id assigned so far
-    new_node = itertools.count(max((node_ids or {}).values(), default=-1) + 1)
-    new_feat = itertools.count(max((feat_ids or {}).values(), default=-1) + 1)
-
-    def nid(name, allow_new):
-        if node_ids is None:
-            return int(name)
-        if name not in node_ids:
-            if not allow_new:
-                raise DataError(f"unknown node '{name}'")
-            node_ids[name] = next(new_node)
-        return node_ids[name]
-
-    def fid(name):
-        if feat_ids is None:
-            return int(name)
-        if name not in feat_ids:
-            feat_ids[name] = next(new_feat)
-        return feat_ids[name]
-
-    by_t = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            op = fields[1] if len(fields) > 1 else "?"
-            if op not in _FIELD_COUNTS:
-                raise DataError(f"{path}:{lineno}: unknown op '{op}'")
-            if len(fields) != _FIELD_COUNTS[op]:
-                raise DataError(f"{path}:{lineno}: {op} expects "
-                                f"{_FIELD_COUNTS[op]} fields, got {len(fields)}")
-            try:
-                t = int(fields[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp '{fields[0]}'") from None
-            rec = by_t.setdefault(t, {"an": [], "dn": [], "ae": [], "de": [], "af": [], "df": []})
-            try:
-                if op == "ADDN":
-                    label = int(fields[3])
-                    rec["an"].append((nid(fields[2], True), None if label < 0 else label))
-                elif op == "DELN":
-                    rec["dn"].append(nid(fields[2], False))
-                elif op == "ADDE":
-                    rec["ae"].append((nid(fields[2], False), nid(fields[3], False)))
-                elif op == "DELE":
-                    rec["de"].append((nid(fields[2], False), nid(fields[3], False)))
-                elif op == "ADDF":
-                    rec["af"].append((nid(fields[2], False), fid(fields[3]), float(fields[4])))
-                elif op == "DELF":
-                    rec["df"].append((nid(fields[2], False), fid(fields[3])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-
-    deltas = [StreamDelta(t=t, add_nodes=tuple(r["an"]), del_nodes=tuple(r["dn"]),
-                          add_edges=tuple(r["ae"]), del_edges=tuple(r["de"]),
-                          add_feats=tuple(r["af"]), del_feats=tuple(r["df"]))
-              for t, r in sorted(by_t.items())]
-    return deltas

@@ -18,7 +18,7 @@ from .graph import GraphError, apply_missing_mask, make_split, remove_edges, to_
 from .imputation import (DenseGnnModel, feature_propagation, impute_neighborhood_mean,
                          impute_special_label, impute_then_grafenne)
 from .model import GrafenneConfig, GrafenneModel, VanillaAltModel
-from .optim import AdamState, adam_step, zero_grad
+from .optim import check_finite_loss, check_finite_params, descend
 
 TASKS = ("node_classification", "link_prediction")
 METHODS = ("grafenne", "grafenne_gat", "grafenne_gin", "sage", "gat", "gin",
@@ -69,11 +69,6 @@ class RunResult:
     @property
     def seconds(self):
         return float(sum(self.seconds_by_seed.values()))
-
-    def display_std(self):
-        # reporting convention: tiny deviations print as 0
-        s = self.std
-        return 0.0 if s < 0.01 else s
 
 
 def link_score(h_u, h_v):
@@ -169,6 +164,13 @@ def make_link_split(g, fractions=(0.6, 0.2, 0.2), seed=0, neg_ratio=1.0):
                      neg_parts[0], neg_parts[1], neg_parts[2], graph)
 
 
+def node_rows(g, nodes):
+    """Row of each node in g's ascending node order, the row order of the
+    node states every forward returns; a node not in g raises KeyError."""
+    row_of = {v: i for i, v in enumerate(g.nodes)}
+    return np.array([row_of[v] for v in nodes], dtype=np.int64)
+
+
 def allotropic_forward(model, g):
     """forward() of a model over g's allotropic form: the graph-node states."""
     alt = to_allotropic(g)
@@ -191,30 +193,20 @@ def train(model, g, split, cfg, forward, record_history=False):
     Returns a single-seed RunResult keyed by the model's own seed."""
     cfg.validate()
     if cfg.task == "link_prediction":
-        return _train_link(model, split, cfg, forward, record_history)
-    return _train_node(model, g, split, cfg, forward, record_history)
-
-
-def check_finite_loss(kind, value, epoch, epochs):
-    """Raise FloatingPointError on a NaN or infinite loss: a NaN validation
-    loss never compares below the best, so training would otherwise stop
-    early on stale weights and report a plausible accuracy."""
-    if not math.isfinite(value):
-        raise FloatingPointError(f"{kind} loss is {value} at epoch {epoch + 1} of {epochs}")
+        metric, loss_on, test_metric = _link_task(split)
+    else:
+        metric, loss_on, test_metric = _node_task(model, g, split)
+    history, secs = _fit(model, cfg, forward, loss_on("train"), loss_on("val"), record_history)
+    seed = model.config.seed
+    return RunResult(metric, {seed: test_metric(forward())}, {seed: secs}, history)
 
 
 def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
-    state = AdamState()
     best_loss, best_snap, best_epoch = math.inf, None, -1
     history = [] if record_history else None
     params = model.trainable_parameters()
     t0 = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        loss = train_loss_fn(forward())
-        check_finite_loss("training", loss.item(), epoch, cfg.epochs)
-        zero_grad(params)
-        T.backward(loss)
-        state = adam_step(params, lr=cfg.lr, state=state)
+    for epoch in descend(params, lambda: train_loss_fn(forward()), cfg.epochs, cfg.lr):
         val_loss = val_loss_fn(forward()).item()
         check_finite_loss("validation", val_loss, epoch, cfg.epochs)
         if record_history:
@@ -223,62 +215,53 @@ def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
             best_loss, best_snap, best_epoch = val_loss, _snapshot(params), epoch
         if epoch - best_epoch >= cfg.patience:
             break
+    check_finite_params(params)
     _restore(params, best_snap)
-    return best_loss, history, time.perf_counter() - t0
+    return history, time.perf_counter() - t0
 
 
-def _train_node(model, g, split, cfg, forward, record_history):
-    for part, name in ((split.train, "train"), (split.val, "val"), (split.test, "test")):
+def _nonempty_parts(train, val, test):
+    for part, name in ((train, "train"), (val, "val"), (test, "test")):
         if not part:
             raise ValueError(f"empty {name} split")
-    row_of = {v: i for i, v in enumerate(g.nodes)}
-    rows = {k: np.array([row_of[v] for v in part], dtype=np.int64)
-            for k, part in (("train", split.train), ("val", split.val), ("test", split.test))}
-    ys = {k: np.array([g.labels[v] for v in part], dtype=np.int64)
-          for k, part in (("train", split.train), ("val", split.val), ("test", split.test))}
+    return {"train": train, "val": val, "test": test}
+
+
+def _node_task(model, g, split):
+    """(metric, the loss on each part, the test metric) of node classification."""
+    parts = _nonempty_parts(split.train, split.val, split.test)
+    rows = {k: node_rows(g, part) for k, part in parts.items()}
+    ys = {k: np.array([g.labels[v] for v in part], dtype=np.int64) for k, part in parts.items()}
 
     def loss_on(which):
         return lambda h: T.cross_entropy(T.gather_rows(model.logits(h), rows[which]), ys[which])
 
-    best_loss, history, secs = _fit(model, cfg, forward, loss_on("train"), loss_on("val"),
-                                    record_history)
-    h = forward()
-    preds = model.logits(h).values[rows["test"]].argmax(axis=1)
-    acc = accuracy(preds, ys["test"])
-    seed = model.config.seed
-    return RunResult("accuracy", {seed: acc}, {seed: secs}, history)
+    def test_accuracy(h):
+        return accuracy(model.logits(h).values[rows["test"]].argmax(axis=1), ys["test"])
+    return "accuracy", loss_on, test_accuracy
 
 
-def _train_link(model, split, cfg, forward, record_history):
-    for part, name in ((split.train_pos, "train"), (split.val_pos, "val"),
-                       (split.test_pos, "test")):
-        if not part:
-            raise ValueError(f"empty {name} split")
-    row_of = {v: i for i, v in enumerate(split.graph.nodes)}
+def _link_task(split):
+    """(metric, the loss on each part, the test metric) of link prediction."""
+    _nonempty_parts(split.train_pos, split.val_pos, split.test_pos)
 
     def pack(pos, neg):
         pairs = list(pos) + list(neg)
-        us = np.array([row_of[u] for u, _ in pairs], dtype=np.int64)
-        vs = np.array([row_of[v] for _, v in pairs], dtype=np.int64)
-        t = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        return us, vs, t
+        us = node_rows(split.graph, [u for u, _ in pairs])
+        vs = node_rows(split.graph, [v for _, v in pairs])
+        return us, vs, np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
     packs = {"train": pack(split.train_pos, split.train_neg),
              "val": pack(split.val_pos, split.val_neg),
              "test": pack(split.test_pos, split.test_neg)}
 
-    def loss_on(which):
-        us, vs, t = packs[which]
-        return lambda h: T.bce_with_logits(
-            link_score(T.gather_rows(h, us), T.gather_rows(h, vs)), t)
+    def scores(h, which):
+        us, vs, _ = packs[which]
+        return link_score(T.gather_rows(h, us), T.gather_rows(h, vs))
 
-    best_loss, history, secs = _fit(model, cfg, forward, loss_on("train"), loss_on("val"),
-                                    record_history)
-    h = forward()
-    us, vs, t = packs["test"]
-    scores = link_score(T.gather_rows(h, us), T.gather_rows(h, vs)).values
-    seed = model.config.seed
-    return RunResult("aucroc", {seed: auc_roc(scores, t)}, {seed: secs}, history)
+    def loss_on(which):
+        return lambda h: T.bce_with_logits(scores(h, which), packs[which][2])
+    return "aucroc", loss_on, lambda h: auc_roc(scores(h, "test").values, packs["test"][2])
 
 
 def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,

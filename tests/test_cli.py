@@ -130,6 +130,8 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
         "methods = sage\ntask = regression\n",      # unknown task
         "methods = sage\ntiming = cpu\n",           # bad timing mode
         "methods = sage\nepochs = 0\n",             # rejected by TrainConfig
+        "methods = sage\nlr = nan\n",               # non-finite float
+        "methods = sage\np = 0,inf\n",              # non-finite entry of floats
     ]
     for i, extra in enumerate(cases):
         conf = write(tmp_path / f"bad{i}.conf", toy_source() + extra)
@@ -160,6 +162,18 @@ def test_run_malformed_tsv_exits_3(tmp_path, capsys):
                  f"labels = {bad}\nmethods = sage\nepochs = 5\n")
     assert main(["run", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_non_finite_feature_exits_3(tmp_path, capsys, value):
+    lines = (DATA / "features.tsv").read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rsplit("\t", 1)[0] + f"\t{value}\n"
+    bad = write(tmp_path / "features.tsv", "".join(lines))
+    conf = write(tmp_path / "c.conf",
+                 f"edges = {DATA/'edges.tsv'}\nfeatures = {bad}\n"
+                 f"labels = {DATA/'labels.tsv'}\nmethods = grafenne,sage\nepochs = 5\n")
+    assert main(["run", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 3
+    assert f"{bad}:3: bad value '{value}' (need a finite number)" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -259,6 +273,16 @@ def test_translate_malformed_exits_3(tmp_path, capsys):
     conf = write(tmp_path / "t.conf", f"features = {bad}\nscale = 2\n")
     assert main(["translate", "--config", conf, "--out", str(tmp_path / "o.tsv")]) == 3
     assert "bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_translate_non_finite_exits_3(tmp_path, capsys, value):
+    bad = write(tmp_path / "f.tsv", f"n00\tf0\t1.0\nn01\tf0\t{value}\n")
+    conf = write(tmp_path / "t.conf", f"features = {bad}\nscale = 2\n")
+    out = tmp_path / "o.tsv"
+    assert main(["translate", "--config", conf, "--out", str(out)]) == 3
+    assert f"{bad}:2: bad value '{value}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_non_finite_loss_exits_4(tmp_path, capsys):

@@ -151,6 +151,14 @@ def test_train_plain_raises_on_a_nan_loss():
         _train_plain(toy, lambda: w, lambda h: T.sum_all(T.mul(h, h)), 3, 0.1)
 
 
+def test_train_plain_raises_on_a_non_finite_parameter():
+    # w1 is outside the loss, so the loss stays finite while w1 is NaN
+    toy = ToyModel(np.array([1.0]), np.array([np.nan]))
+    w = toy.params[0]
+    with pytest.raises(FloatingPointError, match="parameter w1 is not finite after training"):
+        _train_plain(toy, lambda: w, lambda h: T.sum_all(T.mul(h, h)), 3, 0.1)
+
+
 def test_importance_bitwise_repeatable():
     g = drift_graph(n=10)
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=4), 2)
@@ -181,8 +189,9 @@ def test_continual_loss_theta_equal_is_task_only():
     omega = {k: np.ones_like(v) for k, v in snap.items()}
     ewc = EwcState(lam=50.0, snapshot=snap, omega=omega)
     affected = [0, 1, 2]
-    full = continual_loss(model, affected, ewc, graph=g).item()
-    plain = continual_loss(model, affected, EwcState(lam=0.0), graph=g).item()
+    h = fwd()
+    full = continual_loss(model, affected, ewc, h=h, graph=g).item()
+    plain = continual_loss(model, affected, EwcState(lam=0.0), h=h, graph=g).item()
     assert full == pytest.approx(plain, abs=1e-12)
 
 
@@ -195,7 +204,7 @@ def test_continual_loss_lambda_zero_equals_task():
     omega = {k: np.ones_like(v) for k, v in snap.items()}
     affected = [0, 2]
     with_pen = continual_loss(model, affected, EwcState(lam=0.0, snapshot=snap,
-                                                        omega=omega), graph=g)
+                                                        omega=omega), h=fwd(), graph=g)
     row_of = {v: i for i, v in enumerate(g.nodes)}
     rows = np.array([row_of[v] for v in affected])
     ys = np.array([g.labels[v] for v in affected])
@@ -241,7 +250,7 @@ def test_replay_buffer_reservoir():
 def test_ewc_state_storage_is_flat():
     # one snapshot dict plus one omega dict, regardless of how often they turn over
     names = {f.name for f in dataclasses.fields(EwcState)}
-    assert names == {"lam", "u_size", "snapshot", "omega", "u_nodes"}
+    assert names == {"lam", "snapshot", "omega"}
     st = EwcState()
     for t in range(5):
         st.snapshot = {"w": np.full(3, t, dtype=float)}

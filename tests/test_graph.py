@@ -35,6 +35,11 @@ def random_graph(rng, n_max=50):
     return HeteroGraph(nodes, edges, feats, labels)
 
 
+def entry_count(g):
+    """Stored (node, feature) entries: the feature edges of G^alt."""
+    return sum(len(f) for f in g.feats.values())
+
+
 def test_construction_canonicalizes_edges():
     g = HeteroGraph([0, 1], [(1, 0), (0, 1)], {}, {})
     assert g.edges == ((0, 1),)
@@ -55,8 +60,8 @@ def test_zero_feature_values_dropped():
 
 def test_to_allotropic_toy_counts():
     alt = to_allotropic(toy())
-    assert alt.num_alt_nodes == 3 + 2
-    assert alt.num_alt_edges == 1 + 3
+    assert alt.n + alt.m == 3 + 2
+    assert len(alt.graph_edges) + alt.num_feature_edges == 1 + 3
     triples = {(int(alt.node_ids[v]), int(alt.feat_ids[f]), w)
                for v, f, w in zip(alt.fe_node, alt.fe_feat, alt.fe_weight)}
     assert triples == {(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)}
@@ -68,7 +73,8 @@ def test_to_allotropic_toy_counts():
 def test_to_allotropic_no_features():
     g = HeteroGraph([0, 1], [(0, 1)], {}, {})
     alt = to_allotropic(g)
-    assert alt.m == 0 and alt.num_alt_nodes == 2 and alt.num_alt_edges == 1
+    assert alt.m == 0 and alt.n == 2
+    assert len(alt.graph_edges) == 1 and alt.num_feature_edges == 0
 
 
 def test_allotropic_invariants_random_graphs():
@@ -76,8 +82,8 @@ def test_allotropic_invariants_random_graphs():
     for _ in range(100):
         g = random_graph(rng)
         alt = to_allotropic(g)
-        assert alt.num_alt_nodes == g.num_nodes + g.num_features
-        assert alt.num_alt_edges == g.num_edges + g.feature_entry_count()
+        assert alt.n + alt.m == g.num_nodes + len(g.feature_ids())
+        assert len(alt.graph_edges) + alt.num_feature_edges == g.num_edges + entry_count(g)
         assert project_back(alt) == g.feats
 
 
@@ -134,7 +140,7 @@ def test_apply_missing_mask_binomial():
     feats = {v: {f: 1.0 for f in range(100)} for v in range(100)}
     g = HeteroGraph(range(100), [], feats, {})
     masked = apply_missing_mask(g, 0.5, seed=11)
-    deleted = 10000 - masked.feature_entry_count()
+    deleted = 10000 - entry_count(masked)
     sigma = (10000 * 0.25) ** 0.5
     assert abs(deleted - 5000) <= 3 * sigma
 
@@ -209,7 +215,7 @@ def test_load_graph_toy(tmp_path):
     feats = _write(tmp_path / "f.tsv", "a\tf0\t1.0\n")
     labels = _write(tmp_path / "l.tsv", "a\t0\nb\t1\n")
     g = load_graph(edges, feats, labels)
-    assert g.num_nodes == 2 and g.num_edges == 1 and g.num_features == 1
+    assert g.num_nodes == 2 and g.num_edges == 1 and g.feature_ids() == (0,)
     assert g.node_names == ("a", "b")
 
 
@@ -218,7 +224,7 @@ def test_load_graph_empty_features(tmp_path):
     feats = _write(tmp_path / "f.tsv", "# nothing\n")
     labels = _write(tmp_path / "l.tsv", "a\t0\nb\t1\n")
     g = load_graph(edges, feats, labels)
-    assert g.num_features == 0 and all(not g.node_feats(v) for v in g.nodes)
+    assert g.feature_ids() == () and all(not g.node_feats(v) for v in g.nodes)
 
 
 def test_load_graph_errors(tmp_path):

@@ -7,7 +7,7 @@ from grafenne.imputation import (DenseFeatures, DenseGnnModel,
                                  impute_special_label, impute_then_grafenne)
 from grafenne.model import GrafenneConfig, GrafenneModel
 from naive_ref import adjacency, leaky, _mlp, _softmax
-from test_graph import random_graph
+from test_graph import entry_count, random_graph
 
 
 def expand_brute(g, feat_ids):
@@ -52,7 +52,7 @@ def test_nm_neighbor_mean():
     g = HeteroGraph([0, 1, 2], [(0, 1), (0, 2)],
                     {0: {1: 1.0}, 1: {0: 2.0}, 2: {0: 4.0}}, {})
     d = impute_neighborhood_mean(g)
-    assert d.values[d.node_row[0], d.feat_col[0]] == pytest.approx(3.0)
+    assert d.values[d.node_ids.index(0), d.feat_ids.index(0)] == pytest.approx(3.0)
 
 
 def test_nm_isolated_fallback():
@@ -60,10 +60,10 @@ def test_nm_isolated_fallback():
                     {1: {0: 2.0}, 2: {0: 6.0}, 3: {1: 5.0}}, {})
     d = impute_neighborhood_mean(g)
     # isolated node 0: global mean of feature 0 is 4.0
-    assert d.values[d.node_row[0], d.feat_col[0]] == pytest.approx(4.0)
+    assert d.values[d.node_ids.index(0), d.feat_ids.index(0)] == pytest.approx(4.0)
     # feature observed nowhere -> 0
     d2 = impute_neighborhood_mean(g, feature_ids=[0, 1, 9])
-    assert d2.values[:, d2.feat_col[9]] == pytest.approx(0.0)
+    assert d2.values[:, d2.feat_ids.index(9)] == pytest.approx(0.0)
 
 
 def test_nm_random_oracle():
@@ -71,9 +71,8 @@ def test_nm_random_oracle():
     g = random_graph(rng, n_max=20)
     d = impute_neighborhood_mean(g)
     nbrs = adjacency(g)
-    fcol = d.feat_col
     for i, v in enumerate(g.nodes):
-        for f, j in fcol.items():
+        for j, f in enumerate(d.feat_ids):
             if f in g.node_feats(v):
                 assert d.values[i, j] == g.node_feats(v)[f]
                 continue
@@ -249,7 +248,7 @@ def test_impute_then_grafenne_fp_alt_edges():
     g = random_graph(rng, n_max=12)
     out = impute_then_grafenne(g, "fp")
     alt = to_allotropic(out)
-    assert alt.num_feature_edges == out.feature_entry_count()
+    assert alt.num_feature_edges == entry_count(out)
     # observed entries survive re-sparsification (values come from the graph, nonzero)
     for v, fmap in g.feats.items():
         for f, x in fmap.items():

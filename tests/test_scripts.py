@@ -88,15 +88,3 @@ def test_prepare_unknown_layout(tmp_path):
     assert proc.returncode != 0
     assert "neither" in proc.stderr
 
-
-def test_run_continual_script(tmp_path):
-    out = tmp_path / "stream.csv"
-    proc = run_script("run_continual.py", "--nodes", "40", "--classes", "2",
-                      "--T", "2", "--epochs", "15", "--stream-epochs", "4",
-                      "--dim", "8", "--strategies", "FT,EWC",
-                      "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "EWC - FT" in proc.stdout
-    lines = out.read_text().splitlines()
-    assert lines[0] == "strategy,t,accuracy,seconds,params_changed"
-    assert len(lines) == 1 + 2 * 3  # two strategies x three timestamps

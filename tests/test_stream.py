@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from grafenne.graph import GraphError, HeteroGraph, to_allotropic
-from grafenne.stream import (StreamDelta, apply_delta, generate_stream,
-                             read_stream, write_stream)
+from grafenne.stream import StreamDelta, apply_delta, generate_stream
 from test_graph import random_graph, toy
 
 
@@ -122,88 +121,6 @@ def test_rebuild_equivalence_after_delta():
     assert np.array_equal(a.fe_node, b.fe_node)
     assert np.array_equal(a.fe_weight, b.fe_weight)
     assert np.array_equal(a.ge_src, b.ge_src) and a.graph_edges == b.graph_edges
-
-
-def test_stream_file_roundtrip(tmp_path):
-    g = random_graph(np.random.default_rng(4), n_max=15)
-    deltas = generate_stream(g, T=4, p_n=0.6, p_f_add=0.3, p_f_del=0.5,
-                             p_e_add=0.1, p_e_del=0.2, seed=21)
-    deltas = [StreamDelta(t=2, add_nodes=((999, 1), (998, None)),
-                          add_edges=deltas[0].add_edges + ((999, 998),),
-                          del_edges=deltas[0].del_edges,
-                          add_feats=deltas[0].add_feats,
-                          del_feats=deltas[0].del_feats,
-                          del_nodes=())] + deltas[1:]
-    path = tmp_path / "s.tsv"
-    write_stream(deltas, path)
-    back = read_stream(str(path))
-    assert [d.t for d in back] == [d.t for d in deltas]
-    for a, b in zip(back, deltas):
-        assert sorted(a.add_edges) == sorted(b.add_edges)
-        assert sorted(a.del_edges) == sorted(b.del_edges)
-        assert sorted(a.add_feats) == sorted(b.add_feats)
-        assert sorted(a.del_feats) == sorted(b.del_feats)
-        assert sorted(a.add_nodes) == sorted(b.add_nodes)
-
-
-def test_read_stream_field_count_enforced(tmp_path):
-    from grafenne.graph import DataError
-    p = tmp_path / "bad.tsv"
-    p.write_text("2\tADDE\t0\n", encoding="utf-8")
-    with pytest.raises(DataError, match="ADDE expects 4 fields"):
-        read_stream(str(p))
-    p.write_text("2\tNOPE\t0\n", encoding="utf-8")
-    with pytest.raises(DataError, match="unknown op"):
-        read_stream(str(p))
-
-
-def _old_rule_ids(lines, node_ids, feat_ids):
-    """Ids read_stream should assign, replayed with the rule 'a fresh name
-    gets max(existing ids) + 1', recomputed for every new name."""
-    node_ids, feat_ids = dict(node_ids), dict(feat_ids)
-    for op, *args in lines:
-        if op == "ADDN" and args[0] not in node_ids:
-            node_ids[args[0]] = max(node_ids.values(), default=-1) + 1
-        if op in ("ADDF", "DELF") and args[1] not in feat_ids:
-            feat_ids[args[1]] = max(feat_ids.values(), default=-1) + 1
-    return node_ids, feat_ids
-
-
-@pytest.mark.parametrize("node_ids,feat_ids", [({}, {}), ({"a": 0, "b": 7}, {"x": 3}),
-                                                ({"a": 5}, {})])
-def test_read_stream_fresh_ids_follow_max_plus_one(tmp_path, node_ids, feat_ids):
-    lines = [("ADDN", "n1", "0"), ("ADDF", "n1", "y", "1.5"), ("ADDN", "n2", "-1"),
-             ("ADDE", "n1", "n2"), ("ADDF", "n2", "x", "2.0"), ("DELF", "n1", "z"),
-             ("ADDN", "n3", "1"), ("ADDF", "n3", "y", "0.5"), ("ADDF", "n3", "w", "0.5")]
-    if "a" in node_ids:
-        lines.append(("ADDE", "a", "n3"))
-    p = tmp_path / "s.tsv"
-    p.write_text("".join("3\t" + "\t".join(line) + "\n" for line in lines), encoding="utf-8")
-    want_nodes, want_feats = _old_rule_ids(lines, node_ids, feat_ids)
-    (delta,) = read_stream(str(p), node_ids=node_ids, feat_ids=feat_ids)
-    of = lambda op: [line[1:] for line in lines if line[0] == op]
-    assert delta.add_nodes == tuple((want_nodes[n], None if int(c) < 0 else int(c))
-                                    for n, c in of("ADDN"))
-    assert delta.add_feats == tuple((want_nodes[n], want_feats[f], float(w))
-                                    for n, f, w in of("ADDF"))
-    assert delta.del_feats == ((want_nodes["n1"], want_feats["z"]),)
-    assert delta.add_edges[0] == (want_nodes["n1"], want_nodes["n2"])
-
-
-def test_read_stream_many_fresh_names_is_linear(tmp_path):
-    import time
-    n = 20000
-    p = tmp_path / "big.tsv"
-    p.write_text("".join(f"2\tADDN\tnode{i}\t-1\n2\tADDF\tnode{i}\tfeat{i}\t1.0\n"
-                         for i in range(n)), encoding="utf-8")
-    t0 = time.perf_counter()
-    (delta,) = read_stream(str(p), node_ids={"a": 0}, feat_ids={"f": 0})
-    elapsed = time.perf_counter() - t0
-    assert [v for v, _ in delta.add_nodes] == list(range(1, n + 1))
-    assert [f for _, f, _ in delta.add_feats] == list(range(1, n + 1))
-    # on a 2-vCPU x86-64 VM: 8.7 s with one max() over the id map per new name,
-    # 0.08 s with a counter
-    assert elapsed < 2.0, elapsed
 
 
 def _apply_edges_per_node(g, delta):

@@ -240,10 +240,10 @@ def test_run_experiment_rows_deterministic(tmp_path):
 
 
 def test_run_result_display_rule():
+    # the std row reports the population std as computed, tiny values included
     r = RunResult("accuracy", {0: 0.801, 1: 0.802})
-    assert r.display_std() == 0.0
-    r2 = RunResult("accuracy", {0: 0.5, 1: 0.9})
-    assert r2.display_std() == r2.std > 0.01
+    std_row = result_rows("d", "sage", "node_classification", 0.0, r)[-1]
+    assert std_row[4] == "std" and float(std_row[6]) == pytest.approx(0.0005) == r.std
 
 
 def test_method_model_unknown():
@@ -269,4 +269,18 @@ def test_train_raises_on_a_nan_loss():
     head = model.params["head/W"]
     head.values = np.full_like(head.values, np.nan)
     with pytest.raises(FloatingPointError, match="training loss is nan at epoch 1 of 5"):
+        train(model, g, split, TrainConfig(epochs=5, lr=0.01, seeds=(0,)), forward=fwd)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["grafenne", "sage"])
+def test_train_raises_on_weights_a_nan_feature_poisons(method):
+    # every loss stays finite here; only the weights show the NaN
+    g = sep_graph()
+    v = min(g.feats)
+    f = min(g.feats[v])
+    g = g.replace(feats={**g.feats, v: {**g.feats[v], f: np.nan}})
+    split = make_split(g, seed=0)
+    model, fwd = method_model(method, g, "node_classification", dim=4, layers=2, seed=0)
+    with pytest.raises(FloatingPointError, match="is not finite after training"):
         train(model, g, split, TrainConfig(epochs=5, lr=0.01, seeds=(0,)), forward=fwd)
