@@ -24,6 +24,7 @@ from .continual import (STRATEGIES, StreamConfig, run_stream, stream_rows,
                         write_stream_csv)
 from .graph import (DataError, GraphError, feature_value, load_graph, to_allotropic,
                     write_allotropic)
+from .model import GrafenneConfig
 from .stream import generate_stream
 from .synth import make_community_graph
 from .tasks import (METHODS, TASKS, RunResult, TrainConfig, result_rows,
@@ -224,12 +225,16 @@ def cmd_run(cfg, args):
         raise ConfigError(f"timing must be none or wall, got {cfg['timing']!r}")
     if len(cfg["caps"]) != 3:
         raise ConfigError("caps needs exactly 3 integers")
+    if cfg["fp_iterations"] < 1:
+        raise ConfigError(f"fp_iterations must be >= 1, got {cfg['fp_iterations']}")
     seeds = (args.seed,) if args.seed is not None else cfg["seeds"]
     train_cfg = TrainConfig(task=cfg["task"], epochs=cfg["epochs"], lr=cfg["lr"],
                             seeds=seeds, patience=cfg["patience"],
                             neg_ratio=cfg["neg_ratio"])
+    caps = dict(zip(("cap_features", "cap_nodes", "cap_graph"), cfg["caps"]))
     try:
         train_cfg.validate()
+        GrafenneConfig(layers=cfg["layers"], dim=cfg["dim"], **caps).validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
     out = _resolve_out(cfg, args)

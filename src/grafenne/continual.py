@@ -50,6 +50,11 @@ class StreamConfig:
             raise ValueError("er_capacity must be nonnegative")
         if self.lr < 0:
             raise ValueError("negative learning rate")
+        self.model_config()
+
+    def model_config(self):
+        return GrafenneConfig(layers=self.layers, dim=self.dim, phase2=self.phase2,
+                              seed=self.seed).validate()
 
     def replay_capacity(self):
         return self.u_size if self.er_capacity is None else self.er_capacity
@@ -102,46 +107,34 @@ def sample_U(train_nodes, size, seed):
     return tuple(sorted(pool[i] for i in idx))
 
 
-def compute_importance(model, g_t, nodes, forward=None, per_node_loss=None):
+def compute_importance(model, g_t, nodes, forward=None):
     """Mean squared per-node loss gradient, parameter entry by entry.
 
-    By default one forward and one tape order serve every node: each
-    node's reverse sweep starts at the logits, seeded with that node's
-    cross-entropy gradient (its softmax minus one-hot row). A given
-    per_node_loss(v) is instead swept from the scalar loss it builds. The
-    result is plain numpy, detached from any tape. Empty node set
-    degenerates to zero importance (with a warning) — pure fine-tuning."""
+    One forward and one tape order serve every node: each node's reverse
+    sweep starts at the logits, seeded with that node's cross-entropy
+    gradient (its softmax minus one-hot row). The result is plain numpy,
+    detached from any tape. Empty node set degenerates to zero importance
+    (with a warning) — pure fine-tuning."""
     params = model.trainable_parameters()
     order = sorted(nodes)
-    if per_node_loss is None:
-        if forward is None:
-            forward = allotropic_forward(model, g_t)
-        logits = model.logits(forward())
-        tape = T._topo_order(logits)
-        rows = node_rows(g_t, order)
-
-        def node_sweep(k, v):
-            r = rows[k]
-            seed = np.zeros_like(logits.values)
-            seed[r] = T.softmax_minus_onehot(logits.values[r:r + 1], [g_t.labels[v]])[0]
-            return logits, seed, tape
-    else:
-        def node_sweep(k, v):
-            loss = per_node_loss(v)
-            T._check_loss(loss)
-            return loss, np.ones_like(loss.values), T._topo_order(loss)
+    if forward is None:
+        forward = allotropic_forward(model, g_t)
+    logits = model.logits(forward())
+    tape = T._topo_order(logits)
+    rows = node_rows(g_t, order)
     omega = {p.name: np.zeros_like(p.values) for p in params}
     if not order:
         warnings.warn("importance over an empty node set is zero (fine-tuning)")
         return omega
-    for k, v in enumerate(order):
-        root, seed, tape = node_sweep(k, v)
+    for r, v in zip(rows, order):
+        seed = np.zeros_like(logits.values)
+        seed[r] = T.softmax_minus_onehot(logits.values[r:r + 1], [g_t.labels[v]])[0]
         # the shared tape keeps grads between sweeps; reset the whole
         # reachable slice, not just parameters
         for node in tape:
             node.grad = None
         zero_grad(params)
-        T.sweep(root, seed, tape)
+        T.sweep(logits, seed, tape)
         for p in params:
             omega[p.name] += np.square(p.grad)
     inv = 1.0 / len(order)
@@ -245,8 +238,7 @@ def run_stream(g_1, deltas, strategy, cfg=None):
     split = make_split(g_1, cfg.split_fractions, seed=cfg.seed)
     train_pool = set(split.train)
     test_pool = set(split.test)
-    model_cfg = GrafenneConfig(layers=cfg.layers, dim=cfg.dim, phase2=cfg.phase2,
-                               seed=cfg.seed)
+    model_cfg = cfg.model_config()
 
     def fresh_model():
         return GrafenneModel(model_cfg, g_1.num_classes)

@@ -1,14 +1,16 @@
 """Heterogeneous-feature graphs, the allotropic transformation, masking, splits.
 
-A HeteroGraph stores per-node sparse feature maps (feature id -> value).
-Its allotropic form adds one node per distinct feature and one weighted
-edge per stored (node, feature, value) entry; original edges survive
-verbatim and feature nodes never link to each other.
+A HeteroGraph keeps its features as three entry arrays (feat_node,
+feat_id, feat_value), one entry per stored nonzero value, sorted by
+(node, feature): exactly the feature edges of its allotropic form, which
+adds one node per distinct feature. Original edges survive verbatim and
+feature nodes never link to each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -19,12 +21,48 @@ class GraphError(ValueError):
     """Integrity violation in graph construction or mutation."""
 
 
+def _entry_arrays(feats, nodes):
+    """The (node, feature, value) arrays of `feats` — either such a triple
+    or a node -> {feature: value} mapping — sorted by (node, feature) with
+    zero values dropped. A NaN or infinite value, a repeated (node,
+    feature) pair or an entry on a node outside `nodes` is a GraphError."""
+    if isinstance(feats, Mapping):
+        maps = feats.values()
+        node = np.repeat(np.fromiter(feats, dtype=np.int64, count=len(feats)),
+                         [len(m) for m in maps])
+        feat = np.fromiter(chain.from_iterable(maps), dtype=np.int64)
+        value = np.fromiter(chain.from_iterable(m.values() for m in maps), dtype=np.float64)
+    else:
+        node, feat, value = (np.asarray(a, dtype=t).reshape(-1)
+                             for a, t in zip(feats, (np.int64, np.int64, np.float64)))
+        if not len(node) == len(feat) == len(value):
+            raise GraphError(f"feature entry arrays differ in length: "
+                             f"{len(node)}, {len(feat)}, {len(value)}")
+    bad = ~np.isfinite(value)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise GraphError(f"feature ({node[k]},{feat[k]}) has non-finite value {value[k]}")
+    outside = ~np.isin(node, nodes)
+    if outside.any():
+        raise GraphError(f"features for missing node {node[outside][0]}")
+    order = np.lexsort((feat, node))
+    node, feat, value = node[order], feat[order], value[order]
+    dup = (node[1:] == node[:-1]) & (feat[1:] == feat[:-1])
+    if dup.any():
+        k = np.flatnonzero(dup)[0]
+        raise GraphError(f"duplicate feature entry ({node[k]},{feat[k]})")
+    keep = value != 0.0
+    return node[keep], feat[keep], value[keep]
+
+
 class HeteroGraph:
     """Immutable-by-convention snapshot: nodes, canonical undirected edges,
-    sparse features, optional labels. Zero feature values are dropped
-    (a stored zero counts as absent)."""
+    feature entries, optional labels. `feats` is given either as a node ->
+    {feature: value} mapping or as (node, feature, value) arrays; zero
+    values are dropped (a stored zero counts as absent)."""
 
-    __slots__ = ("nodes", "edges", "feats", "labels", "num_classes", "node_names", "feat_names")
+    __slots__ = ("nodes", "edges", "feat_node", "feat_id", "feat_value", "labels",
+                 "num_classes", "node_names", "feat_names")
 
     def __init__(self, nodes, edges, feats, labels, num_classes=None,
                  node_names=None, feat_names=None):
@@ -39,15 +77,10 @@ class HeteroGraph:
                 raise GraphError(f"edge ({u},{v}) references a missing node")
             canon.add((u, v) if u < v else (v, u))
         self.edges = tuple(sorted(canon))
-        cleaned = {}
-        for v, fmap in feats.items():
-            v = int(v)
-            if v not in node_set:
-                raise GraphError(f"features for missing node {v}")
-            kept = {int(f): float(x) for f, x in fmap.items() if float(x) != 0.0}
-            if kept:
-                cleaned[v] = kept
-        self.feats = cleaned
+        self.feat_node, self.feat_id, self.feat_value = _entry_arrays(
+            feats, np.asarray(self.nodes, dtype=np.int64))
+        for a in (self.feat_node, self.feat_id, self.feat_value):
+            a.flags.writeable = False
         self.labels = {}
         for v, c in labels.items():
             v, c = int(v), int(c)
@@ -70,17 +103,27 @@ class HeteroGraph:
     def num_edges(self):
         return len(self.edges)
 
+    @property
+    def feats(self):
+        """node -> {feature: value} for every node with an entry, built
+        afresh from the entry arrays on each access."""
+        nodes, starts = np.unique(self.feat_node, return_index=True)
+        ends = np.append(starts[1:], len(self.feat_node)).tolist()
+        ids, values = self.feat_id.tolist(), self.feat_value.tolist()
+        return {v: dict(zip(ids[lo:hi], values[lo:hi]))
+                for v, lo, hi in zip(nodes.tolist(), starts.tolist(), ends)}
+
     def feature_ids(self):
-        ids = set()
-        for fmap in self.feats.values():
-            ids.update(fmap.keys())
-        return tuple(sorted(ids))
+        return tuple(np.unique(self.feat_id).tolist())
 
     def node_feats(self, v):
-        return self.feats.get(v, {})
+        """v's entries as {feature: value} ({} if it has none)."""
+        lo, hi = np.searchsorted(self.feat_node, (v, v + 1))
+        return dict(zip(self.feat_id[lo:hi].tolist(), self.feat_value[lo:hi].tolist()))
 
     def replace(self, **kw):
-        args = dict(nodes=self.nodes, edges=self.edges, feats=self.feats,
+        args = dict(nodes=self.nodes, edges=self.edges,
+                    feats=(self.feat_node, self.feat_id, self.feat_value),
                     labels=self.labels, num_classes=self.num_classes,
                     node_names=self.node_names, feat_names=self.feat_names)
         args.update(kw)
@@ -121,20 +164,17 @@ class AllotropicGraph:
                  "ge_src", "ge_dst", "graph_edges")
 
     def __init__(self, node_ids, feature_edges, graph_edges):
-        """feature_edges is three arrays (node id, feature id, value) with
-        one entry per (node, feature) pair, in any order; the feature nodes
-        are the distinct feature ids among them."""
+        """node_ids and graph_edges ascend; feature_edges is three arrays
+        (node id, feature id, value) sorted by (node, feature), one entry
+        per pair; the feature nodes are the distinct feature ids among them."""
         nodes, feats, weights = feature_edges
-        self.node_ids = np.sort(np.asarray(node_ids, dtype=np.int64))
-        self.feat_ids = np.unique(np.asarray(feats, dtype=np.int64))
-        self.graph_edges = tuple(sorted(graph_edges))
+        self.node_ids = np.asarray(node_ids, dtype=np.int64)
+        self.feat_ids = np.unique(feats)
+        self.graph_edges = tuple(graph_edges)
 
-        node = np.searchsorted(self.node_ids, nodes)
-        feat = np.searchsorted(self.feat_ids, feats)
-        order = np.lexsort((feat, node))
-        self.fe_node = node[order]
-        self.fe_feat = feat[order]
-        self.fe_weight = np.asarray(weights, dtype=np.float64)[order]
+        self.fe_node = np.searchsorted(self.node_ids, nodes)
+        self.fe_feat = np.searchsorted(self.feat_ids, feats)
+        self.fe_weight = np.asarray(weights, dtype=np.float64)
         order3 = np.lexsort((self.fe_node, self.fe_feat))
         self.fe3_node = self.fe_node[order3]
         self.fe3_feat = self.fe_feat[order3]
@@ -158,11 +198,7 @@ class AllotropicGraph:
 def to_allotropic(g):
     """Build G^alt: one feature node per distinct feature, weighted
     feature edges from stored values, original edges retained."""
-    fmaps = g.feats.values()
-    nodes = np.repeat(np.fromiter(g.feats, dtype=np.int64), [len(f) for f in fmaps])
-    feats = np.fromiter(chain.from_iterable(fmaps), dtype=np.int64)
-    weights = np.fromiter(chain.from_iterable(f.values() for f in fmaps), dtype=np.float64)
-    return AllotropicGraph(g.nodes, (nodes, feats, weights), g.edges)
+    return AllotropicGraph(g.nodes, (g.feat_node, g.feat_id, g.feat_value), g.edges)
 
 
 def project_back(alt):
@@ -176,21 +212,12 @@ def project_back(alt):
 
 
 def apply_missing_mask(g, p, seed):
-    """Independently delete each (node, feature) entry with probability p."""
+    """Independently delete each (node, feature) entry with probability p,
+    one uniform per entry in (node, feature) order."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"missing rate p={p} outside [0,1]")
-    rng = np.random.default_rng(seed)
-    feats = {}
-    for v in g.nodes:
-        fmap = g.node_feats(v)
-        if not fmap:
-            continue
-        items = sorted(fmap.items())
-        keep = rng.random(len(items)) >= p
-        kept = {f: w for (f, w), k in zip(items, keep) if k}
-        if kept:
-            feats[v] = kept
-    return g.replace(feats=feats)
+    keep = np.random.default_rng(seed).random(len(g.feat_value)) >= p
+    return g.replace(feats=(g.feat_node[keep], g.feat_id[keep], g.feat_value[keep]))
 
 
 @dataclass(frozen=True)
@@ -235,9 +262,7 @@ def remove_edges(g, edges):
 
 def translate_features(g, scale, shift):
     """x -> scale*x + shift on every stored feature value."""
-    feats = {v: {f: scale * w + shift for f, w in fmap.items()}
-             for v, fmap in g.feats.items()}
-    return g.replace(feats=feats)
+    return g.replace(feats=(g.feat_node, g.feat_id, scale * g.feat_value + shift))
 
 
 def _parse_lines(path):

@@ -31,17 +31,14 @@ class DenseFeatures:
     feat_ids: tuple
 
 
-def _expand(g, feature_ids=None):
-    node_ids = g.nodes
-    feat_ids = tuple(feature_ids) if feature_ids is not None else g.feature_ids()
-    col = {f: j for j, f in enumerate(feat_ids)}
+def _expand(g):
+    node_ids, feat_ids = g.nodes, g.feature_ids()
+    rows = np.searchsorted(np.asarray(node_ids, dtype=np.int64), g.feat_node)
+    cols = np.searchsorted(np.asarray(feat_ids, dtype=np.int64), g.feat_id)
     vals = np.zeros((len(node_ids), len(feat_ids)))
     mask = np.zeros_like(vals, dtype=bool)
-    for i, v in enumerate(node_ids):
-        for f, x in g.node_feats(v).items():
-            if f in col:
-                vals[i, col[f]] = x
-                mask[i, col[f]] = True
+    vals[rows, cols] = g.feat_value
+    mask[rows, cols] = True
     return vals, mask, node_ids, feat_ids
 
 
@@ -51,33 +48,27 @@ def _adjacency_matrix(g):
     return sp.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
 
 
-def impute_special_label(g, sentinel=0.0, feature_ids=None):
-    """Missing entries get the sentinel; observed entries are copied."""
-    vals, mask, node_ids, feat_ids = _expand(g, feature_ids)
-    vals[~mask] = sentinel
-    return DenseFeatures(vals, mask, node_ids, feat_ids)
+def impute_special_label(g):
+    """Missing entries get the special value 0; observed entries are copied."""
+    return DenseFeatures(*_expand(g))
 
 
-def impute_neighborhood_mean(g, feature_ids=None):
+def impute_neighborhood_mean(g):
     """Missing (v, f) <- mean of observed f over v's graph neighbors,
-    falling back to the global observed mean of f, then to 0."""
-    vals, mask, node_ids, feat_ids = _expand(g, feature_ids)
-    if vals.size == 0:
-        return DenseFeatures(vals, mask, node_ids, feat_ids)
+    falling back to the global observed mean of f."""
+    vals, mask, node_ids, feat_ids = _expand(g)
     a = _adjacency_matrix(g)
     mask_f = mask.astype(np.float64)
     nbr_sum = a @ (vals * mask_f)
     nbr_cnt = a @ mask_f
-    col_cnt = mask_f.sum(axis=0)
-    col_mean = np.divide(vals.sum(axis=0), col_cnt, out=np.zeros(len(feat_ids)),
-                         where=col_cnt > 0)
+    col_mean = vals.sum(axis=0) / mask_f.sum(axis=0)  # every column is observed
     fallback = np.broadcast_to(col_mean, vals.shape)
     nbr_mean = np.divide(nbr_sum, nbr_cnt, out=np.array(fallback), where=nbr_cnt > 0)
     out = np.where(mask, vals, nbr_mean)
     return DenseFeatures(out, mask, node_ids, feat_ids)
 
 
-def feature_propagation(g, iterations=40, feature_ids=None):
+def feature_propagation(g, iterations=40):
     """Diffuse observed values through the symmetric-normalized adjacency.
 
     Missing entries start at 0 and take the diffusion value; observed
@@ -86,9 +77,7 @@ def feature_propagation(g, iterations=40, feature_ids=None):
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    vals, mask, node_ids, feat_ids = _expand(g, feature_ids)
-    if vals.size == 0:
-        return DenseFeatures(vals, mask, node_ids, feat_ids)
+    vals, mask, node_ids, feat_ids = _expand(g)
     a = _adjacency_matrix(g)
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
@@ -112,12 +101,9 @@ def impute_then_grafenne(g, method, iterations=40):
     else:
         raise ValueError(f"unknown imputation method {method!r}")
     rows, cols = np.nonzero(np.abs(dense.values) >= RESPARSIFY_EPS)  # row-major
-    fids = np.asarray(dense.feat_ids, dtype=np.int64)[cols].tolist()
-    values = dense.values[rows, cols].tolist()
-    bounds = np.searchsorted(rows, np.arange(len(dense.node_ids) + 1)).tolist()
-    feats = {v: dict(zip(fids[lo:hi], values[lo:hi]))
-             for v, lo, hi in zip(dense.node_ids, bounds[:-1], bounds[1:]) if lo < hi}
-    return g.replace(feats=feats)
+    return g.replace(feats=(np.asarray(dense.node_ids, dtype=np.int64)[rows],
+                            np.asarray(dense.feat_ids, dtype=np.int64)[cols],
+                            dense.values[rows, cols]))
 
 
 class DenseGnnModel(ModelBase):

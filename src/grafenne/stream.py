@@ -46,7 +46,7 @@ def apply_delta(g, delta):
     """
     nodes = set(g.nodes)
     edges = set(g.edges)
-    feats = {v: dict(f) for v, f in g.feats.items()}
+    feats = g.feats
     labels = dict(g.labels)
 
     for u, v in delta.del_edges:
@@ -58,8 +58,6 @@ def apply_delta(g, delta):
         if v not in nodes or f not in feats.get(v, {}):
             raise GraphError(f"t={delta.t}: deleting nonexistent feature ({v},{f})")
         del feats[v][f]
-        if not feats[v]:
-            del feats[v]
     for v in delta.del_nodes:
         if v not in nodes:
             raise GraphError(f"t={delta.t}: deleting nonexistent node {v}")
@@ -95,10 +93,6 @@ def apply_delta(g, delta):
     return out, delta.affected_nodes()
 
 
-def _binary_valued(g):
-    return all(w == 1.0 for fmap in g.feats.values() for w in fmap.values())
-
-
 def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed):
     """Synthetic drift: per timestamp, each node is affected w.p. p_n; an
     affected node adds each absent registry feature w.p. p_f_add and drops
@@ -114,12 +108,12 @@ def generate_stream(g, T, p_n, p_f_add, p_f_del, p_e_add, p_e_del, seed):
             raise ValueError(f"{name}={p} outside [0,1]")
     if T < 1:
         raise ValueError(f"T={T} < 1")
-    binary = _binary_valued(g)
+    binary = bool((g.feat_value == 1.0).all())
 
     rng = np.random.default_rng(seed)
     nodes = list(g.nodes)
     universe = list(g.feature_ids())
-    feats = {v: dict(g.node_feats(v)) for v in nodes if g.node_feats(v)}
+    feats = g.feats
     edges = set(g.edges)
     deltas = []
     for t in range(2, T + 2):

@@ -27,9 +27,6 @@ def make_community_graph(n=100, classes=2, feats_per_class=5, p_in=0.05,
         edges.extend((u, v) for v in vs[hit].tolist())
     own = cls[:, None, None] == np.arange(classes)[None, :, None]
     held = rng.random((n, classes, feats_per_class)) < np.where(own, density, noise)
-    feats = {}
-    for v in range(n):
-        ids = np.flatnonzero(held[v]).tolist()  # c * feats_per_class + k, ascending
-        if ids:
-            feats[v] = dict.fromkeys(ids, 1.0)
-    return HeteroGraph(range(n), edges, feats, labels, num_classes=classes)
+    v, c, k = np.nonzero(held)
+    return HeteroGraph(range(n), edges, (v, c * feats_per_class + k, np.ones(len(v))),
+                       labels, num_classes=classes)

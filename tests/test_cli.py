@@ -132,6 +132,10 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
         "methods = sage\nepochs = 0\n",             # rejected by TrainConfig
         "methods = sage\nlr = nan\n",               # non-finite float
         "methods = sage\np = 0,inf\n",              # non-finite entry of floats
+        "methods = sage\ndim = 0\n",               # rejected by GrafenneConfig
+        "methods = sage\nlayers = 0\n",
+        "methods = grafenne\ncaps = -1,0,0\n",
+        "methods = fp+sage\nfp_iterations = 0\n",
     ]
     for i, extra in enumerate(cases):
         conf = write(tmp_path / f"bad{i}.conf", toy_source() + extra)
@@ -220,6 +224,13 @@ def test_stream_unknown_strategy_exits_2(tmp_path, capsys):
     conf = stream_conf(tmp_path, "strategies = GEM\n")
     assert main(["stream", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 2
     assert "unknown strategy" in capsys.readouterr().err
+
+
+def test_stream_config_errors_exit_2(tmp_path, capsys):
+    for extra in ("dim = 0\n", "layers = 0\n", "phase2 = foo\n"):  # rejected by GrafenneConfig
+        conf = write(tmp_path / "s.conf", "synth_nodes = 30\nT = 2\nepochs = 2\n" + extra)
+        assert main(["stream", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_stream_strategy_subset(tmp_path):

@@ -57,29 +57,41 @@ def test_sample_u_cases():
 # ------------------------------------------------------- compute_importance
 
 
+def importance_model(layers=1, phase2="sage", seed=2):
+    return GrafenneModel(GrafenneConfig(layers=layers, dim=4, phase2=phase2, seed=seed), 2)
+
+
 def test_importance_single_param_analytic():
-    toy = ToyModel(3.0)
-    w = toy.params[0]
-    omega = compute_importance(toy, None, [0],
-                               per_node_loss=lambda v: T.mul(w, w))
-    assert omega["w0"] == pytest.approx(36.0)  # (2*3)^2
+    # the head bias's gradient for node v is softmax(logits_v) - onehot(y_v)
+    g = drift_graph(n=12)
+    model = importance_model()
+    nodes = [0, 3, 5, 8, 11]
+    logits = model.logits(allotropic_forward(model, g)()).values
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dbias = z / z.sum(axis=1, keepdims=True) - np.eye(2)[[g.labels[v] for v in g.nodes]]
+    omega = compute_importance(model, g, nodes)
+    want = np.mean(np.square(dbias[[g.nodes.index(v) for v in nodes]]), axis=0)
+    np.testing.assert_allclose(omega["head/b"], want, rtol=1e-12, atol=0)
 
 
 def test_importance_unused_param_zero():
-    toy = ToyModel(2.0, 5.0)
-    w0 = toy.params[0]
-    omega = compute_importance(toy, None, [0, 1],
-                               per_node_loss=lambda v: T.mul(w0, w0))
-    assert omega["w1"] == pytest.approx(0.0)
-    assert omega["w0"] == pytest.approx(16.0)
+    # no task loss reads the last layer's feature states, so its phase 3
+    # gets no gradient
+    g = drift_graph(n=12)
+    model = importance_model()
+    omega = compute_importance(model, g, [0, 1, 2])
+    p3 = [k for k in omega if k.startswith("layer0/p3/")]
+    assert p3 and all(not omega[k].any() for k in p3)
+    assert omega["head/W"].any()
 
 
 def test_importance_empty_set_warns():
-    toy = ToyModel(1.0)
+    g = drift_graph(n=12)
+    model = importance_model()
     with pytest.warns(UserWarning, match="empty"):
-        omega = compute_importance(toy, None, [],
-                                   per_node_loss=lambda v: toy.params[0])
-    assert omega["w0"] == 0.0
+        omega = compute_importance(model, g, [])
+    assert omega.keys() == {p.name for p in model.trainable_parameters()}
+    assert all(not w.any() for w in omega.values())
 
 
 def test_importance_recomputation_oracle():
@@ -111,20 +123,26 @@ def test_importance_recomputation_oracle():
 def test_importance_seeded_sweep_equals_per_node_cross_entropy():
     g = drift_graph(n=14)
     nodes = [1, 4, 6, 9, 13]
+    seeded = compute_importance(importance_model(2, "gat", 5), g, nodes)
 
-    def importance(explicit):
-        model = GrafenneModel(GrafenneConfig(layers=2, dim=4, phase2="gat", seed=5), 2)
-        per_node_loss = None
-        if explicit:
-            logits = model.logits(allotropic_forward(model, g)())
-            row_of = {v: i for i, v in enumerate(g.nodes)}
+    # oracle: one explicit cross-entropy per node over one shared forward,
+    # each swept from its scalar loss
+    model = importance_model(2, "gat", 5)
+    params = model.trainable_parameters()
+    logits = model.logits(allotropic_forward(model, g)())
+    explicit = {p.name: np.zeros_like(p.values) for p in params}
+    for v in nodes:
+        loss = T.cross_entropy(T.gather_rows(logits, np.array([g.nodes.index(v)])),
+                               np.array([g.labels[v]]))
+        for node in T._topo_order(loss):
+            node.grad = None
+        zero_grad(params)
+        T.backward(loss)
+        for p in params:
+            explicit[p.name] += np.square(p.grad)
+    for k in explicit:
+        explicit[k] *= 1.0 / len(nodes)
 
-            def per_node_loss(v):
-                return T.cross_entropy(T.gather_rows(logits, np.array([row_of[v]])),
-                                       np.array([g.labels[v]]))
-        return compute_importance(model, g, nodes, per_node_loss=per_node_loss)
-
-    seeded, explicit = importance(False), importance(True)
     assert seeded.keys() == explicit.keys()
     for k in seeded:
         assert np.array_equal(seeded[k], explicit[k]), k
@@ -132,7 +150,7 @@ def test_importance_seeded_sweep_equals_per_node_cross_entropy():
 
 def test_importance_of_an_embedding_row_absent_from_the_graph_is_zero():
     g = drift_graph(n=12)
-    model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=2), 2)
+    model = importance_model()
     allotropic_forward(model, g)()  # creates every feature's embedding row
     gone = max(g.feature_ids())
     g_now = g.replace(feats={v: {f: x for f, x in fmap.items() if f != gone}

@@ -7,6 +7,7 @@ from grafenne.graph import (DataError, GraphError, HeteroGraph,
                             apply_missing_mask, load_graph, make_split,
                             project_back, remove_edges, to_allotropic,
                             translate_features)
+from grafenne.stream import StreamDelta, apply_delta
 from naive_ref import adjacency
 
 
@@ -106,18 +107,22 @@ def _tuple_sort_arrays(g):
             "fe3_weight": fe_weight[order3]}
 
 
+def scattered_graph(rng, n_max=20):
+    """random_graph with node and feature ids scattered over a wide,
+    non-contiguous range, given to the constructor in shuffled order."""
+    g = random_graph(rng, n_max)
+    node_of = dict(zip(g.nodes, rng.choice(10**6, size=g.num_nodes, replace=False).tolist()))
+    feat_of = dict(enumerate(rng.choice(10**6, size=12, replace=False).tolist()))
+    feats = {node_of[v]: {feat_of[f]: x for f, x in fmap.items()}
+             for v, fmap in g.feats.items()}
+    return HeteroGraph(node_of.values(), [(node_of[u], node_of[v]) for u, v in g.edges],
+                       dict(sorted(feats.items(), key=lambda _: rng.random())), {})
+
+
 def test_allotropic_arrays_match_the_tuple_sort_rule():
     rng = np.random.default_rng(12)
     graphs = [toy(), HeteroGraph([0, 1], [(0, 1)], {}, {}), HeteroGraph([], [], {}, {})]
-    for _ in range(60):
-        g = random_graph(rng, n_max=20)
-        # scatter node and feature ids over a wide, non-contiguous range
-        node_of = dict(zip(g.nodes, rng.choice(10**6, size=g.num_nodes, replace=False).tolist()))
-        feat_of = dict(enumerate(rng.choice(10**6, size=12, replace=False).tolist()))
-        graphs.append(HeteroGraph(node_of.values(),
-                                  [(node_of[u], node_of[v]) for u, v in g.edges],
-                                  {node_of[v]: {feat_of[f]: x for f, x in fmap.items()}
-                                   for v, fmap in g.feats.items()}, {}))
+    graphs += [scattered_graph(rng) for _ in range(60)]
     assert any(not g.feats for g in graphs)
     assert any(len(g.feats) < g.num_nodes for g in graphs if g.feats)
     for g in graphs:
@@ -125,6 +130,87 @@ def test_allotropic_arrays_match_the_tuple_sort_rule():
         for name, want in _tuple_sort_arrays(g).items():
             got = getattr(alt, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_dict_and_triple_inputs_give_the_same_sorted_entries():
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        g = scattered_graph(rng)
+        feats = g.feats
+        for v in list(feats)[::2]:  # stored zeros count as absent
+            feats[v][-1] = 0.0
+        triple = [(v, f, x) for v, fmap in feats.items() for f, x in fmap.items()]
+        rng.shuffle(triple)
+        a = HeteroGraph(g.nodes, g.edges, feats, {})
+        b = HeteroGraph(g.nodes, g.edges, tuple(np.array(c) for c in zip(*triple)) if triple
+                        else ((), (), ()), {})
+        for x, y, want in zip((a.feat_node, a.feat_id, a.feat_value),
+                              (b.feat_node, b.feat_id, b.feat_value),
+                              (g.feat_node, g.feat_id, g.feat_value)):
+            assert x.dtype == y.dtype == want.dtype
+            assert np.array_equal(x, want) and np.array_equal(y, want)
+        key = list(zip(a.feat_node.tolist(), a.feat_id.tolist()))
+        assert key == sorted(key) and len(set(key)) == len(key)
+        assert (a.feat_value != 0.0).all() and not a.feat_value.flags.writeable
+
+
+def test_node_feats_equals_feats_for_every_node():
+    rng = np.random.default_rng(6)
+    for g in [toy(), HeteroGraph([], [], {}, {})] + [scattered_graph(rng) for _ in range(20)]:
+        feats = g.feats
+        assert all(fmap for fmap in feats.values())
+        for v in g.nodes:
+            assert g.node_feats(v) == feats.get(v, {})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_values_are_rejected(value):
+    with pytest.raises(GraphError, match="non-finite value"):
+        HeteroGraph([0, 1], [], {0: {3: 1.0}, 1: {2: value}}, {})
+    with pytest.raises(GraphError, match=r"feature \(1,2\) has non-finite value"):
+        toy().replace(feats=([0, 1], [1, 2], [1.0, value]))
+    with pytest.raises(GraphError, match="non-finite value"):
+        apply_delta(toy(), StreamDelta(t=2, add_feats=((2, 5, value),)))
+
+
+def test_triple_input_errors():
+    with pytest.raises(GraphError, match=r"duplicate feature entry \(1,2\)"):
+        HeteroGraph([0, 1], [], ([1, 0, 1], [2, 2, 2], [1.0, 2.0, 0.0]), {})
+    with pytest.raises(GraphError, match="missing node 5"):
+        HeteroGraph([0, 1], [], ([1, 5], [2, 2], [1.0, 0.0]), {})
+    with pytest.raises(GraphError, match="missing node 5"):
+        HeteroGraph([0, 1], [], {5: {2: 1.0}}, {})
+    with pytest.raises(GraphError, match="differ in length"):
+        HeteroGraph([0, 1], [], ([1], [2, 3], [1.0]), {})
+
+
+def mask_by_node_loop(g, p, seed):
+    """The per-node masking loop: one draw per node with entries, over its
+    entries in ascending feature order."""
+    rng = np.random.default_rng(seed)
+    feats = {}
+    for v in g.nodes:
+        fmap = g.node_feats(v)
+        if not fmap:
+            continue
+        items = sorted(fmap.items())
+        keep = rng.random(len(items)) >= p
+        kept = {f: w for (f, w), k in zip(items, keep) if k}
+        if kept:
+            feats[v] = kept
+    return g.replace(feats=feats)
+
+
+def test_apply_missing_mask_equals_the_per_node_loop():
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        g = scattered_graph(rng)
+        for p in (0.0, 0.3, 0.5, 0.99, 1.0):
+            for seed in (trial, 10**6 + trial):
+                got, want = apply_missing_mask(g, p, seed), mask_by_node_loop(g, p, seed)
+                assert np.array_equal(got.feat_node, want.feat_node)
+                assert np.array_equal(got.feat_id, want.feat_id)
+                assert np.array_equal(got.feat_value, want.feat_value)
 
 
 def test_apply_missing_mask_bounds_and_identity():

@@ -23,26 +23,26 @@ def expand_brute(g, feat_ids):
 
 def test_special_label_no_missing():
     g = HeteroGraph([0, 1], [(0, 1)], {0: {0: 1.0, 1: 2.0}, 1: {0: 3.0, 1: 4.0}}, {})
-    d = impute_special_label(g, sentinel=9.0)
+    d = impute_special_label(g)
     ref, mask = expand_brute(g, d.feat_ids)
     assert np.array_equal(d.values, ref)
     assert mask.all()
 
 
 def test_special_label_all_missing():
-    g = HeteroGraph([0, 1, 2], [(0, 1)], {}, {})
-    d = impute_special_label(g, sentinel=7.5, feature_ids=[0, 1])
+    g = HeteroGraph([0, 1, 2], [(0, 1)], {0: {0: 1.0}, 1: {1: 2.0}}, {})
+    d = impute_special_label(g)
     assert d.values.shape == (3, 2)
-    assert (d.values == 7.5).all()
-    assert not d.mask.any()
+    assert (d.values[2] == 0.0).all() and not d.mask[2].any()  # node 2 holds nothing
+    empty = impute_special_label(HeteroGraph([0, 1, 2], [(0, 1)], {}, {}))
+    assert empty.values.shape == (3, 0) and empty.feat_ids == ()
 
 
 def test_special_label_mixed_oracle():
     g = HeteroGraph([0, 1, 2], [(0, 1), (1, 2)],
                     {0: {0: 1.5}, 1: {1: -2.0}, 2: {0: 0.5, 1: 3.0}}, {})
-    d = impute_special_label(g, sentinel=-1.0)
+    d = impute_special_label(g)
     ref, mask = expand_brute(g, d.feat_ids)
-    ref[~mask] = -1.0
     assert np.array_equal(d.values, ref)
     assert np.array_equal(d.mask, mask)
 
@@ -61,9 +61,8 @@ def test_nm_isolated_fallback():
     d = impute_neighborhood_mean(g)
     # isolated node 0: global mean of feature 0 is 4.0
     assert d.values[d.node_ids.index(0), d.feat_ids.index(0)] == pytest.approx(4.0)
-    # feature observed nowhere -> 0
-    d2 = impute_neighborhood_mean(g, feature_ids=[0, 1, 9])
-    assert d2.values[:, d2.feat_ids.index(9)] == pytest.approx(0.0)
+    # feature 1 is observed only on node 3, which has no neighbors either
+    assert d.values[d.node_ids.index(0), d.feat_ids.index(1)] == 5.0
 
 
 def test_nm_random_oracle():
@@ -128,7 +127,7 @@ def test_imputers_preserve_observed():
     for _ in range(5):
         g = random_graph(rng, n_max=15)
         ref, mask = expand_brute(g, g.feature_ids())
-        for d in (impute_special_label(g, -3.0), impute_neighborhood_mean(g),
+        for d in (impute_special_label(g), impute_neighborhood_mean(g),
                   feature_propagation(g, 20)):
             assert np.array_equal(d.values[mask], ref[mask])
             assert np.array_equal(d.mask, mask)
