@@ -45,12 +45,16 @@ def _entry_arrays(feats, nodes):
     outside = ~np.isin(node, nodes)
     if outside.any():
         raise GraphError(f"features for missing node {node[outside][0]}")
-    order = np.lexsort((feat, node))
-    node, feat, value = node[order], feat[order], value[order]
-    dup = (node[1:] == node[:-1]) & (feat[1:] == feat[:-1])
-    if dup.any():
-        k = np.flatnonzero(dup)[0]
-        raise GraphError(f"duplicate feature entry ({node[k]},{feat[k]})")
+    # strictly increasing (node, feature) pairs, as the package's own
+    # callers pass them, are sorted and distinct: one pass checks both
+    in_order = (node[1:] > node[:-1]) | ((node[1:] == node[:-1]) & (feat[1:] > feat[:-1]))
+    if not in_order.all():
+        order = np.lexsort((feat, node))
+        node, feat, value = node[order], feat[order], value[order]
+        dup = (node[1:] == node[:-1]) & (feat[1:] == feat[:-1])
+        if dup.any():
+            k = np.flatnonzero(dup)[0]
+            raise GraphError(f"duplicate feature entry ({node[k]},{feat[k]})")
     keep = value != 0.0
     return node[keep], feat[keep], value[keep]
 

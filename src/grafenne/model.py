@@ -56,6 +56,8 @@ class GrafenneConfig:
             raise ValueError(f"phase2 must be one of {_PHASE2}, got {self.phase2!r}")
         if min(self.cap_features, self.cap_nodes, self.cap_graph) < 0:
             raise ValueError("sampling caps must be >= 0")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope={self.leaky_slope} outside [0, 1]")
         return self
 
 
@@ -218,8 +220,10 @@ class GrafenneModel(ModelBase):
             self._add(rng, f"layer{l}/{phase}/{name}", shape)
         self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d)
 
-    def forward(self, alt, rng=None):
+    def forward(self, alt, rng=None, *, graph_only=False):
         """Run L triple-phase layers; returns (graph states, feature states).
+        With graph_only, returns the graph states alone and skips the last
+        layer's phase 3, whose feature states only the full return holds.
         With sampling caps set, rng draws the capped edges (by default a
         fixed one per model seed); without caps it is not used."""
         cfg = self.config
@@ -231,6 +235,8 @@ class GrafenneModel(ModelBase):
         for l in range(cfg.layers):
             hg_new = self._phase1(l, alt, hg, hf, rng)
             hg_new = self._phase2(l, alt, hg_new, rng)
+            if graph_only and l == cfg.layers - 1:
+                return hg_new
             hf = self._phase3(l, alt, hg_new, hf, rng)
             hg = hg_new
         return hg, hf
@@ -330,7 +336,9 @@ class VanillaAltModel(ModelBase):
             self._add(rng, f"layer{l}/W", (2 * config.dim, config.dim))
         self._add_head(rng, num_classes)
 
-    def forward(self, alt):
+    def forward(self, alt, *, graph_only=False):
+        """(graph states, feature states), or with graph_only the graph
+        states alone, as GrafenneModel.forward returns them."""
         n, m = alt.n, alt.m
         hg0, hf0 = init_states(alt, self.table, self.config.dim)
         h = T.concat([hg0, hf0], axis=0) if m else hg0
@@ -340,8 +348,9 @@ class VanillaAltModel(ModelBase):
         for l in range(self.config.layers):
             h = sage_layer(h, src, dst, n + m, self.params[f"layer{l}/W"])
         hg = T.slice_rows(h, 0, n)
-        hf = T.slice_rows(h, n, n + m)
-        return hg, hf
+        if graph_only:
+            return hg
+        return hg, T.slice_rows(h, n, n + m)
 
 
 def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):

@@ -172,9 +172,10 @@ def node_rows(g, nodes):
 
 
 def allotropic_forward(model, g):
-    """forward() of a model over g's allotropic form: the graph-node states."""
+    """forward() of a model over g's allotropic form: the graph-node states,
+    computed without the feature states no loss reads."""
     alt = to_allotropic(g)
-    return lambda: model.forward(alt)[0]
+    return lambda: model.forward(alt, graph_only=True)
 
 
 def _snapshot(params):
@@ -202,12 +203,21 @@ def train(model, g, split, cfg, forward, record_history=False):
 
 
 def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
+    """Train with best-validation-loss selection and one forward per epoch:
+    epoch e's validation forward sees the parameters epoch e + 1 trains
+    from, so its node states, tape included, are that epoch's training
+    forward too. That holds while forward() depends on the parameters
+    alone; a forward that resampled its edges on every call would need its
+    own training forward again."""
     best_loss, best_snap, best_epoch = math.inf, None, -1
     history = [] if record_history else None
     params = model.trainable_parameters()
     t0 = time.perf_counter()
-    for epoch in descend(params, lambda: train_loss_fn(forward()), cfg.epochs, cfg.lr):
-        val_loss = val_loss_fn(forward()).item()
+    h = forward()
+    # the lambda reads h when descend calls it: the latest validation states
+    for epoch in descend(params, lambda: train_loss_fn(h), cfg.epochs, cfg.lr):
+        h = forward()
+        val_loss = val_loss_fn(h).item()
         check_finite_loss("validation", val_loss, epoch, cfg.epochs)
         if record_history:
             history.append(val_loss)

@@ -230,13 +230,18 @@ def concat(parts, axis=0):
 
 
 def leaky_relu(x, slope=0.2):
+    """max(x, slope * x), which is LeakyReLU for 0 <= slope <= 1 only."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope {slope} outside [0, 1]")
     x = as_tensor(x)
-    pos = x.values >= 0  # subgradient at 0 takes the positive branch
-    out = Tensor(np.where(pos, x.values, slope * x.values))
+    xv = x.values
+    o = np.multiply(xv, slope, out=np.empty_like(xv))  # an array even when 0-d
+    out = Tensor(np.maximum(xv, o, out=o))
     grad_out = _grad_reader(out)
 
     def _bw():
-        _accumulate(x, grad_out() * np.where(pos, 1.0, slope))
+        # subgradient at 0 takes the positive branch
+        _accumulate(x, grad_out() * np.where(xv >= 0, 1.0, slope))
 
     return _attach(out, (x,), _bw)
 

@@ -184,6 +184,27 @@ def test_triple_input_errors():
         HeteroGraph([0, 1], [], ([1], [2, 3], [1.0]), {})
 
 
+def test_unsorted_entries_come_out_sorted():
+    want = ([0, 0, 1, 2], [1, 4, 2, 0], [0.5, 1.5, 2.5, 3.5])
+    for feats in ({2: {0: 3.5}, 0: {4: 1.5, 1: 0.5}, 1: {2: 2.5}},
+                  ([1, 0, 2, 0], [2, 4, 0, 1], [2.5, 1.5, 3.5, 0.5]),
+                  ([0, 0, 1, 2], [4, 1, 2, 0], [1.5, 0.5, 2.5, 3.5]),
+                  want):
+        g = HeteroGraph([0, 1, 2], [], feats, {})
+        got = (g.feat_node.tolist(), g.feat_id.tolist(), g.feat_value.tolist())
+        assert got == want
+
+
+@pytest.mark.parametrize("node, feat", [
+    ([0, 1, 1, 2], [3, 2, 2, 0]),     # adjacent, otherwise sorted
+    ([1, 0, 2, 1], [2, 3, 0, 2]),     # scattered
+    ([0, 1, 2, 1], [3, 2, 0, 2]),     # sorted up to the repeat
+])
+def test_duplicate_entries_raise_adjacent_or_scattered(node, feat):
+    with pytest.raises(GraphError, match=r"duplicate feature entry \(1,2\)"):
+        HeteroGraph([0, 1, 2], [], (node, feat, [1.0, 2.0, 3.0, 4.0]), {})
+
+
 def mask_by_node_loop(g, p, seed):
     """The per-node masking loop: one draw per node with entries, over its
     entries in ascending feature order."""

@@ -1,13 +1,17 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
 
 from grafenne import tensor as T
-from grafenne.graph import HeteroGraph, to_allotropic
+from grafenne.continual import StreamConfig, compute_importance, run_stream
+from grafenne.graph import HeteroGraph, make_split, to_allotropic
 from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel,
                             VanillaAltModel, init_states, load_checkpoint,
                             recovery_probe, save_checkpoint)
+from grafenne.stream import generate_stream
+from grafenne.synth import make_community_graph
 from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp)
 from test_graph import random_graph, toy
 
@@ -32,6 +36,11 @@ def test_config_validation():
         GrafenneConfig(layers=0).validate()
     with pytest.raises(ValueError, match="phase2"):
         GrafenneConfig(phase2="mlp").validate()
+    for slope in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            GrafenneConfig(leaky_slope=slope).validate()
+    for slope in (0.0, 1.0):
+        GrafenneConfig(leaky_slope=slope).validate()
 
 
 def test_init_states():
@@ -326,6 +335,60 @@ def test_capped_forward_finite_and_seeded():
     d1, _ = model.forward(alt)
     d2, _ = model.forward(alt)
     assert np.array_equal(d1.values, d2.values)
+
+
+def _phase3_layers(monkeypatch):
+    """The layer index of every GrafenneModel._phase3 call from now on."""
+    layers = []
+    orig = GrafenneModel._phase3
+
+    def counted(self, l, *args):
+        layers.append(l)
+        return orig(self, l, *args)
+    monkeypatch.setattr(GrafenneModel, "_phase3", counted)
+    return layers
+
+
+@pytest.mark.parametrize("layers, caps", [(1, 0), (2, 0), (3, 0), (3, 2)])
+def test_graph_only_forward_skips_the_last_phase3(monkeypatch, layers, caps):
+    g = random_graph(np.random.default_rng(5), n_max=20)
+    alt = to_allotropic(g)
+    model = GrafenneModel(small_cfg(layers=layers, cap_features=caps, cap_nodes=caps,
+                                    cap_graph=caps))
+    ran = _phase3_layers(monkeypatch)
+    hg, _ = model.forward(alt)
+    assert ran == list(range(layers))
+    ran.clear()
+    hg_only = model.forward(alt, graph_only=True)
+    assert ran == list(range(layers - 1))  # none at all with one layer
+    assert isinstance(hg_only, T.Tensor)
+    assert np.array_equal(hg_only.values, hg.values)
+
+
+def test_vanilla_graph_only_forward_returns_the_graph_states():
+    g = random_graph(np.random.default_rng(6), n_max=12)
+    alt = to_allotropic(g)
+    model = VanillaAltModel(small_cfg())
+    hg, _ = model.forward(alt)
+    assert np.array_equal(model.forward(alt, graph_only=True).values, hg.values)
+
+
+def test_importance_and_stream_never_run_the_last_phase3(monkeypatch):
+    g = make_community_graph(n=40, classes=2, feats_per_class=4, p_in=0.12,
+                             p_out=0.01, density=0.9, noise=0.0, seed=3)
+    deltas = generate_stream(g, T=2, p_n=0.2, p_f_add=0.05, p_f_del=0.4,
+                             p_e_add=0.001, p_e_del=0.001, seed=5)
+    ran = _phase3_layers(monkeypatch)
+    model = GrafenneModel(small_cfg(layers=2), num_classes=g.num_classes)
+    compute_importance(model, g, make_split(g, seed=0).train[:5])
+    assert ran == [0]
+    ran.clear()
+    cfg = StreamConfig(epochs=3, stream_epochs=2, lr=0.01, dim=4, layers=2, seed=0)
+    for strategy in ("EWC", "FT"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty importance set warns
+            run_stream(g, deltas, strategy, cfg)
+    assert ran and set(ran) == {0}
 
 
 def test_vanilla_matches_naive():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import grafenne.tasks as tasks
 import grafenne.tensor as T
 from grafenne.graph import GraphError, HeteroGraph, apply_missing_mask, make_split
+from grafenne.optim import check_finite_loss, check_finite_params, descend
 from grafenne.synth import make_community_graph
 from grafenne.tasks import (METHODS, LinkSplit, RunResult, TrainConfig, accuracy,
                             auc_roc, link_score, make_link_split,
@@ -189,6 +191,72 @@ def test_train_monotone_best_tracking():
     ys = np.array([g.labels[v] for v in split.val])
     val_now = T.cross_entropy(T.gather_rows(model.logits(fwd()), rows), ys).item()
     assert val_now == pytest.approx(min(res.history), abs=1e-12)
+
+
+def _fit_two_forwards(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
+    """The loop before validation states were reused: a training and a
+    validation forward in every epoch."""
+    best_loss, best_snap, best_epoch = float("inf"), None, -1
+    history = [] if record_history else None
+    params = model.trainable_parameters()
+    for epoch in descend(params, lambda: train_loss_fn(forward()), cfg.epochs, cfg.lr):
+        val_loss = val_loss_fn(forward()).item()
+        check_finite_loss("validation", val_loss, epoch, cfg.epochs)
+        if record_history:
+            history.append(val_loss)
+        if best_snap is None or val_loss < best_loss:
+            best_loss, best_snap, best_epoch = val_loss, tasks._snapshot(params), epoch
+        if epoch - best_epoch >= cfg.patience:
+            break
+    check_finite_params(params)
+    tasks._restore(params, best_snap)
+    return history, 0.0
+
+
+def _counted_train(method, task, cfg, caps=(0, 0, 0)):
+    """(result, trained model, forward calls) of one train call."""
+    g = apply_missing_mask(sep_graph(), 0.3, seed=2)
+    if task == "link_prediction":
+        split = make_link_split(g, seed=0)
+        graph = split.graph
+    else:
+        split, graph = make_split(g, seed=0), g
+    model, fwd = method_model(method, graph, task, dim=6, layers=2, seed=0, caps=caps)
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return fwd()
+    res = train(model, g, split, cfg, forward=counting, record_history=True)
+    return res, model, len(calls)
+
+
+@pytest.mark.parametrize("method, task, caps, epochs, lr, patience", [
+    ("grafenne", "node_classification", (3, 5, 2), 6, 0.01, 6),
+    ("grafenne_gat", "node_classification", (0, 0, 0), 6, 0.01, 6),
+    ("gat", "node_classification", (0, 0, 0), 6, 0.01, 6),
+    ("grafenne", "link_prediction", (0, 0, 0), 6, 0.01, 6),
+    ("grafenne", "node_classification", (0, 0, 0), 40, 0.5, 2),  # stops early
+])
+def test_train_runs_one_forward_per_epoch_with_the_two_forward_results(
+        monkeypatch, method, task, caps, epochs, lr, patience):
+    cfg = TrainConfig(task=task, epochs=epochs, lr=lr, seeds=(0,), patience=patience)
+    res, model, forwards = _counted_train(method, task, cfg, caps)
+    # one training forward, one per epoch for validation (which the next
+    # epoch trains on), and the test forward
+    ran = len(res.history)
+    assert forwards == ran + 2
+    if patience < epochs:
+        assert ran < epochs, "the early-stop case did not stop early"
+    else:
+        assert ran == epochs
+    monkeypatch.setattr(tasks, "_fit", _fit_two_forwards)
+    want, want_model, want_forwards = _counted_train(method, task, cfg, caps)
+    assert want_forwards == 2 * ran + 1
+    assert res.history == want.history and res.values == want.values
+    got = {p.name: p.values for p in model.trainable_parameters()}
+    for p in want_model.trainable_parameters():
+        assert np.array_equal(got[p.name], p.values), p.name
 
 
 def test_train_empty_split_errors():

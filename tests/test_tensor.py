@@ -53,6 +53,25 @@ def test_leaky_relu_values():
     assert np.allclose(out.values, [-0.4, 3.0])
 
 
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.5, 1.0])
+def test_leaky_relu_equals_the_where_form_bit_for_bit(slope):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 3.5, -3.5,
+                  1e300, -1e300, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    x = np.concatenate([x, np.random.default_rng(4).normal(size=64)])
+    for values in (x, x.reshape(4, -1), np.array(-2.0)):
+        got = T.leaky_relu(T.Tensor(values), slope).values
+        want = np.where(values >= 0, values, slope * values)
+        assert got.shape == values.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("slope", [-0.2, 1.01, float("nan")])
+def test_leaky_relu_rejects_a_slope_outside_0_1(slope):
+    with pytest.raises(ValueError, match="slope"):
+        T.leaky_relu(T.Tensor([1.0]), slope)
+
+
 def test_leaky_relu_gradcheck():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6,))
