@@ -134,14 +134,46 @@ class HeteroGraph:
         return HeteroGraph(**args)
 
 
-def by_destination(*blocks):
-    """Concatenate blocks of directed edges (src, dst) and sort them by
-    (dst, src): the layout every aggregation reads, ascending destinations
-    for tensor.spmm and a fixed summation order within each."""
+class Edges:
+    """Directed edges src -> dst of a (num_dst, num_src) matrix grouped by
+    ascending destination, with optional weights and the CSR row pointer
+    `indptr`: the layout every aggregation reads. Order and index ranges
+    are checked once, here; sources may repeat in any order."""
+
+    __slots__ = ("src", "dst", "shape", "weight", "indptr")
+
+    def __init__(self, src, dst, shape, weight=None):
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.shape = num_dst, num_src = tuple(map(int, shape))
+        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
+        shapes = [a.shape for a in (self.src, self.dst, self.weight) if a is not None]
+        if self.dst.ndim != 1 or len(set(shapes)) != 1:
+            raise ValueError(f"edges need 1-D src, dst and weight of one length, got {shapes}")
+        if np.any(self.dst[1:] < self.dst[:-1]):
+            raise ValueError("edges need destinations in ascending order")
+        if len(self) and (self.dst[0] < 0 or self.dst[-1] >= num_dst
+                          or self.src.min() < 0 or self.src.max() >= num_src):
+            raise ValueError(f"edge index out of range for a {self.shape} matrix")
+        self.indptr = np.searchsorted(self.dst, np.arange(num_dst + 1))
+
+    def __len__(self):
+        return len(self.dst)
+
+    def take(self, keep):
+        """The edges at the ascending positions `keep`, weights aligned."""
+        weight = None if self.weight is None else self.weight[keep]
+        return Edges(self.src[keep], self.dst[keep], self.shape, weight)
+
+
+def by_destination(shape, *blocks, weight=None):
+    """The Edges layout of `shape` of the concatenated blocks of directed
+    edges (src, dst), and of weight if given, sorted by (dst, src): a
+    fixed summation order within each destination."""
     src = np.concatenate([s for s, _ in blocks])
     dst = np.concatenate([d for _, d in blocks])
     order = np.lexsort((src, dst))
-    return src[order], dst[order]
+    return Edges(src[order], dst[order], shape, None if weight is None else weight[order])
 
 
 def directed_edges(nodes, edges):
@@ -149,23 +181,18 @@ def directed_edges(nodes, edges):
     id array `nodes`, sorted by (dst, src)."""
     rows = np.searchsorted(nodes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     u, v = rows[:, 0], rows[:, 1]
-    return by_destination((u, v), (v, u))
+    return by_destination((len(nodes),) * 2, (u, v), (v, u))
 
 
 class AllotropicGraph:
-    """Index-array view of G^alt consumed by the model.
+    """G^alt as the model reads it: three Edges layouts over the rows of
+    node_ids and feat_ids. feat_to_node (phase 1) holds the feature edges
+    weighted by their values, node_to_feat (phase 3) the same reversed,
+    node_to_node (phase 2) the graph edges in both directions. All orders
+    ascend by id, which pins the floating-point summation order."""
 
-    Feature edges appear twice, sorted by (graph node, feature) for the
-    feature->graph phase and by (feature, graph node) for the reverse
-    phase; graph edges are expanded to both directions sorted by
-    destination. All orders ascend by id, which pins the floating-point
-    summation order.
-    """
-
-    __slots__ = ("node_ids", "feat_ids",
-                 "fe_node", "fe_feat", "fe_weight",
-                 "fe3_node", "fe3_feat", "fe3_weight",
-                 "ge_src", "ge_dst", "graph_edges")
+    __slots__ = ("node_ids", "feat_ids", "graph_edges",
+                 "feat_to_node", "node_to_feat", "node_to_node")
 
     def __init__(self, node_ids, feature_edges, graph_edges):
         """node_ids and graph_edges ascend; feature_edges is three arrays
@@ -175,16 +202,12 @@ class AllotropicGraph:
         self.node_ids = np.asarray(node_ids, dtype=np.int64)
         self.feat_ids = np.unique(feats)
         self.graph_edges = tuple(graph_edges)
-
-        self.fe_node = np.searchsorted(self.node_ids, nodes)
-        self.fe_feat = np.searchsorted(self.feat_ids, feats)
-        self.fe_weight = np.asarray(weights, dtype=np.float64)
-        order3 = np.lexsort((self.fe_node, self.fe_feat))
-        self.fe3_node = self.fe_node[order3]
-        self.fe3_feat = self.fe_feat[order3]
-        self.fe3_weight = self.fe_weight[order3]
-
-        self.ge_src, self.ge_dst = directed_edges(self.node_ids, self.graph_edges)
+        node = np.searchsorted(self.node_ids, nodes)
+        feat = np.searchsorted(self.feat_ids, feats)
+        self.feat_to_node = Edges(feat, node, (self.n, self.m), weights)
+        self.node_to_feat = by_destination((self.m, self.n), (node, feat),
+                                           weight=self.feat_to_node.weight)
+        self.node_to_node = directed_edges(self.node_ids, self.graph_edges)
 
     @property
     def n(self):
@@ -194,10 +217,6 @@ class AllotropicGraph:
     def m(self):
         return len(self.feat_ids)
 
-    @property
-    def num_feature_edges(self):
-        return len(self.fe_node)
-
 
 def to_allotropic(g):
     """Build G^alt: one feature node per distinct feature, weighted
@@ -206,12 +225,12 @@ def to_allotropic(g):
 
 
 def project_back(alt):
-    """Read feature edges back into per-node sparse maps (round-trip check)."""
-    feats = {}
-    for vr, fr, w in zip(alt.fe_node, alt.fe_feat, alt.fe_weight):
-        v = int(alt.node_ids[vr])
-        f = int(alt.feat_ids[fr])
-        feats.setdefault(v, {})[f] = float(w)
+    """G^alt's feature edges as node id -> {feature id: value}, Python
+    numbers in (node, feature) order (the round trip of to_allotropic)."""
+    e, feats = alt.feat_to_node, {}
+    for v, f, w in zip(alt.node_ids[e.dst].tolist(), alt.feat_ids[e.src].tolist(),
+                       e.weight.tolist()):
+        feats.setdefault(v, {})[f] = w
     return feats
 
 
@@ -353,12 +372,13 @@ def write_allotropic(alt, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# allotropic graph v1\n")
         fh.write(f"# graph_nodes={alt.n} feature_nodes={alt.m} "
-                 f"graph_edges={len(alt.graph_edges)} feature_edges={alt.num_feature_edges}\n")
-        for v in alt.node_ids:
+                 f"graph_edges={len(alt.graph_edges)} feature_edges={len(alt.feat_to_node)}\n")
+        for v in alt.node_ids.tolist():
             fh.write(f"GN\t{v}\n")
-        for f in alt.feat_ids:
+        for f in alt.feat_ids.tolist():
             fh.write(f"FN\t{f}\n")
         for u, v in alt.graph_edges:
             fh.write(f"GE\t{u}\t{v}\n")
-        for vr, fr, w in zip(alt.fe_node, alt.fe_feat, alt.fe_weight):
-            fh.write(f"FE\t{alt.node_ids[vr]}\t{alt.feat_ids[fr]}\t{w!r}\n")
+        for v, fmap in project_back(alt).items():
+            for f, w in fmap.items():
+                fh.write(f"FE\t{v}\t{f}\t{w!r}\n")

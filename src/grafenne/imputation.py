@@ -43,9 +43,8 @@ def _expand(g):
 
 
 def _adjacency_matrix(g):
-    n = g.num_nodes
-    src, dst = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
-    return sp.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
+    e = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
+    return sp.csr_matrix((np.ones(len(e)), e.src, e.indptr), shape=e.shape)
 
 
 def impute_special_label(g):
@@ -128,8 +127,8 @@ class DenseGnnModel(ModelBase):
             raise ValueError(
                 f"dense feature width {dense.values.shape[1]} does not match "
                 f"first-layer weights built for {self.in_dim} features")
-        src, dst = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
+        edges = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
         h = T.Tensor(dense.values)
         for l in range(self.config.layers):
-            h = self._backbone(f"layer{l}", h, src, dst, g.num_nodes)
+            h = self._backbone(f"layer{l}", h, edges)
         return h

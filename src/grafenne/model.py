@@ -4,16 +4,16 @@ a pluggable backend (SAGE/GAT/GIN), (3) graph nodes message back to
 feature nodes. Graph nodes start at zero, feature nodes at learnable
 embeddings, so parameter count is independent of node and feature counts.
 
-Phases 1 and 3 are one attention routine (_attend) with the roles of
-graph and feature nodes swapped. Attention scores use the split form
+Phases 1 and 3 are _attend with graph and feature roles swapped, around
+the `attention` of the GAT backbone. Scores use the split form
     w . LeakyReLU(a || b || c) = w_a . LR(a) + w_b . LR(b) + w_c . LR(c)
 (exact, LeakyReLU being elementwise), and the edge-weight channel c = x w
 uses LeakyReLU's positive homogeneity,
     LR(x w) = |x| LR(sign(x) w),
 so it costs two d-vector scores and one per-edge vector. Every
 aggregation, attention-weighted or a plain neighbour sum, is one
-tensor.spmm over edges sorted by destination, so no (edges, d) tensor is
-ever materialized on the tape.
+tensor.spmm over a graph.Edges layout built once per graph, so no
+(edges, d) tensor is ever materialized on the tape.
 """
 
 from __future__ import annotations
@@ -102,23 +102,17 @@ def init_states(alt, table, dim):
     return hg, hf
 
 
-def _cap_edge_arrays(seg, arrays, cap, rng, num_segments):
-    """Keep at most cap edges per segment; seg must be sorted ascending."""
-    if cap <= 0 or len(seg) == 0:
-        return (seg, *arrays)
-    counts = np.bincount(seg, minlength=num_segments)
-    if counts.max() <= cap:
-        return (seg, *arrays)
-    keep = []
-    start = 0
-    for c in counts:
-        if c > cap:
-            keep.append(start + np.sort(rng.choice(c, size=cap, replace=False)))
-        elif c:
-            keep.append(np.arange(start, start + c))
-        start += c
-    keep = np.concatenate(keep)
-    return (seg[keep], *[a[keep] for a in arrays])
+def _capped(edges, cap, rng):
+    """At most cap edges into each destination, drawn by rng in
+    destination order; edges itself when no cap binds (rng may then be
+    None)."""
+    counts = np.diff(edges.indptr)
+    if cap <= 0 or len(edges) == 0 or counts.max() <= cap:
+        return edges
+    keep = [start + np.sort(rng.choice(c, size=cap, replace=False)) if c > cap
+            else np.arange(start, start + c)
+            for start, c in zip(edges.indptr[:-1], counts) if c]
+    return edges.take(np.concatenate(keep))
 
 
 class ModelBase:
@@ -173,16 +167,16 @@ class ModelBase:
             self.params[f"{prefix}/epsilon"] = T.Parameter(
                 np.array(self.config.gin_epsilon), f"{prefix}/epsilon")
 
-    def _backbone(self, prefix, h, src, dst, n):
-        """One SAGE/GAT/GIN layer over the edges src -> dst, dst ascending."""
+    def _backbone(self, prefix, h, edges):
+        """One SAGE/GAT/GIN layer over the Edges layout `edges`."""
         p = self.params
         backend = self.config.phase2
         if backend == "sage":
-            return sage_layer(h, src, dst, n, p[f"{prefix}/W13"])
+            return sage_layer(h, edges, p[f"{prefix}/W13"])
         if backend == "gat":
-            return gat_layer(h, src, dst, n, p[f"{prefix}/W13"], p[f"{prefix}/W14"],
+            return gat_layer(h, edges, p[f"{prefix}/W13"], p[f"{prefix}/W14"],
                              p[f"{prefix}/w15"], p[f"{prefix}/W16"], self._act)
-        return gin_layer(h, src, dst, n, p[f"{prefix}/epsilon"],
+        return gin_layer(h, edges, p[f"{prefix}/epsilon"],
                          self._mlp_params(f"{prefix}/mlp"), self._act)
 
     def _act(self, x):
@@ -249,77 +243,70 @@ class GrafenneModel(ModelBase):
         signed = T.stack_rows([w_vec, T.mul(w_vec, -1.0)])
         return T.matmul(coef, T.matmul(self._act(signed), w_att))
 
-    def _attend(self, l, phase, h_dst, h_src, dst, src, weight, num_dst):
+    def _attend(self, l, phase, h_dst, h_src, edges):
         """Attention aggregate of phases 1 and 3: every dst state combines
-        its own projection with the softmax-weighted sum of its src
-        neighbours' messages along the edges (dst, src, weight), dst
-        ascending."""
+        its own projection with the attention-weighted sum of its src
+        neighbours' messages along the weighted Edges layout `edges`."""
         w_dst, w_src, w_edge, w_att, w_self, w_msg = (
             self.params[f"layer{l}/{phase}/{name}"] for name in _ATTEND_PARAMS[phase])
         d = self.config.dim
         self_part = T.matmul(h_dst, w_self)
-        if len(dst) == 0:
-            agg = T.Tensor(np.zeros((num_dst, d)))
+        if len(edges) == 0:
+            agg = T.Tensor(np.zeros((edges.shape[0], d)))
         else:
-            # attention vector split into its three concat segments
-            s_dst = T.matmul(self._act(T.matmul(h_dst, w_dst)), T.slice_rows(w_att, 0, d))
-            s_src = T.matmul(self._act(T.matmul(h_src, w_src)), T.slice_rows(w_att, d, 2 * d))
-            s_edge = self._edge_channel(weight, w_edge, T.slice_rows(w_att, 2 * d, 3 * d))
-            score = T.add(T.add(T.gather_rows(s_dst, dst), T.gather_rows(s_src, src)), s_edge)
-            alpha = T.segment_softmax(score, dst, num_dst)
-            agg = T.spmm(alpha, dst, src, num_dst, T.matmul(h_src, w_msg))
+            s_edge = self._edge_channel(edges.weight, w_edge, T.slice_rows(w_att, 2 * d, 3 * d))
+            agg = attention(h_dst, h_src, edges, w_dst, w_src, w_att, w_msg, self._act, s_edge)
         combined = T.concat([self_part, agg], axis=1)
         return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), self._act)
 
     def _phase1(self, l, alt, hg, hf, rng):
-        edges = (alt.fe_node, alt.fe_feat, alt.fe_weight)
-        if rng is not None:
-            edges = _cap_edge_arrays(edges[0], edges[1:], self.config.cap_features, rng, alt.n)
-        return self._attend(l, "p1", hg, hf, *edges, alt.n)
+        edges = _capped(alt.feat_to_node, self.config.cap_features, rng)
+        return self._attend(l, "p1", hg, hf, edges)
 
     def _phase2(self, l, alt, hg, rng):
-        src, dst = alt.ge_src, alt.ge_dst
-        if rng is not None:
-            dst, src = _cap_edge_arrays(dst, (src,), self.config.cap_graph, rng, alt.n)
-        return self._backbone(f"layer{l}/p2", hg, src, dst, alt.n)
+        edges = _capped(alt.node_to_node, self.config.cap_graph, rng)
+        return self._backbone(f"layer{l}/p2", hg, edges)
 
     def _phase3(self, l, alt, hg_new, hf, rng):
         if alt.m == 0:
             return hf
-        edges = (alt.fe3_feat, alt.fe3_node, alt.fe3_weight)
-        if rng is not None:
-            edges = _cap_edge_arrays(edges[0], edges[1:], self.config.cap_nodes, rng, alt.m)
-        return self._attend(l, "p3", hf, hg_new, *edges, alt.m)
+        edges = _capped(alt.node_to_feat, self.config.cap_nodes, rng)
+        return self._attend(l, "p3", hf, hg_new, edges)
 
 
-def _neighbour_sum(h, src, dst, n):
-    """Row v is the sum of h[u] over the edges u -> v; dst ascending."""
-    return T.spmm(np.ones(len(src)), dst, src, n, h)
+def attention(h_dst, h_src, edges, w_dst, w_src, w_att, w_msg, act, s_edge=None):
+    """Softmax-weighted sum of the messages h_src[u] @ w_msg along the
+    Edges u -> v into each v, scored per edge as w_att . act(h_dst[v] w_dst
+    || h_src[u] w_src), plus s_edge, the scores of an edge channel if any."""
+    d = w_msg.shape[1]
+    # the attention vector split into its concat segments
+    s_dst = T.matmul(act(T.matmul(h_dst, w_dst)), T.slice_rows(w_att, 0, d))
+    s_src = T.matmul(act(T.matmul(h_src, w_src)), T.slice_rows(w_att, d, 2 * d))
+    score = T.add(T.gather_rows(s_dst, edges.dst), T.gather_rows(s_src, edges.src))
+    if s_edge is not None:
+        score = T.add(score, s_edge)
+    alpha = T.segment_softmax(score, edges.dst, edges.shape[0])
+    return T.spmm(alpha, edges, T.matmul(h_src, w_msg))
 
 
-def sage_layer(h, src, dst, n, w):
-    """ReLU([h || mean of in-neighbours] @ w); dst ascending."""
-    neigh = _neighbour_sum(h, src, dst, n)
-    deg = np.bincount(dst, minlength=n).astype(np.float64)
+def sage_layer(h, edges, w):
+    """ReLU([h || mean of in-neighbours] @ w)."""
+    neigh = T.spmm(np.ones(len(edges)), edges, h)  # neighbour sums
+    deg = np.diff(edges.indptr).astype(np.float64)
     mean = T.mul(neigh, T.Tensor((1.0 / np.maximum(deg, 1.0)).reshape(-1, 1)))
     return T.relu(T.matmul(T.concat([h, mean], axis=1), w))
 
 
-def gat_layer(h, src, dst, n, w_dst, w_src, w_att, w_msg, act):
-    """Attention over in-neighbours plus a self-loop; dst ascending."""
-    d = w_msg.shape[1]
-    loop = np.arange(n, dtype=np.int64)
-    src2, dst2 = by_destination((src, dst), (loop, loop))
-    s_dst = T.matmul(act(T.matmul(h, w_dst)), T.slice_rows(w_att, 0, d))
-    s_src = T.matmul(act(T.matmul(h, w_src)), T.slice_rows(w_att, d, 2 * d))
-    score = T.add(T.gather_rows(s_dst, dst2), T.gather_rows(s_src, src2))
-    alpha = T.segment_softmax(score, dst2, n)
-    return T.spmm(alpha, dst2, src2, n, T.matmul(h, w_msg))
+def gat_layer(h, edges, w_dst, w_src, w_att, w_msg, act):
+    """Attention over in-neighbours plus a self-loop."""
+    loop = np.arange(edges.shape[0], dtype=np.int64)
+    looped = by_destination(edges.shape, (edges.src, edges.dst), (loop, loop))
+    return attention(h, h, looped, w_dst, w_src, w_att, w_msg, act)
 
 
-def gin_layer(h, src, dst, n, epsilon, mlp_params, act):
-    """MLP((1 + epsilon) h + sum of in-neighbours); dst ascending."""
-    neigh = _neighbour_sum(h, src, dst, n)
+def gin_layer(h, edges, epsilon, mlp_params, act):
+    """MLP((1 + epsilon) h + sum of in-neighbours)."""
+    neigh = T.spmm(np.ones(len(edges)), edges, h)  # neighbour sums
     scaled = T.mul(h, T.add(epsilon, 1.0))
     return T.mlp(T.add(scaled, neigh), mlp_params, act)
 
@@ -342,11 +329,12 @@ class VanillaAltModel(ModelBase):
         n, m = alt.n, alt.m
         hg0, hf0 = init_states(alt, self.table, self.config.dim)
         h = T.concat([hg0, hf0], axis=0) if m else hg0
-        feat = alt.fe_feat + n
-        src, dst = by_destination((alt.ge_src, alt.ge_dst), (alt.fe_node, feat),
-                                  (feat, alt.fe_node))
+        graph, fe = alt.node_to_node, alt.feat_to_node
+        feat = fe.src + n
+        edges = by_destination((n + m, n + m), (graph.src, graph.dst), (fe.dst, feat),
+                               (feat, fe.dst))
         for l in range(self.config.layers):
-            h = sage_layer(h, src, dst, n + m, self.params[f"layer{l}/W"])
+            h = sage_layer(h, edges, self.params[f"layer{l}/W"])
         hg = T.slice_rows(h, 0, n)
         if graph_only:
             return hg

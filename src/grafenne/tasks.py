@@ -321,14 +321,13 @@ def run_experiment(g, method, p=0.0, cfg=None, dim=64, layers=2, fp_iterations=4
         gm = apply_missing_mask(g, p, seed)
         if cfg.task == "node_classification":
             split = make_split(gm, seed=seed)
-            model, fwd = method_model(method, gm, cfg.task, dim, layers, seed,
-                                      fp_iterations, caps)
-            res = train(model, gm, split, cfg, forward=fwd)
-        else:
-            lsp = make_link_split(gm, seed=seed, neg_ratio=cfg.neg_ratio)
-            model, fwd = method_model(method, lsp.graph, cfg.task, dim, layers, seed,
-                                      fp_iterations, caps)
-            res = train(model, gm, lsp, cfg, forward=fwd)
+            model_graph = gm
+        else:  # the model sees the graph without the held-out links
+            split = make_link_split(gm, seed=seed, neg_ratio=cfg.neg_ratio)
+            model_graph = split.graph
+        model, fwd = method_model(method, model_graph, cfg.task, dim, layers, seed,
+                                  fp_iterations, caps)
+        res = train(model, gm, split, cfg, forward=fwd)
         metric = res.metric
         values.update(res.values)
         secs.update(res.seconds_by_seed)

@@ -323,32 +323,24 @@ def slice_rows(x, lo, hi):
     return _attach(out, (x,), _bw)
 
 
-def spmm(alpha, rows, cols, num_rows, x):
-    """out[r] = sum of alpha[e] * x[cols[e]] over the entries e with rows[e] == r.
+def spmm(alpha, edges, x):
+    """out[r] = sum of alpha[e] * x[edges.src[e]] over the edges e into r.
 
     The product S_alpha @ x with a sparse S_alpha built as CSR straight
-    from `rows`, which must ascend (an empty row sums to zero), so the
-    E x d messages alpha[e] * x[cols[e]] are never formed. Entries are
-    summed in the order given, as a sequential scatter-add would. Backward
-    is S_alpha^T @ G for x and the SDDMM <G[rows[e]], x[cols[e]]> for
+    from the graph.Edges layout `edges` (its row pointer, destinations
+    ascending, checked when it was built; an empty row sums to zero), so
+    the E x d messages alpha[e] * x[src[e]] are never formed. Edges are
+    summed in layout order, as a sequential scatter-add would. Backward
+    is S_alpha^T @ G for x and the SDDMM <G[dst[e]], x[src[e]]> for
     alpha, which may also be a constant array (ones for a plain sum).
     """
     alpha, x = as_tensor(alpha), as_tensor(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if x.values.ndim != 2:
-        raise ValueError(f"spmm expects a 2-D x, got shape {x.shape}")
-    if rows.ndim != 1 or cols.shape != rows.shape or alpha.shape != rows.shape:
-        raise ValueError(f"spmm needs 1-D rows, cols and alpha of one length, got "
-                         f"{rows.shape}, {cols.shape} and {alpha.shape}")
-    if np.any(rows[1:] < rows[:-1]):
-        raise ValueError("spmm needs rows in ascending order")
-    if rows.size and (rows[0] < 0 or rows[-1] >= num_rows
-                      or cols.min() < 0 or cols.max() >= x.shape[0]):
-        raise ValueError(f"spmm index out of range for a ({num_rows}, {x.shape[0]}) matrix")
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-    s = sp.csr_matrix((alpha.values, cols, indptr), shape=(num_rows, x.shape[0]))
+    if x.values.ndim != 2 or x.shape[0] != edges.shape[1]:
+        raise ValueError(f"spmm needs a 2-D x of {edges.shape[1]} rows, got shape {x.shape}")
+    if alpha.shape != (len(edges),):
+        raise ValueError(f"spmm needs one alpha per edge, got shape {alpha.shape} "
+                         f"for {len(edges)} edges")
+    s = sp.csr_matrix((alpha.values, edges.src, edges.indptr), shape=edges.shape)
     xv = x.values
     out = Tensor(s @ xv)
     grad_out = _grad_reader(out)
@@ -358,7 +350,7 @@ def spmm(alpha, rows, cols, num_rows, x):
         if x.requires_grad:
             _accumulate(x, s.T @ g)
         if alpha.requires_grad:
-            _accumulate(alpha, (g[rows] * xv[cols]).sum(axis=1))
+            _accumulate(alpha, (g[edges.dst] * xv[edges.src]).sum(axis=1))
 
     return _attach(out, (alpha, x), _bw)
 

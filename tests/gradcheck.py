@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from grafenne import tensor as T
+from grafenne.graph import Edges
 
 
 def fd_grad(f, arrays, eps=1e-6):
@@ -257,11 +258,12 @@ def _case_spmm(rng):
     xs = rng.normal(size=(n, d))
     alpha = rng.normal(size=(e,))
     u = rng.normal(size=(k, d))
+    edges = Edges(cols, rows, (k, n))
 
     def build(x):
         xs_, alpha_ = x
-        learned = T.spmm(alpha_, rows, cols, int(k), xs_)
-        summed = T.spmm(np.ones(e), rows, cols, int(k), T.leaky_relu(xs_))
+        learned = T.spmm(alpha_, edges, xs_)
+        summed = T.spmm(np.ones(e), edges, T.leaky_relu(xs_))
         return T.sum_all(T.mul(T.add(learned, summed), u))
 
     return build, [xs, alpha]

@@ -14,7 +14,7 @@ import numpy as np
 import grafenne.tensor as T
 from grafenne.cli import main as cli_main
 from grafenne.continual import StreamConfig, run_stream, _sum_loss, _train_plain
-from grafenne.graph import (load_graph, make_split, project_back, to_allotropic,
+from grafenne.graph import (Edges, load_graph, make_split, project_back, to_allotropic,
                             translate_features)
 from grafenne.model import GrafenneConfig, GrafenneModel, recovery_probe
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
@@ -160,14 +160,15 @@ def _apply_op(b, name):
         k = int(rng.integers(1, 5))
         rows = np.sort(rng.integers(0, k, size=e))  # rows never hit are empty
         cols = rng.integers(0, n, size=e)           # columns repeat
+        edges = Edges(cols, rows, (k, n))
         if rng.random() < 0.5:
             alpha = rng.uniform(-1.5, 1.5, size=e)  # constant weights
-            b._emit(lambda ts, i=i, a=alpha, r=rows, c=cols, k=k:
-                    T.spmm(a, r, c, k, ts[i]), (k, b.shapes[i][1]))
+            b._emit(lambda ts, i=i, a=alpha, edges=edges:
+                    T.spmm(a, edges, ts[i]), (k, b.shapes[i][1]))
         else:
             j = b.leaf((e,))                        # learned weights
-            b._emit(lambda ts, i=i, j=j, r=rows, c=cols, k=k:
-                    T.spmm(ts[j], r, c, k, ts[i]), (k, b.shapes[i][1]))
+            b._emit(lambda ts, i=i, j=j, edges=edges:
+                    T.spmm(ts[j], edges, ts[i]), (k, b.shapes[i][1]))
     elif name == "stack_rows":
         i = b.pick(lambda s: len(s) == 1 and s[0] >= 1)
         if i is None:
@@ -270,7 +271,7 @@ def test_c02_transformation_oracle():
         alt = to_allotropic(g)
         stored = sum(len(f) for f in g.feats.values())
         assert alt.n + alt.m == len(g.nodes) + len(g.feature_ids())
-        assert len(alt.graph_edges) + alt.num_feature_edges == len(g.edges) + stored
+        assert len(alt.graph_edges) + len(alt.feat_to_node) == len(g.edges) + stored
         assert project_back(alt) == g.feats
     check("c02 transformation oracle", True,
           f"100 graphs, {time.perf_counter() - t0:.2f}s")

@@ -1,4 +1,5 @@
 import csv
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from grafenne.cli import ConfigError, build_graph, main, read_config, _SCHEMAS
-from grafenne.graph import load_graph
+from grafenne.graph import load_graph, to_allotropic, translate_features, write_allotropic
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
@@ -256,6 +257,30 @@ def test_transform_counts_match_graph(tmp_path):
     kinds = [line.split("\t")[0] for line in out.read_text().splitlines()[2:]]
     assert kinds.count("GN") == len(g.nodes)
     assert kinds.count("FE") == stored
+
+
+def _fe_records(path):
+    """(node id, feature id, value) of each FE line; the value text must parse."""
+    rows = [line.split("\t") for line in path.read_text().splitlines() if line.startswith("FE")]
+    return [(int(v), int(f), float(w)) for _, v, f, w in rows]
+
+
+def test_transform_writes_every_value_as_a_float_that_round_trips(tmp_path):
+    conf = write(tmp_path / "t.conf", toy_source())
+    out = tmp_path / "alt.txt"
+    assert main(["transform", "--config", conf, "--out", str(out)]) == 0
+    g = load_graph(DATA / "edges.tsv", DATA / "features.tsv", DATA / "labels.tsv")
+    cases = [(out, g)]
+    for scale in (0.1, 1 / 3):  # 1/3 gives values with 16 significant digits
+        translated = translate_features(g, scale, 0.3)
+        cases.append((tmp_path / f"x{scale}.txt", translated))
+        write_allotropic(to_allotropic(translated), cases[-1][0])
+    for path, graph in cases:
+        got = _fe_records(path)
+        want = list(zip(graph.feat_node.tolist(), graph.feat_id.tolist(),
+                        graph.feat_value.tolist()))
+        assert [(v, f) for v, f, _ in got] == [(v, f) for v, f, _ in want]
+        assert [struct.pack("<d", w) for *_, w in got] == [struct.pack("<d", w) for *_, w in want]
 
 
 def test_translate_identity_scale_and_input_untouched(tmp_path):

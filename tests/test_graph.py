@@ -1,9 +1,11 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafenne.graph import (DataError, GraphError, HeteroGraph,
+from grafenne.graph import (DataError, Edges, GraphError, HeteroGraph,
                             apply_missing_mask, load_graph, make_split,
                             project_back, remove_edges, to_allotropic,
                             translate_features)
@@ -62,20 +64,21 @@ def test_zero_feature_values_dropped():
 def test_to_allotropic_toy_counts():
     alt = to_allotropic(toy())
     assert alt.n + alt.m == 3 + 2
-    assert len(alt.graph_edges) + alt.num_feature_edges == 1 + 3
+    fe = alt.feat_to_node
+    assert len(alt.graph_edges) + len(fe) == 1 + 3
     triples = {(int(alt.node_ids[v]), int(alt.feat_ids[f]), w)
-               for v, f, w in zip(alt.fe_node, alt.fe_feat, alt.fe_weight)}
+               for v, f, w in zip(fe.dst, fe.src, fe.weight)}
     assert triples == {(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)}
     assert alt.graph_edges == ((0, 1),)
     # node C (id 2) has no feature edges
-    assert not (alt.node_ids[alt.fe_node] == 2).any()
+    assert not (alt.node_ids[fe.dst] == 2).any()
 
 
 def test_to_allotropic_no_features():
     g = HeteroGraph([0, 1], [(0, 1)], {}, {})
     alt = to_allotropic(g)
     assert alt.m == 0 and alt.n == 2
-    assert len(alt.graph_edges) == 1 and alt.num_feature_edges == 0
+    assert len(alt.graph_edges) == 1 and len(alt.feat_to_node) == 0
 
 
 def test_allotropic_invariants_random_graphs():
@@ -84,13 +87,14 @@ def test_allotropic_invariants_random_graphs():
         g = random_graph(rng)
         alt = to_allotropic(g)
         assert alt.n + alt.m == g.num_nodes + len(g.feature_ids())
-        assert len(alt.graph_edges) + alt.num_feature_edges == g.num_edges + entry_count(g)
+        assert len(alt.graph_edges) + len(alt.feat_to_node) == g.num_edges + entry_count(g)
         assert project_back(alt) == g.feats
 
 
 def _tuple_sort_arrays(g):
     """G^alt's id and feature-edge arrays by their defining rule: sort the
-    (node row, feature row, value) tuples, then reorder by (feature, node)."""
+    (node row, feature row, value) tuples, then reorder by (feature, node);
+    each row pointer counts the edges into every destination."""
     node_ids, feat_ids = sorted(g.nodes), sorted(g.feature_ids())
     node_row = {v: i for i, v in enumerate(node_ids)}
     feat_row = {f: i for i, f in enumerate(feat_ids)}
@@ -100,11 +104,20 @@ def _tuple_sort_arrays(g):
     fe_feat = np.array([e[1] for e in fe], dtype=np.int64)
     fe_weight = np.array([e[2] for e in fe], dtype=np.float64)
     order3 = np.lexsort((fe_node, fe_feat))
+    n, m = len(node_ids), len(feat_ids)
+    ge = sorted((node_row[b], node_row[a]) for u, v in g.edges for a, b in ((u, v), (v, u)))
     return {"node_ids": np.asarray(node_ids, dtype=np.int64),
             "feat_ids": np.asarray(feat_ids, dtype=np.int64),
-            "fe_node": fe_node, "fe_feat": fe_feat, "fe_weight": fe_weight,
-            "fe3_node": fe_node[order3], "fe3_feat": fe_feat[order3],
-            "fe3_weight": fe_weight[order3]}
+            "feat_to_node.dst": fe_node, "feat_to_node.src": fe_feat,
+            "feat_to_node.weight": fe_weight,
+            "feat_to_node.indptr": np.array([sum(e[0] < r for e in fe) for r in range(n + 1)],
+                                            dtype=np.int64),
+            "node_to_feat.src": fe_node[order3], "node_to_feat.dst": fe_feat[order3],
+            "node_to_feat.weight": fe_weight[order3],
+            "node_to_feat.indptr": np.array([sum(e[1] < r for e in fe) for r in range(m + 1)],
+                                            dtype=np.int64),
+            "node_to_node.dst": np.array([e[0] for e in ge], dtype=np.int64),
+            "node_to_node.src": np.array([e[1] for e in ge], dtype=np.int64)}
 
 
 def scattered_graph(rng, n_max=20):
@@ -127,9 +140,44 @@ def test_allotropic_arrays_match_the_tuple_sort_rule():
     assert any(len(g.feats) < g.num_nodes for g in graphs if g.feats)
     for g in graphs:
         alt = to_allotropic(g)
+        assert alt.feat_to_node.shape == (alt.n, alt.m)
+        assert alt.node_to_feat.shape == (alt.m, alt.n)
         for name, want in _tuple_sort_arrays(g).items():
-            got = getattr(alt, name)
+            got = operator.attrgetter(name)(alt)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_edges_reject_unsorted_destinations():
+    with pytest.raises(ValueError, match="ascending"):
+        Edges([0, 1, 2], [0, 2, 1], (3, 3))
+
+
+def test_edges_reject_out_of_range_indices():
+    for src, dst in (([0], [-1]), ([0], [3]), ([-1], [0]), ([2], [0]), ([0, 2], [1, 1])):
+        with pytest.raises(ValueError, match="out of range"):
+            Edges(src, dst, (3, 2))
+    with pytest.raises(ValueError, match="one length"):
+        Edges([0, 1], [0], (3, 2))
+    with pytest.raises(ValueError, match="one length"):
+        Edges([0, 1], [0, 1], (3, 2), weight=[1.0])
+
+
+def test_edges_accept_repeated_and_unsorted_sources_and_empty_rows():
+    e = Edges([2, 0, 2, 1], [1, 1, 1, 3], (5, 3))
+    assert e.indptr.tolist() == [0, 0, 3, 3, 4, 4]
+    assert len(Edges([], [], (0, 0))) == 0 and Edges([], [], (2, 0)).indptr.tolist() == [0, 0, 0]
+
+
+def test_edges_take_keeps_weights_aligned():
+    src, dst = np.array([3, 1, 0, 2, 1, 3]), np.array([0, 0, 1, 1, 1, 4])
+    weight = np.array([0.5, -1.0, 2.0, 0.25, 8.0, -3.0])
+    e = Edges(src, dst, (5, 4), weight)
+    keep = np.array([1, 2, 4, 5])
+    sub = e.take(keep)
+    assert sub.shape == e.shape
+    assert list(zip(sub.src, sub.dst, sub.weight)) == list(zip(src[keep], dst[keep], weight[keep]))
+    assert sub.indptr.tolist() == [0, 1, 3, 3, 3, 4]
+    assert Edges(src, dst, (5, 4)).take(keep).weight is None
 
 
 def test_dict_and_triple_inputs_give_the_same_sorted_entries():

@@ -247,7 +247,7 @@ def test_impute_then_grafenne_fp_alt_edges():
     g = random_graph(rng, n_max=12)
     out = impute_then_grafenne(g, "fp")
     alt = to_allotropic(out)
-    assert alt.num_feature_edges == entry_count(out)
+    assert len(alt.feat_to_node) == entry_count(out)
     # observed entries survive re-sparsification (values come from the graph, nonzero)
     for v, fmap in g.feats.items():
         for f, x in fmap.items():

@@ -6,7 +6,7 @@ import pytest
 
 from grafenne import tensor as T
 from grafenne.continual import StreamConfig, compute_importance, run_stream
-from grafenne.graph import HeteroGraph, make_split, to_allotropic
+from grafenne.graph import Edges, HeteroGraph, make_split, to_allotropic
 from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel,
                             VanillaAltModel, init_states, load_checkpoint,
                             recovery_probe, save_checkpoint)
@@ -335,6 +335,42 @@ def test_capped_forward_finite_and_seeded():
     d1, _ = model.forward(alt)
     d2, _ = model.forward(alt)
     assert np.array_equal(d1.values, d2.values)
+
+
+def _edges_built(monkeypatch):
+    """The shape of every Edges layout constructed from now on."""
+    built = []
+    orig = Edges.__init__
+
+    def counted(self, src, dst, shape, weight=None):
+        built.append(shape)
+        orig(self, src, dst, shape, weight)
+
+    monkeypatch.setattr(Edges, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("phase2, caps, per_layer", [
+    ("sage", (0, 0, 0), 0), ("gin", (0, 0, 0), 0), ("gat", (0, 0, 0), 1),
+    ("sage", (1, 1, 1), 3), ("gin", (1, 1, 1), 3), ("gat", (1, 1, 1), 4),
+    ("gin", (1, 0, 0), 1), ("sage", (99, 99, 99), 0)])
+def test_forward_builds_edges_only_for_self_loops_and_binding_caps(monkeypatch, phase2, caps,
+                                                                   per_layer):
+    g = random_graph(np.random.default_rng(8), n_max=20)
+    alt = to_allotropic(g)
+    for edges in (alt.feat_to_node, alt.node_to_feat, alt.node_to_node):
+        assert 1 < np.diff(edges.indptr).max() < 99  # a cap of 1 binds, one of 99 never
+    cfg = small_cfg(layers=3, phase2=phase2, cap_features=caps[0], cap_nodes=caps[1],
+                    cap_graph=caps[2])
+    model = GrafenneModel(cfg)
+    built = _edges_built(monkeypatch)
+    model.forward(alt)
+    assert len(built) == 3 * per_layer
+    if phase2 == "gat" and not any(caps):
+        assert built == [(alt.n, alt.n)] * 3
+    built.clear()
+    VanillaAltModel(cfg).forward(alt)
+    assert built == [(alt.n + alt.m, alt.n + alt.m)]
 
 
 def _phase3_layers(monkeypatch):

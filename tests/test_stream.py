@@ -118,9 +118,10 @@ def test_rebuild_equivalence_after_delta():
     rebuilt = HeteroGraph(snap.nodes, snap.edges, snap.feats, snap.labels,
                           num_classes=snap.num_classes)
     a, b = to_allotropic(snap), to_allotropic(rebuilt)
-    assert np.array_equal(a.fe_node, b.fe_node)
-    assert np.array_equal(a.fe_weight, b.fe_weight)
-    assert np.array_equal(a.ge_src, b.ge_src) and a.graph_edges == b.graph_edges
+    assert np.array_equal(a.feat_to_node.dst, b.feat_to_node.dst)
+    assert np.array_equal(a.feat_to_node.weight, b.feat_to_node.weight)
+    assert np.array_equal(a.node_to_node.src, b.node_to_node.src)
+    assert a.graph_edges == b.graph_edges
 
 
 def _apply_edges_per_node(g, delta):

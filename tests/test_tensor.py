@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafenne import tensor as T
+from grafenne.graph import Edges
 from grafenne.optim import AdamState, adam_step, zero_grad
 from gradcheck import check_case, run_gradient_suite
 
@@ -100,17 +101,23 @@ def test_spmm_forward_equals_gather_scale_scatter():
     cols = rng.integers(0, n, size=e)
     x = T.Tensor(rng.normal(size=(n, d)))
     alpha = rng.normal(size=e)
-    fused = T.spmm(alpha, rows, cols, k, x).values
+    fused = T.spmm(alpha, Edges(cols, rows, (k, n)), x).values
     staged = T.segment_sum(T.mul(T.gather_rows(x, cols), T.reshape(T.Tensor(alpha), (e, 1))),
                            rows, k).values
     assert np.array_equal(fused, staged)
     assert not fused[0].any()
 
 
-def test_spmm_rejects_unsorted_rows():
+def test_spmm_rejects_alpha_and_x_that_do_not_fit_the_layout():
+    edges = Edges([0, 1, 2], [0, 1, 1], (2, 3))
     x = T.Tensor(np.ones((3, 2)))
-    with pytest.raises(ValueError, match="ascending"):
-        T.spmm(np.ones(3), [0, 2, 1], [0, 1, 2], 3, x)
+    for alpha in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="one alpha per edge"):
+            T.spmm(alpha, edges, x)
+    for bad_x in (np.ones((2, 2)), np.ones((4, 2)), np.ones(3)):
+        with pytest.raises(ValueError, match="3 rows"):
+            T.spmm(np.ones(3), edges, bad_x)
+    assert T.spmm(np.ones(3), edges, x).shape == (2, 2)
 
 
 def test_slice_rows_backward_adds_into_the_slice():
