@@ -45,19 +45,10 @@ def _float(s):
     return x
 
 
-def _bool(s):
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 _KINDS = {
     "int": int,
     "float": _float,
     "str": str,
-    "bool": _bool,
     "ints": lambda s: tuple(int(x) for x in s.split(",")),
     "floats": lambda s: tuple(_float(x) for x in s.split(",")),
     "strs": lambda s: tuple(x.strip() for x in s.split(",")),

@@ -126,17 +126,18 @@ def compute_importance(model, g_t, nodes, forward=None):
     if not order:
         warnings.warn("importance over an empty node set is zero (fine-tuning)")
         return omega
+    zero_grad(params)  # so a parameter the logits do not reach adds nothing
     for r, v in zip(rows, order):
         seed = np.zeros_like(logits.values)
         seed[r] = T.softmax_minus_onehot(logits.values[r:r + 1], [g_t.labels[v]])[0]
         # the shared tape keeps grads between sweeps; reset the whole
-        # reachable slice, not just parameters
+        # reachable slice, parameters included
         for node in tape:
             node.grad = None
-        zero_grad(params)
         T.sweep(logits, seed, tape)
         for p in params:
-            omega[p.name] += np.square(p.grad)
+            if p.grad is not None:
+                omega[p.name] += np.square(p.grad)
     inv = 1.0 / len(order)
     for k in omega:
         omega[k] *= inv

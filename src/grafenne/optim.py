@@ -20,7 +20,7 @@ class AdamState:
 
 def zero_grad(params):
     for p in params:
-        p.grad = np.zeros_like(p.values)
+        p.grad = None
 
 
 def adam_step(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, state=None):

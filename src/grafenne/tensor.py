@@ -14,10 +14,12 @@ stored array may therefore be another node's grad too (add hands one array
 to both parents, reshape and slices hand views), so no closure writes into
 a .grad array: the scatter ops copy the grad they add into first.
 
-The tape is acyclic: a closure holds its parents and reads its own
-output's grad through a weak reference (_grad_reader), so a dropped tape
-is freed by reference counting alone, without waiting for the cyclic
-garbage collector.
+Every op builds its output through _node(value, parents, backward): it
+computes its value and passes backward(g), which takes the output's
+gradient and adds into the parents'. _node alone wires the tape, holding
+the output only through a weak reference, so no closure holds its own
+output, the tape is acyclic and a dropped tape is freed by reference
+counting alone, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -81,14 +83,16 @@ def _attach(out, parents, backward_fn):
     return out
 
 
-def _grad_reader(out):
-    """Zero-argument reader of out.grad that holds out only weakly.
+def _node(value, parents, backward):
+    """The output Tensor of an op: `value`, linked to `parents`, and
+    backward(g) called with its gradient g in the reverse sweep.
 
-    backward() keeps every node of the tape alive while closures run, and
-    a closure that held out strongly would make out -> closure -> out a
-    reference cycle."""
+    The closure holds the output only weakly: backward() keeps every node
+    of the tape alive while closures run, and a strong reference would
+    make out -> closure -> out a reference cycle."""
+    out = Tensor(value)
     ref = weakref.ref(out)
-    return lambda: ref().grad
+    return _attach(out, parents, lambda: backward(ref().grad))
 
 
 def _accumulate(node, g):
@@ -119,47 +123,38 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values + b.values)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _attach(out, (a, b), _bw)
+    return _node(a.values + b.values, (a, b), _bw)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values - b.values)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, -_unbroadcast(g, b.shape))
 
-    return _attach(out, (a, b), _bw)
+    return _node(a.values - b.values, (a, b), _bw)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values * b.values)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.values, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
-    return _attach(out, (a, b), _bw)
+    return _node(a.values * b.values, (a, b), _bw)
 
 
 def matmul(a, b):
@@ -169,11 +164,8 @@ def matmul(a, b):
     if a.values.shape[-1] != b.values.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    out = Tensor(av @ bv)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         if a.values.ndim == 2 and b.values.ndim == 2:
             if a.requires_grad:
                 _accumulate(a, g @ bv.T)
@@ -195,38 +187,30 @@ def matmul(a, b):
             if b.requires_grad:
                 _accumulate(b, g * av)
 
-    return _attach(out, (a, b), _bw)
+    return _node(av @ bv, (a, b), _bw)
 
 
 def reshape(x, shape):
     x = as_tensor(x)
-    out = Tensor(x.values.reshape(shape))
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(x, grad_out().reshape(x.shape))
-
-    return _attach(out, (x,), _bw)
+    return _node(x.values.reshape(shape), (x,),
+                 lambda g: _accumulate(x, g.reshape(x.shape)))
 
 
 def concat(parts, axis=0):
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat of zero tensors")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
     sizes = [p.values.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 _accumulate(p, g[tuple(idx)])
 
-    return _attach(out, tuple(parts), _bw)
+    return _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), _bw)
 
 
 def leaky_relu(x, slope=0.2):
@@ -236,38 +220,21 @@ def leaky_relu(x, slope=0.2):
     x = as_tensor(x)
     xv = x.values
     o = np.multiply(xv, slope, out=np.empty_like(xv))  # an array even when 0-d
-    out = Tensor(np.maximum(xv, o, out=o))
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        # subgradient at 0 takes the positive branch
-        _accumulate(x, grad_out() * np.where(xv >= 0, 1.0, slope))
-
-    return _attach(out, (x,), _bw)
+    # subgradient at 0 takes the positive branch
+    return _node(np.maximum(xv, o, out=o), (x,),
+                 lambda g: _accumulate(x, g * np.where(xv >= 0, 1.0, slope)))
 
 
 def relu(x):
     x = as_tensor(x)
     pos = x.values >= 0
-    out = Tensor(np.where(pos, x.values, 0.0))
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(x, grad_out() * pos)
-
-    return _attach(out, (x,), _bw)
+    return _node(np.where(pos, x.values, 0.0), (x,), lambda g: _accumulate(x, g * pos))
 
 
 def sigmoid(x):
     x = as_tensor(x)
-    out = Tensor(_sigmoid_values(x.values))
-    sv = out.values
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(x, grad_out() * sv * (1.0 - sv))
-
-    return _attach(out, (x,), _bw)
+    sv = _sigmoid_values(x.values)
+    return _node(sv, (x,), lambda g: _accumulate(x, g * sv * (1.0 - sv)))
 
 
 def _sigmoid_values(v):
@@ -283,15 +250,13 @@ def gather_rows(x, index):
     """out[i] = x[index[i]]; scatter-add on the way back."""
     x = as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
-    out = Tensor(x.values[index])
-    grad_out = _grad_reader(out)
 
-    def _bw():
+    def _bw(g):
         buf = _owned_grad(x)
-        np.add.at(buf, index, grad_out())
+        np.add.at(buf, index, g)
         x.grad = buf
 
-    return _attach(out, (x,), _bw)
+    return _node(x.values[index], (x,), _bw)
 
 
 def segment_sum(x, segment_ids, num_segments):
@@ -300,27 +265,19 @@ def segment_sum(x, segment_ids, num_segments):
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     vals = np.zeros((num_segments,) + x.values.shape[1:])
     np.add.at(vals, segment_ids, x.values)
-    out = Tensor(vals)
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(x, grad_out()[segment_ids])
-
-    return _attach(out, (x,), _bw)
+    return _node(vals, (x,), lambda g: _accumulate(x, g[segment_ids]))
 
 
 def slice_rows(x, lo, hi):
     """out = x[lo:hi] along the first axis; backward adds into that slice."""
     x = as_tensor(x)
-    out = Tensor(x.values[lo:hi].copy())
-    grad_out = _grad_reader(out)
 
-    def _bw():
+    def _bw(g):
         buf = _owned_grad(x)
-        buf[lo:hi] += grad_out()
+        buf[lo:hi] += g
         x.grad = buf
 
-    return _attach(out, (x,), _bw)
+    return _node(x.values[lo:hi].copy(), (x,), _bw)
 
 
 def spmm(alpha, edges, x):
@@ -342,17 +299,14 @@ def spmm(alpha, edges, x):
                          f"for {len(edges)} edges")
     s = sp.csr_matrix((alpha.values, edges.src, edges.indptr), shape=edges.shape)
     xv = x.values
-    out = Tensor(s @ xv)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         if x.requires_grad:
             _accumulate(x, s.T @ g)
         if alpha.requires_grad:
             _accumulate(alpha, (g[edges.dst] * xv[edges.src]).sum(axis=1))
 
-    return _attach(out, (alpha, x), _bw)
+    return _node(s @ xv, (alpha, x), _bw)
 
 
 def segment_softmax(scores, segments, num_segments=None):
@@ -376,54 +330,36 @@ def segment_softmax(scores, segments, num_segments=None):
     denom = np.zeros(num)
     np.add.at(denom, ids, e)
     p = e / denom[ids]
-    out = Tensor(p)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         dot = np.zeros(num)
         np.add.at(dot, ids, p * g)
         _accumulate(scores, p * (g - dot[ids]))
 
-    return _attach(out, (scores,), _bw)
+    return _node(p, (scores,), _bw)
 
 
 def stack_rows(rows):
     """Stack equal-length 1-D tensors into a matrix."""
     rows = [as_tensor(r) for r in rows]
-    out = Tensor(np.stack([r.values for r in rows]))
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         for i, r in enumerate(rows):
             if r.requires_grad:
                 _accumulate(r, g[i])
 
-    return _attach(out, tuple(rows), _bw)
+    return _node(np.stack([r.values for r in rows]), tuple(rows), _bw)
 
 
 def sum_all(x):
     x = as_tensor(x)
-    out = Tensor(x.values.sum())
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(x, grad_out())
-
-    return _attach(out, (x,), _bw)
+    return _node(x.values.sum(), (x,), lambda g: _accumulate(x, g))
 
 
 def mean_all(x):
     x = as_tensor(x)
-    out = Tensor(x.values.mean())
     inv = 1.0 / x.values.size
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(x, grad_out() * inv)
-
-    return _attach(out, (x,), _bw)
+    return _node(x.values.mean(), (x,), lambda g: _accumulate(x, g * inv))
 
 
 def ewc_penalty(params, anchors, weights):
@@ -449,17 +385,14 @@ def ewc_penalty(params, anchors, weights):
         term = ((d * d) * w).sum()
         total = term if i == 0 else total + term
         diffs.append(d)
-    out = Tensor(total)
-    grad_out = _grad_reader(out)
 
-    def _bw():
-        g = grad_out()
+    def _bw(g):
         for p, w, d in zip(params, weights, diffs):
             if p.requires_grad:
                 h = (g * w) * d
                 _accumulate(p, h + h)
 
-    return _attach(out, tuple(params), _bw)
+    return _node(total, tuple(params), _bw)
 
 
 def mlp(x, weights, activation=leaky_relu):
@@ -506,13 +439,8 @@ def cross_entropy(logits, labels):
         raise ValueError(f"label out of range [0,{c})")
     lv = logits.values
     z, lse = _log_softmax_parts(lv)
-    out = Tensor((lse - z[np.arange(n), labels]).mean())
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(logits, grad_out() * softmax_minus_onehot(lv, labels) / n)
-
-    return _attach(out, (logits,), _bw)
+    return _node((lse - z[np.arange(n), labels]).mean(), (logits,),
+                 lambda g: _accumulate(logits, g * softmax_minus_onehot(lv, labels) / n))
 
 
 def bce_with_logits(scores, targets):
@@ -523,14 +451,9 @@ def bce_with_logits(scores, targets):
     if t.shape != s.shape:
         raise ValueError(f"targets shape {t.shape} != scores shape {s.shape}")
     loss = np.maximum(s, 0.0) - s * t + np.log1p(np.exp(-np.abs(s)))
-    out = Tensor(loss.mean())
     n = s.size
-    grad_out = _grad_reader(out)
-
-    def _bw():
-        _accumulate(scores, grad_out() * (_sigmoid_values(s) - t) / n)
-
-    return _attach(out, (scores,), _bw)
+    return _node(loss.mean(), (scores,),
+                 lambda g: _accumulate(scores, g * (_sigmoid_values(s) - t) / n))
 
 
 def _topo_order(root):

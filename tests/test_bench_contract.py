@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import grafenne.cli as cli
 import grafenne.continual as continual
 import grafenne.graph as graph
@@ -62,3 +64,19 @@ def test_benchmark_per_layer_names_are_traced():
     tracing = _tracing()
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert [m["name"] for m in declared if m["name"] not in tracing.PER_LAYER] == []
+
+
+def test_tracer_counts_tape_nodes_and_times_backward_through_attach():
+    # an op that bound _attach at import would bypass the rebound name:
+    # the wrapped-name check above would pass and both metrics read zero
+    tracing = _tracing()
+    p = tensor.Parameter(np.full((2, 3), 0.5), "P")
+    q = tensor.Parameter(np.full((3, 2), -0.5), "Q")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tensor.backward(tensor.sum_all(tensor.leaky_relu(tensor.matmul(p, q))))
+        assert tracer.stats["tensor.tape_nodes"] == 3
+        assert tracer.stats["tensor.matmul.bwd_s"] > 0
+    finally:
+        tracer.uninstall()

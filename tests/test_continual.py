@@ -85,6 +85,16 @@ def test_importance_unused_param_zero():
     assert omega["head/W"].any()
 
 
+def test_importance_ignores_a_stale_grad_the_logits_do_not_reach():
+    g = drift_graph(n=12)
+    model = importance_model()
+    p3 = [p for p in model.trainable_parameters() if p.name.startswith("layer0/p3/")]
+    for p in p3:
+        p.grad = np.ones_like(p.values)  # left over from an earlier backward
+    omega = compute_importance(model, g, [0, 1, 2])
+    assert p3 and all(not omega[p.name].any() for p in p3)
+
+
 def test_importance_empty_set_warns():
     g = drift_graph(n=12)
     model = importance_model()
@@ -113,7 +123,8 @@ def test_importance_recomputation_oracle():
                                np.array([g.labels[v]]))
         T.backward(loss)
         for p in params:
-            want[p.name] += np.square(p.grad)
+            if p.grad is not None:  # a missing grad counts as zero
+                want[p.name] += np.square(p.grad)
     for k in want:
         want[k] /= len(nodes)
         denom = np.maximum(np.abs(want[k]), 1e-12)
@@ -139,7 +150,8 @@ def test_importance_seeded_sweep_equals_per_node_cross_entropy():
         zero_grad(params)
         T.backward(loss)
         for p in params:
-            explicit[p.name] += np.square(p.grad)
+            if p.grad is not None:  # a missing grad counts as zero
+                explicit[p.name] += np.square(p.grad)
     for k in explicit:
         explicit[k] *= 1.0 / len(nodes)
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from grafenne import tensor as T
 from grafenne.graph import Edges
-from grafenne.optim import AdamState, adam_step, zero_grad
+from grafenne.optim import AdamState, adam_step, descend, zero_grad
 from gradcheck import check_case, run_gradient_suite
 
 
@@ -258,6 +260,65 @@ def test_sweep_skips_nodes_without_grad_and_seeds_any_root():
     assert unused.grad is None
 
 
+def _param(*shape):
+    return T.Parameter(np.random.default_rng(len(shape)).normal(size=shape), "p")
+
+
+# every op that builds a tape node, applied to Parameters; matmul once per
+# operand-rank case
+TAPE_OPS = {
+    "add": lambda: T.add(_param(2, 3), _param(3)),
+    "sub": lambda: T.sub(_param(2, 3), _param(3)),
+    "mul": lambda: T.mul(_param(2, 3), _param(3)),
+    "matmul_2d_2d": lambda: T.matmul(_param(2, 3), _param(3, 2)),
+    "matmul_2d_1d": lambda: T.matmul(_param(2, 3), _param(3)),
+    "matmul_1d_2d": lambda: T.matmul(_param(3), _param(3, 2)),
+    "matmul_1d_1d": lambda: T.matmul(_param(3), _param(3)),
+    "reshape": lambda: T.reshape(_param(2, 3), (3, 2)),
+    "concat": lambda: T.concat([_param(2, 3), _param(1, 3)]),
+    "leaky_relu": lambda: T.leaky_relu(_param(2, 3)),
+    "relu": lambda: T.relu(_param(2, 3)),
+    "sigmoid": lambda: T.sigmoid(_param(2, 3)),
+    "gather_rows": lambda: T.gather_rows(_param(3, 2), [2, 0, 2]),
+    "segment_sum": lambda: T.segment_sum(_param(3, 2), [1, 0, 1], 2),
+    "slice_rows": lambda: T.slice_rows(_param(3, 2), 1, 3),
+    "spmm": lambda: T.spmm(_param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
+    "segment_softmax": lambda: T.segment_softmax(_param(3), [0, 1, 0]),
+    "stack_rows": lambda: T.stack_rows([_param(2), _param(2)]),
+    "sum_all": lambda: T.sum_all(_param(2, 3)),
+    "mean_all": lambda: T.mean_all(_param(2, 3)),
+    "ewc_penalty": lambda: T.ewc_penalty([_param(2, 3), _param(3)],
+                                         [np.zeros((2, 3)), np.ones(3)],
+                                         [np.ones((2, 3)), np.full(3, 2.0)]),
+    "cross_entropy": lambda: T.cross_entropy(_param(3, 4), [1, 0, 3]),
+    "bce_with_logits": lambda: T.bce_with_logits(_param(3), [1.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(TAPE_OPS))
+def test_every_op_is_one_tape_node_freed_by_reference_counting(op, monkeypatch):
+    attached = []
+    attach = T._attach
+
+    def counting_attach(out, parents, backward_fn):
+        attached.append(weakref.ref(out))
+        return attach(out, parents, backward_fn)
+
+    monkeypatch.setattr(T, "_attach", counting_attach)
+    gc.collect()
+    gc.disable()
+    try:
+        out = TAPE_OPS[op]()
+        assert [r() for r in attached] == [out] and out.requires_grad
+        T.sweep(out, np.ones_like(out.values), T._topo_order(out))
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in out._parents)
+        freed = weakref.ref(out)
+        del out
+        assert freed() is None  # no reference cycle keeps the output alive
+    finally:
+        gc.enable()
+
+
 def test_ewc_penalty_matches_staged_form_bitwise():
     rng = np.random.default_rng(11)
     shapes = [(3, 4), (), (5,)]
@@ -308,6 +369,15 @@ def test_adam_zero_grad_no_move():
     zero_grad([p])
     adam_step([p], lr=0.1)
     assert np.array_equal(p.values, [1.0, -2.0])
+
+
+def test_descend_leaves_a_parameter_the_loss_skips_untouched():
+    used = T.Parameter(np.array([1.0, -2.0]), "used")
+    skipped = T.Parameter(np.array([3.0]), "skipped")
+    skipped.grad = np.ones(1)  # left over from an earlier backward
+    list(descend([used, skipped], lambda: T.sum_all(T.mul(used, used)), epochs=1, lr=0.1))
+    assert skipped.grad is None and np.array_equal(skipped.values, [3.0])
+    assert used.grad is not None and not np.array_equal(used.values, [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_lr():
