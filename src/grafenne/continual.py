@@ -144,27 +144,30 @@ def compute_importance(model, g_t, nodes, forward=None):
     return omega
 
 
-def _sum_loss(model, h, g, nodes, labels=None):
-    """Task loss summed (not averaged) over the given nodes."""
+def _sum_loss(model, g, nodes, labels=None):
+    """loss(h): the task loss summed (not averaged) over the given nodes of
+    g, read from g's node states h. Rows and labels are looked up once."""
     rows = node_rows(g, nodes)
     ys = np.array([g.labels[v] for v in nodes] if labels is None else labels,
                   dtype=np.int64)
-    ce = T.cross_entropy(T.gather_rows(model.logits(h), rows), ys)
-    return T.mul(ce, float(len(nodes)))
+    count = float(len(nodes))
+    return lambda h: T.mul(T.cross_entropy(T.gather_rows(model.logits(h), rows), ys), count)
 
 
-def continual_loss(model, affected_train_nodes, ewc, h=None, graph=None):
-    """Sum of per-node task losses on the affected nodes, read from the
-    node states h of the current graph, plus lam / 2 times the quadratic
-    importance-weighted penalty against the stored snapshot, one
-    tensor.ewc_penalty node over every parameter that has both."""
+def continual_loss(model, affected_train_nodes, ewc, graph=None):
+    """loss(h): the sum of per-node task losses on the affected nodes, read
+    from the node states h of the current graph, plus lam / 2 times the
+    quadratic importance-weighted penalty against the stored snapshot, one
+    tensor.ewc_penalty node over every parameter that has both. Nodes,
+    labels and each parameter's anchor and weight are matched once, here,
+    for every epoch of a timestamp."""
     affected = sorted(affected_train_nodes)
     if affected:
-        if h is None or graph is None:
-            raise ValueError("continual_loss needs the node states and the current graph")
-        task = _sum_loss(model, h, graph, affected)
+        if graph is None:
+            raise ValueError("continual_loss needs the current graph")
+        task = _sum_loss(model, graph, affected)
     else:
-        task = T.Tensor(np.asarray(0.0))
+        task = lambda h: T.Tensor(np.asarray(0.0))
     params, anchors, weights = [], [], []
     for p in model.trainable_parameters():
         snap = ewc.snapshot.get(p.name)
@@ -181,7 +184,8 @@ def continual_loss(model, affected_train_nodes, ewc, h=None, graph=None):
         weights.append(om)
     if not params:
         return task
-    return T.add(task, T.mul(T.ewc_penalty(params, anchors, weights), ewc.lam / 2.0))
+    half = ewc.lam / 2.0
+    return lambda h: T.add(task(h), T.mul(T.ewc_penalty(params, anchors, weights), half))
 
 
 @dataclass(frozen=True)
@@ -246,9 +250,8 @@ def run_stream(g_1, deltas, strategy, cfg=None):
 
     def full_train(model, g, fwd):
         pool = sorted(train_pool)
-        _train_plain(model, fwd,
-                     lambda h: T.mul(_sum_loss(model, h, g, pool), 1.0 / len(pool)),
-                     cfg.epochs, cfg.lr)
+        task = _sum_loss(model, g, pool)
+        _train_plain(model, fwd, lambda h: T.mul(task(h), 1.0 / len(pool)), cfg.epochs, cfg.lr)
 
     records = []
     g = g_1
@@ -292,16 +295,16 @@ def run_stream(g_1, deltas, strategy, cfg=None):
                 unaffected = tuple(v for v in u if v not in set(affected_train))
                 ewc.omega = compute_importance(model, g, unaffected, forward=fwd)
                 ewc.snapshot = _snapshot(model.trainable_parameters())
-                loss_fn = lambda h: continual_loss(model, affected_train, ewc, h=h, graph=g)
+                loss_fn = continual_loss(model, affected_train, ewc, graph=g)
             elif strategy == "FT":
-                loss_fn = lambda h: _sum_loss(model, h, g, affected_train)
+                loss_fn = _sum_loss(model, g, affected_train)
             else:  # ER: the affected nodes plus the replayed ones, then buffer the former
                 replay = [(v, y) for v, y in buffer.entries() if v in g.labels]
                 nodes = affected_train + [v for v, _ in replay]
                 labels = [g.labels[v] for v in affected_train] + [y for _, y in replay]
                 for v in affected_train:
                     buffer.add(v, g.labels[v])
-                loss_fn = lambda h: _sum_loss(model, h, g, nodes, labels)
+                loss_fn = _sum_loss(model, g, nodes, labels)
             _train_plain(model, fwd, loss_fn, cfg.stream_epochs, cfg.lr)
         secs = time.perf_counter() - t0
         records.append(StreamRecord(strategy, delta.t,

@@ -134,7 +134,23 @@ class HeteroGraph:
         return HeteroGraph(**args)
 
 
-class Edges:
+class _Derives:
+    """Graph structure that is never modified once built, and that keeps
+    what is derived from it: derived(build) is build(self), computed on
+    the first call with that function and returned from then on. Sparse
+    operators and derived layouts are so built once per graph, however
+    many forwards and backwards read them."""
+
+    __slots__ = ("_derived",)
+
+    def derived(self, build):
+        memo = self._derived
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
+
+
+class Edges(_Derives):
     """Directed edges src -> dst of a (num_dst, num_src) matrix grouped by
     ascending destination, with optional weights and the CSR row pointer
     `indptr`: the layout every aggregation reads. Order and index ranges
@@ -156,6 +172,7 @@ class Edges:
                           or self.src.min() < 0 or self.src.max() >= num_src):
             raise ValueError(f"edge index out of range for a {self.shape} matrix")
         self.indptr = np.searchsorted(self.dst, np.arange(num_dst + 1))
+        self._derived = {}
 
     def __len__(self):
         return len(self.dst)
@@ -184,7 +201,7 @@ def directed_edges(nodes, edges):
     return by_destination((len(nodes),) * 2, (u, v), (v, u))
 
 
-class AllotropicGraph:
+class AllotropicGraph(_Derives):
     """G^alt as the model reads it: three Edges layouts over the rows of
     node_ids and feat_ids. feat_to_node (phase 1) holds the feature edges
     weighted by their values, node_to_feat (phase 3) the same reversed,
@@ -208,6 +225,7 @@ class AllotropicGraph:
         self.node_to_feat = by_destination((self.m, self.n), (node, feat),
                                            weight=self.feat_to_node.weight)
         self.node_to_node = directed_edges(self.node_ids, self.graph_edges)
+        self._derived = {}
 
     @property
     def n(self):

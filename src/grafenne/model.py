@@ -11,9 +11,13 @@ the `attention` of the GAT backbone. Scores use the split form
 uses LeakyReLU's positive homogeneity,
     LR(x w) = |x| LR(sign(x) w),
 so it costs two d-vector scores and one per-edge vector. Every
-aggregation, attention-weighted or a plain neighbour sum, is one
-tensor.spmm over a graph.Edges layout built once per graph, so no
-(edges, d) tensor is ever materialized on the tape.
+aggregation is one tape node over a graph.Edges layout, so no (edges, d)
+tensor is ever materialized on the tape: a plain neighbour sum is
+tensor.spmm, an attention tensor.edge_softmax_spmm (gathered scores,
+softmax per destination and weighted sum). The layouts, their sparse
+matrices and what the layers derive from them (GAT's self-loops, SAGE's
+degrees, the vanilla model's joint graph) are built once per graph,
+through Edges.derived and AllotropicGraph.derived.
 """
 
 from __future__ import annotations
@@ -106,8 +110,10 @@ def _capped(edges, cap, rng):
     """At most cap edges into each destination, drawn by rng in
     destination order; edges itself when no cap binds (rng may then be
     None)."""
+    if cap <= 0 or len(edges) == 0:
+        return edges
     counts = np.diff(edges.indptr)
-    if cap <= 0 or len(edges) == 0 or counts.max() <= cap:
+    if counts.max() <= cap:
         return edges
     keep = [start + np.sort(rng.choice(c, size=cap, replace=False)) if c > cap
             else np.arange(start, start + c)
@@ -277,36 +283,47 @@ class GrafenneModel(ModelBase):
 def attention(h_dst, h_src, edges, w_dst, w_src, w_att, w_msg, act, s_edge=None):
     """Softmax-weighted sum of the messages h_src[u] @ w_msg along the
     Edges u -> v into each v, scored per edge as w_att . act(h_dst[v] w_dst
-    || h_src[u] w_src), plus s_edge, the scores of an edge channel if any."""
+    || h_src[u] w_src), plus s_edge, the scores of an edge channel if any.
+    Scoring, softmax and aggregation are one tensor.edge_softmax_spmm."""
     d = w_msg.shape[1]
     # the attention vector split into its concat segments
     s_dst = T.matmul(act(T.matmul(h_dst, w_dst)), T.slice_rows(w_att, 0, d))
     s_src = T.matmul(act(T.matmul(h_src, w_src)), T.slice_rows(w_att, d, 2 * d))
-    score = T.add(T.gather_rows(s_dst, edges.dst), T.gather_rows(s_src, edges.src))
-    if s_edge is not None:
-        score = T.add(score, s_edge)
-    alpha = T.segment_softmax(score, edges.dst, edges.shape[0])
-    return T.spmm(alpha, edges, T.matmul(h_src, w_msg))
+    return T.edge_softmax_spmm(s_dst, s_src, s_edge, edges, T.matmul(h_src, w_msg))
+
+
+# what the backbone layers derive from an Edges layout, built once per
+# layout through Edges.derived
+
+def _ones(edges):
+    return np.ones(len(edges))
+
+
+def _inverse_degree(edges):
+    deg = np.diff(edges.indptr).astype(np.float64)
+    return (1.0 / np.maximum(deg, 1.0)).reshape(-1, 1)
+
+
+def _self_looped(edges):
+    loop = np.arange(edges.shape[0], dtype=np.int64)
+    return by_destination(edges.shape, (edges.src, edges.dst), (loop, loop))
 
 
 def sage_layer(h, edges, w):
     """ReLU([h || mean of in-neighbours] @ w)."""
-    neigh = T.spmm(np.ones(len(edges)), edges, h)  # neighbour sums
-    deg = np.diff(edges.indptr).astype(np.float64)
-    mean = T.mul(neigh, T.Tensor((1.0 / np.maximum(deg, 1.0)).reshape(-1, 1)))
+    neigh = T.spmm(edges.derived(_ones), edges, h)  # neighbour sums
+    mean = T.mul(neigh, T.Tensor(edges.derived(_inverse_degree)))
     return T.relu(T.matmul(T.concat([h, mean], axis=1), w))
 
 
 def gat_layer(h, edges, w_dst, w_src, w_att, w_msg, act):
     """Attention over in-neighbours plus a self-loop."""
-    loop = np.arange(edges.shape[0], dtype=np.int64)
-    looped = by_destination(edges.shape, (edges.src, edges.dst), (loop, loop))
-    return attention(h, h, looped, w_dst, w_src, w_att, w_msg, act)
+    return attention(h, h, edges.derived(_self_looped), w_dst, w_src, w_att, w_msg, act)
 
 
 def gin_layer(h, edges, epsilon, mlp_params, act):
     """MLP((1 + epsilon) h + sum of in-neighbours)."""
-    neigh = T.spmm(np.ones(len(edges)), edges, h)  # neighbour sums
+    neigh = T.spmm(edges.derived(_ones), edges, h)  # neighbour sums
     scaled = T.mul(h, T.add(epsilon, 1.0))
     return T.mlp(T.add(scaled, neigh), mlp_params, act)
 
@@ -329,16 +346,23 @@ class VanillaAltModel(ModelBase):
         n, m = alt.n, alt.m
         hg0, hf0 = init_states(alt, self.table, self.config.dim)
         h = T.concat([hg0, hf0], axis=0) if m else hg0
-        graph, fe = alt.node_to_node, alt.feat_to_node
-        feat = fe.src + n
-        edges = by_destination((n + m, n + m), (graph.src, graph.dst), (fe.dst, feat),
-                               (feat, fe.dst))
+        edges = alt.derived(_joint_layout)
         for l in range(self.config.layers):
             h = sage_layer(h, edges, self.params[f"layer{l}/W"])
         hg = T.slice_rows(h, 0, n)
         if graph_only:
             return hg
         return hg, T.slice_rows(h, n, n + m)
+
+
+def _joint_layout(alt):
+    """G^alt as one graph over its n graph nodes, then its m feature nodes:
+    the graph edges and the feature edges in both directions, unweighted."""
+    n, m = alt.n, alt.m
+    graph, fe = alt.node_to_node, alt.feat_to_node
+    feat = fe.src + n
+    return by_destination((n + m, n + m), (graph.src, graph.dst), (fe.dst, feat),
+                          (feat, fe.dst))
 
 
 def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):

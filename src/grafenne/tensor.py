@@ -20,6 +20,13 @@ gradient and adds into the parents'. _node alone wires the tape, holding
 the output only through a weak reference, so no closure holds its own
 output, the tape is acyclic and a dropped tape is freed by reference
 counting alone, without waiting for the cyclic garbage collector.
+
+The sparse ops read a graph.Edges layout. spmm is one weighted neighbour
+sum, and edge_softmax_spmm one whole attention: per-edge scores, their
+softmax per destination and the weighted sum, in one node. Both multiply
+through the layout's CSR matrix and its CSC transpose, built once per
+layout and shared by every call, which rebinds their values to its own
+edge weights right before each product, forward and backward.
 """
 
 from __future__ import annotations
@@ -280,33 +287,77 @@ def slice_rows(x, lo, hi):
     return _node(x.values[lo:hi].copy(), (x,), _bw)
 
 
+def _matrices(edges):
+    """The CSR matrix of the graph.Edges layout `edges` and its CSC
+    transpose, one index structure shared by both. Built once per layout
+    (edges.derived), with placeholder values: _product rebinds .data."""
+    s = sp.csr_matrix((np.zeros(len(edges)), edges.src, edges.indptr), shape=edges.shape)
+    return s, s.T
+
+
+def _product(edges, alpha, x, transpose=False):
+    """S_alpha @ x, or S_alpha^T @ x, through the layout's matrices, their
+    .data rebound to this call's alpha right before the product: a tape
+    whose backward runs after another forward over the same layout still
+    reads its own alpha. The rebinding bypasses SciPy's format check, so
+    callers check len(alpha) == len(edges) first."""
+    s, st = edges.derived(_matrices)
+    m = st if transpose else s
+    m.data = alpha
+    return m @ x
+
+
+def _sddmm(g, x, edges):
+    """<g[dst[e]], x[src[e]]> for every edge e: the gradient of S_alpha @ x
+    with respect to alpha."""
+    return (np.take(g, edges.dst, axis=0) * np.take(x, edges.src, axis=0)).sum(axis=1)
+
+
+def _check_spmm_x(x, edges):
+    if x.values.ndim != 2 or x.shape[0] != edges.shape[1]:
+        raise ValueError(f"spmm needs a 2-D x of {edges.shape[1]} rows, got shape {x.shape}")
+
+
 def spmm(alpha, edges, x):
     """out[r] = sum of alpha[e] * x[edges.src[e]] over the edges e into r.
 
-    The product S_alpha @ x with a sparse S_alpha built as CSR straight
-    from the graph.Edges layout `edges` (its row pointer, destinations
-    ascending, checked when it was built; an empty row sums to zero), so
-    the E x d messages alpha[e] * x[src[e]] are never formed. Edges are
-    summed in layout order, as a sequential scatter-add would. Backward
-    is S_alpha^T @ G for x and the SDDMM <G[dst[e]], x[src[e]]> for
-    alpha, which may also be a constant array (ones for a plain sum).
+    The product S_alpha @ x with the sparse S_alpha of the graph.Edges
+    layout `edges` (its row pointer, destinations ascending, checked when
+    it was built; an empty row sums to zero), so the E x d messages
+    alpha[e] * x[src[e]] are never formed. Edges are summed in layout
+    order, as a sequential scatter-add would. Backward is S_alpha^T @ G
+    for x and the SDDMM <G[dst[e]], x[src[e]]> for alpha, which may also
+    be a constant array (ones for a plain sum).
     """
     alpha, x = as_tensor(alpha), as_tensor(x)
-    if x.values.ndim != 2 or x.shape[0] != edges.shape[1]:
-        raise ValueError(f"spmm needs a 2-D x of {edges.shape[1]} rows, got shape {x.shape}")
+    _check_spmm_x(x, edges)
     if alpha.shape != (len(edges),):
         raise ValueError(f"spmm needs one alpha per edge, got shape {alpha.shape} "
                          f"for {len(edges)} edges")
-    s = sp.csr_matrix((alpha.values, edges.src, edges.indptr), shape=edges.shape)
-    xv = x.values
+    av, xv = alpha.values, x.values
 
     def _bw(g):
         if x.requires_grad:
-            _accumulate(x, s.T @ g)
+            _accumulate(x, _product(edges, av, g, transpose=True))
         if alpha.requires_grad:
-            _accumulate(alpha, (g[edges.dst] * xv[edges.src]).sum(axis=1))
+            _accumulate(alpha, _sddmm(g, xv, edges))
 
-    return _node(s @ xv, (alpha, x), _bw)
+    return _node(_product(edges, av, xv), (alpha, x), _bw)
+
+
+def _softmax(scores, ids, num):
+    """Softmax of 1-D scores within the segments `ids` of num segments,
+    stabilized by each segment's max. Sums run in entry order (bincount
+    adds as np.add.at on zeros does); an empty segment is never read."""
+    smax = np.full(num, -np.inf)
+    np.maximum.at(smax, ids, scores)
+    e = np.exp(scores - smax[ids])
+    return e / np.bincount(ids, e, minlength=num)[ids]
+
+
+def _softmax_backward(p, g, ids, num):
+    """The scores' gradient of _softmax, given its output p and p's gradient g."""
+    return p * (g - np.bincount(ids, p * g, minlength=num)[ids])
 
 
 def segment_softmax(scores, segments, num_segments=None):
@@ -323,20 +374,49 @@ def segment_softmax(scores, segments, num_segments=None):
     if ids.shape != (n,):
         raise ValueError(f"segment ids shape {ids.shape} != ({n},)")
     num = num_segments if num_segments is not None else (int(ids.max()) + 1 if n else 0)
+    p = _softmax(scores.values, ids, num)
+    return _node(p, (scores,), lambda g: _accumulate(scores, _softmax_backward(p, g, ids, num)))
 
-    smax = np.full(num, -np.inf)
-    np.maximum.at(smax, ids, scores.values)
-    e = np.exp(scores.values - smax[ids])
-    denom = np.zeros(num)
-    np.add.at(denom, ids, e)
-    p = e / denom[ids]
+
+def edge_softmax_spmm(s_dst, s_src, s_edge, edges, x):
+    """spmm(segment_softmax(s_dst[dst] + s_src[src] (+ s_edge), dst), edges, x)
+    as one tape node: attention over the graph.Edges layout `edges`, with
+    per-destination scores s_dst, per-source scores s_src and optional
+    per-edge scores s_edge (None for none).
+
+    Values and gradients are those of the staged gather/add/softmax/spmm
+    ops, expression for expression. Backward is S_alpha^T @ G for x, the
+    SDDMM dalpha[e] = <G[dst[e]], x[src[e]]>, the softmax backward
+    dscore = alpha * (dalpha - per-destination sum of alpha * dalpha), and
+    dscore summed into destinations for s_dst, into sources for s_src.
+    """
+    s_dst, s_src, x = as_tensor(s_dst), as_tensor(s_src), as_tensor(x)
+    s_edge = None if s_edge is None else as_tensor(s_edge)
+    scores = (s_dst, s_src) if s_edge is None else (s_dst, s_src, s_edge)
+    _check_spmm_x(x, edges)
+    num_dst, num_src = edges.shape
+    for name, s, n in zip(("s_dst", "s_src", "s_edge"), scores, (num_dst, num_src, len(edges))):
+        if s.shape != (n,):
+            raise ValueError(f"edge_softmax_spmm needs {name} of shape ({n},), got {s.shape}")
+    dst, src, xv = edges.dst, edges.src, x.values
+    score = s_dst.values[dst] + s_src.values[src]
+    if s_edge is not None:
+        score = score + s_edge.values
+    p = _softmax(score, dst, num_dst)
 
     def _bw(g):
-        dot = np.zeros(num)
-        np.add.at(dot, ids, p * g)
-        _accumulate(scores, p * (g - dot[ids]))
+        if x.requires_grad:
+            _accumulate(x, _product(edges, p, g, transpose=True))
+        if any(s.requires_grad for s in scores):
+            ds = _softmax_backward(p, _sddmm(g, xv, edges), dst, num_dst)
+            if s_dst.requires_grad:
+                _accumulate(s_dst, np.bincount(dst, ds, minlength=num_dst))
+            if s_src.requires_grad:
+                _accumulate(s_src, np.bincount(src, ds, minlength=num_src))
+            if s_edge is not None and s_edge.requires_grad:
+                _accumulate(s_edge, ds)
 
-    return _node(p, (scores,), _bw)
+    return _node(_product(edges, p, xv), scores + (x,), _bw)
 
 
 def stack_rows(rows):

@@ -269,6 +269,26 @@ def _case_spmm(rng):
     return build, [xs, alpha]
 
 
+def _case_edge_softmax_spmm(rng):
+    n, d, k, e = rng.integers(2, 6), rng.integers(1, 5), rng.integers(3, 7), rng.integers(2, 9)
+    rows = np.sort(rng.integers(0, k - 1, size=e))  # row k - 1 stays empty
+    cols = rng.integers(0, n, size=e)
+    cols[1] = cols[0]  # a repeated source
+    edges = Edges(cols, rows, (k, n))
+    s_dst, s_src, s_edge = rng.normal(size=(k,)), rng.normal(size=(n,)), rng.normal(size=(e,))
+    xs = rng.normal(size=(n, d))
+    fixed = rng.normal(size=(n, d))
+    u = rng.normal(size=(k, d))
+
+    def build(x):
+        s_dst_, s_src_, s_edge_, xs_ = x
+        trained = T.edge_softmax_spmm(s_dst_, s_src_, s_edge_, edges, xs_)
+        constant_x = T.edge_softmax_spmm(s_dst_, s_src_, None, edges, fixed)
+        return T.sum_all(T.mul(T.add(trained, constant_x), u))
+
+    return build, [s_dst, s_src, s_edge, xs]
+
+
 CASE_BUILDERS = [
     _case_chain,
     _case_pointwise,
@@ -283,6 +303,7 @@ CASE_BUILDERS = [
     _case_deep,
     _case_softmax_groups,
     _case_spmm,
+    _case_edge_softmax_spmm,
     _case_ewc,
 ]
 

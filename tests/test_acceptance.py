@@ -42,8 +42,8 @@ def check(name, ok, detail=""):
 
 _DIFF_OPS = ("add", "sub", "mul", "matmul", "reshape", "concat", "leaky_relu",
              "relu", "sigmoid", "gather_rows", "slice_rows", "segment_sum",
-             "segment_softmax", "spmm", "stack_rows", "sum_all", "mean_all", "mlp",
-             "cross_entropy", "bce_with_logits", "ewc_penalty")
+             "segment_softmax", "spmm", "edge_softmax_spmm", "stack_rows", "sum_all",
+             "mean_all", "mlp", "cross_entropy", "bce_with_logits", "ewc_penalty")
 
 
 class _Builder:
@@ -169,6 +169,24 @@ def _apply_op(b, name):
             j = b.leaf((e,))                        # learned weights
             b._emit(lambda ts, i=i, j=j, edges=edges:
                     T.spmm(ts[j], edges, ts[i]), (k, b.shapes[i][1]))
+    elif name == "edge_softmax_spmm":
+        i = b.pick(lambda s: len(s) == 2)
+        if i is None:
+            i = b.leaf((_dim(rng), _dim(rng)))
+        n, d = b.shapes[i]
+        e = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 5))
+        rows = np.sort(rng.integers(0, k, size=e))  # rows never hit are empty
+        cols = rng.integers(0, n, size=e)           # columns repeat
+        edges = Edges(cols, rows, (k, n))
+        j = b.pick(lambda s, n=n: s == (n,))       # source scores: a built vector or a leaf
+        if j is None:
+            j = b.leaf((n,))
+        sd = b.leaf((k,))
+        se = b.leaf((e,)) if rng.random() < 0.5 else None
+        b._emit(lambda ts, i=i, j=j, sd=sd, se=se, edges=edges:
+                T.edge_softmax_spmm(ts[sd], ts[j], None if se is None else ts[se], edges, ts[i]),
+                (k, d))
     elif name == "stack_rows":
         i = b.pick(lambda s: len(s) == 1 and s[0] >= 1)
         if i is None:
@@ -305,9 +323,8 @@ def test_c04_inductivity():
     split = make_split(g, (0.6, 0.2, 0.2), seed=0)
     pool = sorted(split.train)
     fwd = lambda: model.forward(to_allotropic(g))[0]
-    _train_plain(model, fwd,
-                 lambda h: T.mul(_sum_loss(model, h, g, pool), 1.0 / len(pool)),
-                 epochs=30, lr=0.01)
+    task = _sum_loss(model, g, pool)
+    _train_plain(model, fwd, lambda h: T.mul(task(h), 1.0 / len(pool)), epochs=30, lr=0.01)
     count = model.non_embedding_parameter_count()
 
     base = max(g.nodes) + 1

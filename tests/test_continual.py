@@ -206,7 +206,7 @@ def test_continual_loss_scalar_penalty():
     toy = ToyModel(1.0)
     ewc = EwcState(lam=2.0, snapshot={"w0": np.asarray(0.5)},
                    omega={"w0": np.asarray(1.0)})
-    loss = continual_loss(toy, [], ewc)
+    loss = continual_loss(toy, [], ewc)(None)
     assert loss.item() == pytest.approx(0.25)  # 2/2 * 1 * 0.5^2
 
 
@@ -220,8 +220,8 @@ def test_continual_loss_theta_equal_is_task_only():
     ewc = EwcState(lam=50.0, snapshot=snap, omega=omega)
     affected = [0, 1, 2]
     h = fwd()
-    full = continual_loss(model, affected, ewc, h=h, graph=g).item()
-    plain = continual_loss(model, affected, EwcState(lam=0.0), h=h, graph=g).item()
+    full = continual_loss(model, affected, ewc, graph=g)(h).item()
+    plain = continual_loss(model, affected, EwcState(lam=0.0), graph=g)(h).item()
     assert full == pytest.approx(plain, abs=1e-12)
 
 
@@ -234,7 +234,7 @@ def test_continual_loss_lambda_zero_equals_task():
     omega = {k: np.ones_like(v) for k, v in snap.items()}
     affected = [0, 2]
     with_pen = continual_loss(model, affected, EwcState(lam=0.0, snapshot=snap,
-                                                        omega=omega), h=fwd(), graph=g)
+                                                        omega=omega), graph=g)(fwd())
     row_of = {v: i for i, v in enumerate(g.nodes)}
     rows = np.array([row_of[v] for v in affected])
     ys = np.array([g.labels[v] for v in affected])
@@ -257,7 +257,7 @@ def test_continual_loss_skips_params_born_after_snapshot():
     # snapshot predates w1: only w0 is anchored
     ewc = EwcState(lam=2.0, snapshot={"w0": np.asarray(0.0)},
                    omega={"w0": np.asarray(1.0)})
-    assert continual_loss(toy, [], ewc).item() == pytest.approx(1.0)
+    assert continual_loss(toy, [], ewc)(None).item() == pytest.approx(1.0)
 
 
 # -------------------------------------------------------------- buffers
@@ -340,9 +340,8 @@ def test_oracle_is_scratch_training():
     from grafenne.continual import _sum_loss, _train_plain
     pool = sorted(split.train)
     fwd = allotropic_forward(twin, g2)
-    _train_plain(twin, fwd,
-                 lambda h: T.mul(_sum_loss(twin, h, g2, pool), 1.0 / len(pool)),
-                 cfg.epochs, cfg.lr)
+    task = _sum_loss(twin, g2, pool)
+    _train_plain(twin, fwd, lambda h: T.mul(task(h), 1.0 / len(pool)), cfg.epochs, cfg.lr)
     pa, pb = _final_params(model), _final_params(twin)
     assert pa.keys() == pb.keys()
     for k in pa:

@@ -356,6 +356,10 @@ def _edges_built(monkeypatch):
     ("gin", (1, 0, 0), 1), ("sage", (99, 99, 99), 0)])
 def test_forward_builds_edges_only_for_self_loops_and_binding_caps(monkeypatch, phase2, caps,
                                                                    per_layer):
+    """Each layer's forward needs per_layer layouts: one per binding cap,
+    and GAT's self-looped layout. That last one is built once per graph
+    when the graph cap does not bind (the first forward over the graph
+    builds it), and anew with every capped layout when it does."""
     g = random_graph(np.random.default_rng(8), n_max=20)
     alt = to_allotropic(g)
     for edges in (alt.feat_to_node, alt.node_to_feat, alt.node_to_node):
@@ -363,14 +367,77 @@ def test_forward_builds_edges_only_for_self_loops_and_binding_caps(monkeypatch, 
     cfg = small_cfg(layers=3, phase2=phase2, cap_features=caps[0], cap_nodes=caps[1],
                     cap_graph=caps[2])
     model = GrafenneModel(cfg)
+    once = int(phase2 == "gat" and caps[2] != 1)
     built = _edges_built(monkeypatch)
     model.forward(alt)
-    assert len(built) == 3 * per_layer
+    assert len(built) == 3 * (per_layer - once) + once
     if phase2 == "gat" and not any(caps):
-        assert built == [(alt.n, alt.n)] * 3
+        assert built == [(alt.n, alt.n)]
     built.clear()
-    VanillaAltModel(cfg).forward(alt)
+    model.forward(alt)
+    assert len(built) == 3 * (per_layer - once)
+    built.clear()
+    vanilla = VanillaAltModel(cfg)
+    vanilla.forward(alt)
     assert built == [(alt.n + alt.m, alt.n + alt.m)]
+    vanilla.forward(alt)
+    assert len(built) == 1
+
+
+def _csr_built(monkeypatch):
+    """The shape of every scipy.sparse.csr_matrix constructed from now on."""
+    built = []
+    orig = T.sp.csr_matrix
+
+    def counted(*args, shape=None, **kwargs):
+        built.append(shape)
+        return orig(*args, shape=shape, **kwargs)
+
+    monkeypatch.setattr(T.sp, "csr_matrix", counted)
+    return built
+
+
+def _square_loss(hg, hf):
+    return T.add(T.sum_all(T.mul(hg, hg)), T.sum_all(T.mul(hf, hf)))
+
+
+def _train_passes(model, alt, passes):
+    for _ in range(passes):
+        T.backward(_square_loss(*model.forward(alt)))
+
+
+@pytest.mark.parametrize("kind", ["sage", "gat", "gin", "vanilla"])
+def test_sparse_matrices_are_built_once_per_layout(monkeypatch, kind):
+    g = random_graph(np.random.default_rng(8), n_max=20)
+    alt = to_allotropic(g)
+    built = _csr_built(monkeypatch)
+    if kind == "vanilla":
+        _train_passes(VanillaAltModel(small_cfg()), alt, 3)
+        assert built == [(alt.n + alt.m,) * 2]
+    else:
+        _train_passes(GrafenneModel(small_cfg(phase2=kind)), alt, 3)
+        # phase 1, phase 2 (GAT's over its self-looped layout), phase 3
+        assert sorted(built) == sorted([(alt.n, alt.m), (alt.n, alt.n), (alt.m, alt.n)])
+
+
+@pytest.mark.parametrize("phase2", ["sage", "gat", "gin"])
+def test_backward_after_another_forward_on_the_same_graph_is_unchanged(phase2):
+    """Forward A, forward B with other parameters over the same graph, then
+    backward A: A's gradients are those of a forward and backward alone on
+    a fresh graph, though A's and B's attentions share the graph's sparse
+    matrices."""
+    g = random_graph(np.random.default_rng(8), n_max=20)
+    grads = []
+    for interleave in (False, True):
+        alt = to_allotropic(g)
+        model = GrafenneModel(small_cfg(phase2=phase2, seed=42))
+        hg, hf = model.forward(alt)
+        if interleave:
+            GrafenneModel(small_cfg(phase2=phase2, seed=7)).forward(alt)
+        T.backward(_square_loss(hg, hf))
+        grads.append([p.grad for p in model.trainable_parameters()])
+    for alone, interleaved in zip(*grads):
+        assert np.array_equal(alone, interleaved)
 
 
 def _phase3_layers(monkeypatch):

@@ -122,6 +122,69 @@ def test_spmm_rejects_alpha_and_x_that_do_not_fit_the_layout():
     assert T.spmm(np.ones(3), edges, x).shape == (2, 2)
 
 
+def _staged_attention(s_dst, s_src, s_edge, edges, x):
+    """The gather/add/segment_softmax/spmm ops edge_softmax_spmm fuses."""
+    score = T.add(T.gather_rows(s_dst, edges.dst), T.gather_rows(s_src, edges.src))
+    if s_edge is not None:
+        score = T.add(score, s_edge)
+    return T.spmm(T.segment_softmax(score, edges.dst, edges.shape[0]), edges, x)
+
+
+@pytest.mark.parametrize("with_edge_scores", [True, False])
+def test_edge_softmax_spmm_equals_the_staged_ops_bit_for_bit(with_edge_scores):
+    rng = np.random.default_rng(17)
+    n, d, k, e = 9, 4, 12, 40
+    rows = np.sort(rng.integers(0, k, size=e))
+    rows[rows % 3 == 0] += 1  # empty segments, including row 0
+    edges = Edges(rng.integers(0, n, size=e), rows, (k, n))
+    arrays = [rng.normal(size=k), rng.normal(size=n), rng.normal(size=e),
+              rng.normal(size=(n, d))]
+    weights = rng.normal(size=(k, d))
+    results = []
+    for op in (T.edge_softmax_spmm, _staged_attention):
+        s_dst, s_src, s_edge, x = [T.Parameter(a.copy(), f"leaf{i}") for i, a in enumerate(arrays)]
+        out = op(s_dst, s_src, s_edge if with_edge_scores else None, edges, x)
+        T.backward(T.sum_all(T.mul(out, weights)))
+        grads = [p.grad for p in (s_dst, s_src, x) + ((s_edge,) if with_edge_scores else ())]
+        results.append([out.values] + grads)
+    for fused, staged in zip(*results):
+        assert np.array_equal(fused, staged)
+    assert not results[0][0][0].any()  # an empty destination sums to zero
+
+
+def test_edge_softmax_spmm_rejects_scores_and_x_that_do_not_fit_the_layout():
+    edges = Edges([0, 1, 2], [0, 1, 1], (2, 3))
+    x = np.ones((3, 2))
+    good = (np.zeros(2), np.zeros(3), np.zeros(3))
+    for which, bad in ((0, np.zeros(3)), (1, np.zeros(2)), (2, np.zeros(4)), (2, np.zeros((3, 1)))):
+        scores = list(good)
+        scores[which] = bad
+        with pytest.raises(ValueError, match=("s_dst", "s_src", "s_edge")[which]):
+            T.edge_softmax_spmm(*scores, edges, x)
+    with pytest.raises(ValueError, match="3 rows"):
+        T.edge_softmax_spmm(*good, edges, np.ones((4, 2)))
+    out = T.edge_softmax_spmm(*good, edges, x).values
+    assert np.array_equal(out, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_spmm_products_interleaved_on_one_layout_read_their_own_alpha():
+    """The layout's matrices are shared: a backward that runs after another
+    forward over the same layout must still read its own alpha."""
+    edges = Edges([0, 1, 2, 0], [0, 0, 1, 1], (2, 3))
+    x = np.arange(6.0).reshape(3, 2)
+    grads = []
+    for interleave in (False, True):
+        a = T.Parameter(np.array([1.0, 2.0, 3.0, 4.0]), "a")
+        xa = T.Parameter(x.copy(), "xa")
+        out_a = T.spmm(a, edges, xa)
+        if interleave:
+            T.spmm(np.array([-5.0, 0.5, 7.0, 0.0]), edges, x)
+        T.backward(T.sum_all(T.mul(out_a, out_a)))
+        grads.append((out_a.values, xa.grad, a.grad))
+    for first, second in zip(*grads):
+        assert np.array_equal(first, second)
+
+
 def test_slice_rows_backward_adds_into_the_slice():
     x = T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     out = T.slice_rows(x, 1, 3)
@@ -284,6 +347,8 @@ TAPE_OPS = {
     "slice_rows": lambda: T.slice_rows(_param(3, 2), 1, 3),
     "spmm": lambda: T.spmm(_param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
     "segment_softmax": lambda: T.segment_softmax(_param(3), [0, 1, 0]),
+    "edge_softmax_spmm": lambda: T.edge_softmax_spmm(
+        _param(2), _param(3), _param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
     "stack_rows": lambda: T.stack_rows([_param(2), _param(2)]),
     "sum_all": lambda: T.sum_all(_param(2, 3)),
     "mean_all": lambda: T.mean_all(_param(2, 3)),
