@@ -292,7 +292,8 @@ def run_stream(g_1, deltas, strategy, cfg=None):
             if strategy == "EWC":
                 u = sample_U(train_pool, min(cfg.u_size, len(train_pool)),
                              seed=cfg.seed * 100003 + delta.t)
-                unaffected = tuple(v for v in u if v not in set(affected_train))
+                affected_set = set(affected_train)
+                unaffected = tuple(v for v in u if v not in affected_set)
                 ewc.omega = compute_importance(model, g, unaffected, forward=fwd)
                 ewc.snapshot = _snapshot(model.trainable_parameters())
                 loss_fn = continual_loss(model, affected_train, ewc, graph=g)

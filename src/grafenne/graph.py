@@ -268,28 +268,28 @@ class Split:
     test: tuple
 
 
-def make_split(g, fractions=(0.6, 0.2, 0.2), seed=0):
-    """Random disjoint train/val/test over labeled nodes.
-
-    Sizes are floors of the fractions; when the fractions sum to 1 the
-    rounding remainder goes to train.
-    """
+def partition(items, fractions, perm):
+    """Disjoint parts of `items`, one per fraction, each a sorted tuple:
+    consecutive slices of the permutation `perm`, sized by the floors of
+    the fractions; when the fractions sum to 1 the rounding remainder goes
+    to the first part."""
     if len(fractions) != 3 or any(f < 0 for f in fractions):
         raise ValueError(f"bad fractions {fractions}")
     if sum(fractions) > 1.0 + 1e-9:
         raise ValueError(f"fractions sum to {sum(fractions)} > 1")
-    labeled = sorted(v for v in g.nodes if v in g.labels)
-    n = len(labeled)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    sizes = [math.floor(n * f) for f in fractions]
+    sizes = [math.floor(len(items) * f) for f in fractions]
     if abs(sum(fractions) - 1.0) < 1e-9:
-        sizes[0] += n - sum(sizes)
-    tr = sizes[0]
-    va = tr + sizes[1]
-    te = va + sizes[2]
-    pick = lambda sl: tuple(sorted(labeled[i] for i in perm[sl]))
-    return Split(train=pick(slice(0, tr)), val=pick(slice(tr, va)), test=pick(slice(va, te)))
+        sizes[0] += len(items) - sum(sizes)
+    cuts = np.cumsum([0] + sizes)
+    return [tuple(sorted(items[i] for i in perm[cuts[k]:cuts[k + 1]]))
+            for k in range(len(sizes))]
+
+
+def make_split(g, fractions=(0.6, 0.2, 0.2), seed=0):
+    """Random disjoint train/val/test over labeled nodes, by partition."""
+    labeled = sorted(v for v in g.nodes if v in g.labels)
+    perm = np.random.default_rng(seed).permutation(len(labeled))
+    return Split(*partition(labeled, fractions, perm))
 
 
 def remove_edges(g, edges):

@@ -122,13 +122,18 @@ class DenseGnnModel(ModelBase):
             self._add_backbone(rng, f"layer{l}", self.in_dim if l == 0 else config.dim)
         self._add_head(rng, num_classes)
 
-    def forward(self, g, dense):
-        if dense.values.shape[1] != self.in_dim:
+    def forward(self, edges, x):
+        """Node states from dense_inputs' edge layout and input tensor."""
+        if x.shape[1] != self.in_dim:
             raise ValueError(
-                f"dense feature width {dense.values.shape[1]} does not match "
+                f"dense feature width {x.shape[1]} does not match "
                 f"first-layer weights built for {self.in_dim} features")
-        edges = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
-        h = T.Tensor(dense.values)
         for l in range(self.config.layers):
-            h = self._backbone(f"layer{l}", h, edges)
-        return h
+            x = self._backbone(f"layer{l}", x, edges)
+        return x
+
+
+def dense_inputs(g, dense):
+    """(edge layout, input tensor) of DenseGnnModel.forward over g, built
+    once per graph so every forward reuses the layout's sparse matrices."""
+    return directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges), T.Tensor(dense.values)

@@ -3,6 +3,8 @@ nodes through attention, (2) graph nodes exchange along original edges via
 a pluggable backend (SAGE/GAT/GIN), (3) graph nodes message back to
 feature nodes. Graph nodes start at zero, feature nodes at learnable
 embeddings, so parameter count is independent of node and feature counts.
+Every output reads the graph-node states alone, so the last layer has no
+phase 3: neither its parameters nor its computation exist.
 
 Phases 1 and 3 are _attend with graph and feature roles swapped, around
 the `attention` of the GAT backbone. Scores use the split form
@@ -32,6 +34,8 @@ from .graph import by_destination
 from .optim import descend
 
 _PHASE2 = ("sage", "gat", "gin")
+LEAKY_SLOPE = 0.2  # of every LeakyReLU activation
+GIN_EPSILON = 0.0  # initial value of GIN's learnable epsilon
 
 # parameter names of the attention phases, in the order (dst score, src
 # score, edge vector, attention vector, self projection, message)
@@ -44,8 +48,6 @@ class GrafenneConfig:
     layers: int = 2
     dim: int = 64
     phase2: str = "sage"
-    leaky_slope: float = 0.2
-    gin_epsilon: float = 0.0
     cap_features: int = 0  # max feature neighbors per graph node (phase 1)
     cap_nodes: int = 0     # max graph nodes per feature node (phase 3)
     cap_graph: int = 0     # max graph neighbors per node (phase 2)
@@ -60,8 +62,6 @@ class GrafenneConfig:
             raise ValueError(f"phase2 must be one of {_PHASE2}, got {self.phase2!r}")
         if min(self.cap_features, self.cap_nodes, self.cap_graph) < 0:
             raise ValueError("sampling caps must be >= 0")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope={self.leaky_slope} outside [0, 1]")
         return self
 
 
@@ -171,7 +171,7 @@ class ModelBase:
         else:  # gin
             self._add_mlp(rng, f"{prefix}/mlp", d_in, d)
             self.params[f"{prefix}/epsilon"] = T.Parameter(
-                np.array(self.config.gin_epsilon), f"{prefix}/epsilon")
+                np.array(GIN_EPSILON), f"{prefix}/epsilon")
 
     def _backbone(self, prefix, h, edges):
         """One SAGE/GAT/GIN layer over the Edges layout `edges`."""
@@ -186,7 +186,7 @@ class ModelBase:
                          self._mlp_params(f"{prefix}/mlp"), self._act)
 
     def _act(self, x):
-        return T.leaky_relu(x, self.config.leaky_slope)
+        return T.leaky_relu(x, LEAKY_SLOPE)
 
     def trainable_parameters(self):
         """Every parameter; the list is fixed from construction on."""
@@ -211,6 +211,10 @@ class GrafenneModel(ModelBase):
             self._add_attention(rng, l, "p1")
             self._add_backbone(rng, f"layer{l}/p2", config.dim)
             self._add_attention(rng, l, "p3")
+        # no output reads the last layer's phase 3: its values are drawn, so
+        # the head's stay as they were, and dropped
+        dead = f"layer{config.layers - 1}/p3/"
+        self.params = {k: p for k, p in self.params.items() if not k.startswith(dead)}
         self._add_head(rng, num_classes)
 
     def _add_attention(self, rng, l, phase):
@@ -220,12 +224,12 @@ class GrafenneModel(ModelBase):
             self._add(rng, f"layer{l}/{phase}/{name}", shape)
         self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d)
 
-    def forward(self, alt, rng=None, *, graph_only=False):
-        """Run L triple-phase layers; returns (graph states, feature states).
-        With graph_only, returns the graph states alone and skips the last
-        layer's phase 3, whose feature states only the full return holds.
-        With sampling caps set, rng draws the capped edges (by default a
-        fixed one per model seed); without caps it is not used."""
+    def forward(self, alt, rng=None):
+        """Run L triple-phase layers; returns (graph states, feature states),
+        the feature states being those the last layer read: phase 3 runs in
+        layers 0..L-2 only, since no output reads the last layer's. With
+        sampling caps set, rng draws the capped edges (by default a fixed
+        one per model seed); without caps it is not used."""
         cfg = self.config
         if not max(cfg.cap_features, cfg.cap_nodes, cfg.cap_graph):
             rng = None
@@ -233,12 +237,9 @@ class GrafenneModel(ModelBase):
             rng = np.random.default_rng([cfg.seed, 3571])
         hg, hf = init_states(alt, self.table, cfg.dim)
         for l in range(cfg.layers):
-            hg_new = self._phase1(l, alt, hg, hf, rng)
-            hg_new = self._phase2(l, alt, hg_new, rng)
-            if graph_only and l == cfg.layers - 1:
-                return hg_new
-            hf = self._phase3(l, alt, hg_new, hf, rng)
-            hg = hg_new
+            hg = self._phase2(l, alt, self._phase1(l, alt, hg, hf, rng), rng)
+            if l < cfg.layers - 1:
+                hf = self._phase3(l, alt, hg, hf, rng)
         return hg, hf
 
     def _edge_channel(self, weights, w_vec, w_att):
@@ -340,19 +341,15 @@ class VanillaAltModel(ModelBase):
             self._add(rng, f"layer{l}/W", (2 * config.dim, config.dim))
         self._add_head(rng, num_classes)
 
-    def forward(self, alt, *, graph_only=False):
-        """(graph states, feature states), or with graph_only the graph
-        states alone, as GrafenneModel.forward returns them."""
+    def forward(self, alt):
+        """(graph states, feature states), as GrafenneModel.forward."""
         n, m = alt.n, alt.m
         hg0, hf0 = init_states(alt, self.table, self.config.dim)
         h = T.concat([hg0, hf0], axis=0) if m else hg0
         edges = alt.derived(_joint_layout)
         for l in range(self.config.layers):
             h = sage_layer(h, edges, self.params[f"layer{l}/W"])
-        hg = T.slice_rows(h, 0, n)
-        if graph_only:
-            return hg
-        return hg, T.slice_rows(h, n, n + m)
+        return T.slice_rows(h, 0, n), T.slice_rows(h, n, n + m)
 
 
 def _joint_layout(alt):
@@ -415,7 +412,7 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
     return mse().item(), untrained
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model, path):

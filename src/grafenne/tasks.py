@@ -2,7 +2,8 @@
 
 Node classification and link prediction share one full-batch loop with
 best-validation-loss model selection; run_experiment drives the method
-dispatch over seeds and emits the results CSV.
+dispatch over seeds and emits the results CSV. Each method's forward returns
+the node states the head reads, from inputs built once per graph.
 """
 
 import csv
@@ -14,9 +15,10 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import tensor as T
-from .graph import GraphError, apply_missing_mask, make_split, remove_edges, to_allotropic
-from .imputation import (DenseGnnModel, feature_propagation, impute_neighborhood_mean,
-                         impute_special_label, impute_then_grafenne)
+from .graph import (GraphError, apply_missing_mask, make_split, partition, remove_edges,
+                    to_allotropic)
+from .imputation import (DenseGnnModel, dense_inputs, feature_propagation,
+                         impute_neighborhood_mean, impute_special_label, impute_then_grafenne)
 from .model import GrafenneConfig, GrafenneModel, VanillaAltModel
 from .optim import check_finite_loss, check_finite_params, descend
 
@@ -142,23 +144,14 @@ class LinkSplit:
     graph: object  # training graph: val/test positives removed
 
 
-def _partition(items, fractions, perm):
-    sizes = [math.floor(len(items) * f) for f in fractions]
-    if abs(sum(fractions) - 1.0) < 1e-9:
-        sizes[0] += len(items) - sum(sizes)
-    cuts = np.cumsum([0] + sizes)
-    return [tuple(sorted(items[i] for i in perm[cuts[k]:cuts[k + 1]]))
-            for k in range(len(sizes))]
-
-
 def make_link_split(g, fractions=(0.6, 0.2, 0.2), seed=0, neg_ratio=1.0):
     """Edge-level split with fixed disjoint negatives per partition."""
     if g.num_edges < 3:
         raise GraphError("too few edges for a link split")
     rng = np.random.default_rng([seed, 53])
-    pos_parts = _partition(g.edges, fractions, rng.permutation(g.num_edges))
+    pos_parts = partition(g.edges, fractions, rng.permutation(g.num_edges))
     negs = negative_sample(g, k_per_pos=neg_ratio, seed=seed)
-    neg_parts = _partition(negs, fractions, rng.permutation(len(negs)))
+    neg_parts = partition(negs, fractions, rng.permutation(len(negs)))
     graph = remove_edges(g, pos_parts[1] + pos_parts[2])
     return LinkSplit(pos_parts[0], pos_parts[1], pos_parts[2],
                      neg_parts[0], neg_parts[1], neg_parts[2], graph)
@@ -172,10 +165,10 @@ def node_rows(g, nodes):
 
 
 def allotropic_forward(model, g):
-    """forward() of a model over g's allotropic form: the graph-node states,
-    computed without the feature states no loss reads."""
+    """forward() of a model over g's allotropic form: the graph-node
+    states, the only ones the head and the losses read."""
     alt = to_allotropic(g)
-    return lambda: model.forward(alt, graph_only=True)
+    return lambda: model.forward(alt)[0]
 
 
 def _snapshot(params):
@@ -288,7 +281,8 @@ def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
     def dense_on(graph, backend, dense):
         model = DenseGnnModel(GrafenneConfig(phase2=backend, **base),
                               len(dense.feat_ids), num_classes)
-        return model, lambda: model.forward(graph, dense)
+        edges, x = dense_inputs(graph, dense)
+        return model, lambda: model.forward(edges, x)
 
     if method in ("grafenne", "grafenne_gat", "grafenne_gin"):
         backend = {"grafenne": "sage", "grafenne_gat": "gat", "grafenne_gin": "gin"}[method]

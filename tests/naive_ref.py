@@ -8,8 +8,10 @@ hand-evaluation oracle.
 
 import numpy as np
 
+from grafenne.model import LEAKY_SLOPE
 
-def leaky(x, slope=0.2):
+
+def leaky(x, slope=LEAKY_SLOPE):
     x = np.asarray(x, dtype=np.float64)
     return np.where(x >= 0, x, slope * x)
 
@@ -111,9 +113,11 @@ def _layer_params(model, l, phase):
 
 
 def naive_forward(model, g):
-    """Reference forward pass; returns (hg map, hf map)."""
+    """Reference forward pass; returns (hg map, hf map), hf being the
+    feature states the last layer read, as the model has no phase 3 in
+    its last layer."""
     cfg = model.config
-    slope = cfg.leaky_slope
+    slope = LEAKY_SLOPE
     feat_ids = g.feature_ids()
     model.table.ensure(feat_ids)
     hg = {v: np.zeros(cfg.dim) for v in g.nodes}
@@ -129,7 +133,8 @@ def naive_forward(model, g):
             hg2 = naive_phase2_gat(p2, nbrs, hg1, slope)
         else:
             hg2 = naive_phase2_gin(p2, nbrs, hg1, slope)
-        hf = naive_phase3(_layer_params(model, l, "p3"), g, hg2, hf, slope)
+        if l < cfg.layers - 1:
+            hf = naive_phase3(_layer_params(model, l, "p3"), g, hg2, hf, slope)
         hg = hg2
     return hg, hf
 

@@ -6,6 +6,7 @@ dataset they fail with a diagnostic instead of silently skipping — prepare
 it with: python3 scripts/prepare_cora.py <raw download dir> data/cora
 """
 
+import inspect
 import time
 from pathlib import Path
 
@@ -276,6 +277,16 @@ def test_c01_gradient_suite():
     elapsed = time.perf_counter() - t0
     check("c01 gradient suite", worst <= 1e-4 and elapsed < 60.0,
           f"200 graphs, worst rel err {worst:.2e}, {elapsed:.1f}s")
+
+
+def test_c01_covers_every_tape_op():
+    """Every public tensor function that builds a tape node through _node
+    is one of the ops c01 composes."""
+    tape_ops = {name for name, fn in vars(T).items()
+                if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                and not name.startswith("_") and "_node" in fn.__code__.co_names}
+    assert {"matmul", "spmm", "edge_softmax_spmm", "ewc_penalty"} <= tape_ops
+    assert tape_ops <= set(_DIFF_OPS), sorted(tape_ops - set(_DIFF_OPS))
 
 
 # ------------------------------------------- 2: transformation oracle

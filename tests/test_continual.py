@@ -75,24 +75,30 @@ def test_importance_single_param_analytic():
 
 
 def test_importance_unused_param_zero():
-    # no task loss reads the last layer's feature states, so its phase 3
-    # gets no gradient
+    # no task loss reads the embedding row of a feature the graph lacks
     g = drift_graph(n=12)
     model = importance_model()
+    model.table.ensure([999])
     omega = compute_importance(model, g, [0, 1, 2])
-    p3 = [k for k in omega if k.startswith("layer0/p3/")]
-    assert p3 and all(not omega[k].any() for k in p3)
-    assert omega["head/W"].any()
+    assert 999 not in g.feature_ids()
+    assert not omega["feat_embed"][model.table.row[999]].any()
+    assert omega["feat_embed"].any() and omega["head/W"].any()
 
 
 def test_importance_ignores_a_stale_grad_the_logits_do_not_reach():
     g = drift_graph(n=12)
     model = importance_model()
-    p3 = [p for p in model.trainable_parameters() if p.name.startswith("layer0/p3/")]
-    for p in p3:
+    model.table.ensure([999])
+    for p in model.trainable_parameters():
         p.grad = np.ones_like(p.values)  # left over from an earlier backward
     omega = compute_importance(model, g, [0, 1, 2])
-    assert p3 and all(not omega[p.name].any() for p in p3)
+    assert not omega["feat_embed"][model.table.row[999]].any()
+    # without features, phase 1 has no edge to score: the logits do not
+    # reach its attention weights, whose stale grads the sweeps never reset
+    for p in model.trainable_parameters():
+        p.grad = np.ones_like(p.values)
+    omega = compute_importance(model, g.replace(feats={}), [0, 1, 2])
+    assert not omega["layer0/p1/W1"].any()
 
 
 def test_importance_empty_set_warns():

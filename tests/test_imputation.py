@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from grafenne.graph import HeteroGraph, to_allotropic
-from grafenne.imputation import (DenseFeatures, DenseGnnModel,
+from grafenne.imputation import (DenseFeatures, DenseGnnModel, dense_inputs,
                                  feature_propagation, impute_neighborhood_mean,
                                  impute_special_label, impute_then_grafenne)
-from grafenne.model import GrafenneConfig, GrafenneModel
+from grafenne.model import LEAKY_SLOPE, GrafenneConfig, GrafenneModel
 from naive_ref import adjacency, leaky, _mlp, _softmax
 from test_graph import entry_count, random_graph
 
@@ -139,7 +139,7 @@ def test_dense_sage_hand():
     cfg = GrafenneConfig(layers=1, dim=2, phase2="sage", seed=0)
     model = DenseGnnModel(cfg, in_dim=2)
     model.params["layer0/W13"].values = np.vstack([np.eye(2), np.eye(2)])
-    h = model.forward(g, d).values
+    h = model.forward(*dense_inputs(g, d)).values
     # relu(x_v + x_u) per node
     assert np.allclose(h[0], [4.0, 0.0])
     assert np.allclose(h[1], [4.0, 0.0])
@@ -152,7 +152,7 @@ def test_dense_zero_weights_zero_logits():
     model = DenseGnnModel(cfg, in_dim=1, num_classes=2)
     for p in model.params.values():
         p.values = np.zeros_like(p.values)
-    out = model.logits(model.forward(g, d))
+    out = model.logits(model.forward(*dense_inputs(g, d)))
     assert (out.values == 0.0).all()
 
 
@@ -164,7 +164,7 @@ def test_dense_twins(backend):
     d = impute_special_label(g)
     model = DenseGnnModel(GrafenneConfig(layers=2, dim=5, phase2=backend, seed=3),
                           in_dim=len(d.feat_ids))
-    h = model.forward(g, d).values
+    h = model.forward(*dense_inputs(g, d)).values
     assert np.allclose(h[0], h[1], atol=1e-12)
 
 
@@ -203,12 +203,12 @@ def test_dense_backends_vs_naive(backend):
     dense = impute_special_label(g)
     cfg = GrafenneConfig(layers=2, dim=3, phase2=backend, seed=5)
     model = DenseGnnModel(cfg, in_dim=len(dense.feat_ids))
-    got = model.forward(g, dense).values
+    got = model.forward(*dense_inputs(g, dense)).values
 
     nbrs = {v: list(ns) for v, ns in adjacency(g).items()}
     h = {v: dense.values[i] for i, v in enumerate(g.nodes)}
     for l in range(cfg.layers):
-        h = naive_dense_layer(model, l, h, nbrs, cfg.leaky_slope)
+        h = naive_dense_layer(model, l, h, nbrs, LEAKY_SLOPE)
     ref = np.stack([h[v] for v in g.nodes])
     assert np.abs(got - ref).max() < 1e-9
 
@@ -232,7 +232,7 @@ def test_dense_forward_dim_mismatch():
     cfg = GrafenneConfig(layers=1, dim=2, phase2="sage", seed=0)
     model = DenseGnnModel(cfg, in_dim=7)
     with pytest.raises(ValueError, match="first-layer weights"):
-        model.forward(g, d)
+        model.forward(*dense_inputs(g, d))
 
 
 def test_impute_then_grafenne_nm_fully_observed():

@@ -12,6 +12,7 @@ from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel
                             recovery_probe, save_checkpoint)
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
+from grafenne.tasks import allotropic_forward, method_model
 from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp)
 from test_graph import random_graph, toy
 
@@ -20,6 +21,14 @@ def small_cfg(**kw):
     base = dict(layers=2, dim=3, phase2="sage", seed=42)
     base.update(kw)
     return GrafenneConfig(**base)
+
+
+def with_epsilon(model, value):
+    """model with every GIN epsilon set to value."""
+    for name, p in model.params.items():
+        if name.endswith("/epsilon"):
+            p.values = np.array(value)
+    return model
 
 
 def embedding(table, f):
@@ -36,11 +45,6 @@ def test_config_validation():
         GrafenneConfig(layers=0).validate()
     with pytest.raises(ValueError, match="phase2"):
         GrafenneConfig(phase2="mlp").validate()
-    for slope in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="leaky_slope"):
-            GrafenneConfig(leaky_slope=slope).validate()
-    for slope in (0.0, 1.0):
-        GrafenneConfig(leaky_slope=slope).validate()
 
 
 def test_init_states():
@@ -86,7 +90,8 @@ def test_table_growth_appends_rows_drawn_from_seed_and_id():
 def test_parameter_list_fixed_while_the_table_grows():
     model = GrafenneModel(GrafenneConfig(layers=2, dim=64, seed=0), num_classes=7)
     params = model.trainable_parameters()
-    assert len(params) == 45
+    assert len(params) == 35
+    assert not any(p.name.startswith("layer1/p3/") for p in params)
     g = random_graph(np.random.default_rng(4), n_max=12)
     model.forward(to_allotropic(g))
     model.forward(to_allotropic(tiny_graph()))
@@ -157,8 +162,7 @@ def test_forward_matches_naive_reference(backend):
     rng = np.random.default_rng(100)
     for trial in range(4):
         g = random_graph(rng, n_max=8)
-        cfg = small_cfg(phase2=backend, gin_epsilon=0.3, seed=trial)
-        model = GrafenneModel(cfg)
+        model = with_epsilon(GrafenneModel(small_cfg(phase2=backend, seed=trial)), 0.3)
         hg, hf = model.forward(to_allotropic(g))
         assert np.isfinite(hg.values).all() and np.isfinite(hf.values).all()
         hg_ref, hf_ref = naive_forward(model, g)
@@ -231,7 +235,7 @@ def test_dropped_tape_is_freed_by_reference_counting(backend):
 
 
 def test_gin_clone_symmetry():
-    cfg = small_cfg(layers=1, dim=3, phase2="gin", gin_epsilon=0.0)
+    cfg = small_cfg(layers=1, dim=3, phase2="gin")
     g = HeteroGraph([0, 1], [(0, 1)], {}, {})
     model = GrafenneModel(cfg)
     h = np.random.default_rng(3).normal(size=3)
@@ -309,7 +313,7 @@ def test_unseen_nodes_and_features_forward():
 def test_phase_state_separation():
     g = tiny_graph()
     alt = to_allotropic(g)
-    model = GrafenneModel(small_cfg(layers=1))
+    model = GrafenneModel(small_cfg(layers=2))
     hg0, hf0 = init_states(alt, model.table, model.config.dim)
     before = hf0.values.copy()
     hg1 = model._phase1(0, alt, hg0, hf0, None)
@@ -357,9 +361,10 @@ def _edges_built(monkeypatch):
 def test_forward_builds_edges_only_for_self_loops_and_binding_caps(monkeypatch, phase2, caps,
                                                                    per_layer):
     """Each layer's forward needs per_layer layouts: one per binding cap,
-    and GAT's self-looped layout. That last one is built once per graph
-    when the graph cap does not bind (the first forward over the graph
-    builds it), and anew with every capped layout when it does."""
+    and GAT's self-looped layout, less the last layer's phase 3, which
+    does not run. The self-looped layout is built once per graph when the
+    graph cap does not bind (the first forward over the graph builds it),
+    and anew with every capped layout when it does."""
     g = random_graph(np.random.default_rng(8), n_max=20)
     alt = to_allotropic(g)
     for edges in (alt.feat_to_node, alt.node_to_feat, alt.node_to_node):
@@ -368,14 +373,15 @@ def test_forward_builds_edges_only_for_self_loops_and_binding_caps(monkeypatch, 
                     cap_graph=caps[2])
     model = GrafenneModel(cfg)
     once = int(phase2 == "gat" and caps[2] != 1)
+    no_phase3 = int(caps[1] == 1)  # the last layer's capped node_to_feat
     built = _edges_built(monkeypatch)
     model.forward(alt)
-    assert len(built) == 3 * (per_layer - once) + once
+    assert len(built) == 3 * (per_layer - once) + once - no_phase3
     if phase2 == "gat" and not any(caps):
         assert built == [(alt.n, alt.n)]
     built.clear()
     model.forward(alt)
-    assert len(built) == 3 * (per_layer - once)
+    assert len(built) == 3 * (per_layer - once) - no_phase3
     built.clear()
     vanilla = VanillaAltModel(cfg)
     vanilla.forward(alt)
@@ -406,12 +412,18 @@ def _train_passes(model, alt, passes):
         T.backward(_square_loss(*model.forward(alt)))
 
 
-@pytest.mark.parametrize("kind", ["sage", "gat", "gin", "vanilla"])
+@pytest.mark.parametrize("kind", ["sage", "gat", "gin", "vanilla", "dense"])
 def test_sparse_matrices_are_built_once_per_layout(monkeypatch, kind):
     g = random_graph(np.random.default_rng(8), n_max=20)
     alt = to_allotropic(g)
     built = _csr_built(monkeypatch)
-    if kind == "vanilla":
+    if kind == "dense":
+        _, forward = method_model("gat", g, "link_prediction", dim=3, layers=2)
+        for _ in range(3):
+            h = forward()
+            T.backward(T.sum_all(T.mul(h, h)))
+        assert built == [(alt.n, alt.n)]  # GAT's self-looped layout
+    elif kind == "vanilla":
         _train_passes(VanillaAltModel(small_cfg()), alt, 3)
         assert built == [(alt.n + alt.m,) * 2]
     else:
@@ -440,40 +452,38 @@ def test_backward_after_another_forward_on_the_same_graph_is_unchanged(phase2):
         assert np.array_equal(alone, interleaved)
 
 
-def _phase3_layers(monkeypatch):
-    """The layer index of every GrafenneModel._phase3 call from now on."""
-    layers = []
+def _phase3_calls(monkeypatch):
+    """(layer index, output) of every GrafenneModel._phase3 call from now on."""
+    calls = []
     orig = GrafenneModel._phase3
 
     def counted(self, l, *args):
-        layers.append(l)
-        return orig(self, l, *args)
+        calls.append((l, orig(self, l, *args)))
+        return calls[-1][1]
     monkeypatch.setattr(GrafenneModel, "_phase3", counted)
-    return layers
+    return calls
 
 
-@pytest.mark.parametrize("layers, caps", [(1, 0), (2, 0), (3, 0), (3, 2)])
-def test_graph_only_forward_skips_the_last_phase3(monkeypatch, layers, caps):
+@pytest.mark.parametrize("layers, caps", [(1, 0), (2, 0), (3, 0), (1, 2), (2, 2), (3, 2)])
+def test_phase3_runs_in_every_layer_but_the_last(monkeypatch, layers, caps):
     g = random_graph(np.random.default_rng(5), n_max=20)
     alt = to_allotropic(g)
     model = GrafenneModel(small_cfg(layers=layers, cap_features=caps, cap_nodes=caps,
                                     cap_graph=caps))
-    ran = _phase3_layers(monkeypatch)
-    hg, _ = model.forward(alt)
-    assert ran == list(range(layers))
-    ran.clear()
-    hg_only = model.forward(alt, graph_only=True)
-    assert ran == list(range(layers - 1))  # none at all with one layer
-    assert isinstance(hg_only, T.Tensor)
-    assert np.array_equal(hg_only.values, hg.values)
+    assert not any(name.startswith(f"layer{layers - 1}/p3/") for name in model.params)
+    read = _phase3_calls(monkeypatch)
+    _, hf = model.forward(alt)
+    assert [l for l, _ in read] == list(range(layers - 1))  # none at all with one layer
+    # the feature states returned are those the last layer read
+    want = read[-1][1] if read else init_states(alt, model.table, model.config.dim)[1]
+    assert np.array_equal(hf.values, want.values)
 
 
-def test_vanilla_graph_only_forward_returns_the_graph_states():
+def test_allotropic_forward_returns_the_graph_states():
     g = random_graph(np.random.default_rng(6), n_max=12)
-    alt = to_allotropic(g)
-    model = VanillaAltModel(small_cfg())
-    hg, _ = model.forward(alt)
-    assert np.array_equal(model.forward(alt, graph_only=True).values, hg.values)
+    for model in (GrafenneModel(small_cfg()), VanillaAltModel(small_cfg())):
+        hg, _ = model.forward(to_allotropic(g))
+        assert np.array_equal(allotropic_forward(model, g)().values, hg.values)
 
 
 def test_importance_and_stream_never_run_the_last_phase3(monkeypatch):
@@ -481,17 +491,17 @@ def test_importance_and_stream_never_run_the_last_phase3(monkeypatch):
                              p_out=0.01, density=0.9, noise=0.0, seed=3)
     deltas = generate_stream(g, T=2, p_n=0.2, p_f_add=0.05, p_f_del=0.4,
                              p_e_add=0.001, p_e_del=0.001, seed=5)
-    ran = _phase3_layers(monkeypatch)
+    calls = _phase3_calls(monkeypatch)
     model = GrafenneModel(small_cfg(layers=2), num_classes=g.num_classes)
     compute_importance(model, g, make_split(g, seed=0).train[:5])
-    assert ran == [0]
-    ran.clear()
+    assert [l for l, _ in calls] == [0]
+    calls.clear()
     cfg = StreamConfig(epochs=3, stream_epochs=2, lr=0.01, dim=4, layers=2, seed=0)
     for strategy in ("EWC", "FT"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty importance set warns
             run_stream(g, deltas, strategy, cfg)
-    assert ran and set(ran) == {0}
+    assert calls and {l for l, _ in calls} == {0}
 
 
 def test_vanilla_matches_naive():
@@ -522,7 +532,7 @@ def test_vanilla_no_feature_nodes_is_plain_sage_stack():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for backend in ("sage", "gat", "gin"):
-        model = GrafenneModel(small_cfg(phase2=backend, gin_epsilon=0.1), num_classes=5)
+        model = with_epsilon(GrafenneModel(small_cfg(phase2=backend), num_classes=5), 0.1)
         g = random_graph(np.random.default_rng(3), n_max=10)
         alt = to_allotropic(g)
         hg, _ = model.forward(alt)

@@ -149,6 +149,14 @@ def test_make_link_split_properties():
     assert sp.graph.nodes == g.nodes
 
 
+def test_make_link_split_checks_its_fractions():
+    g = sep_graph()
+    with pytest.raises(ValueError, match="> 1"):
+        make_link_split(g, (0.9, 0.2, 0.2), seed=0)
+    with pytest.raises(ValueError, match="bad fractions"):
+        make_link_split(g, (0.6, -0.2, 0.6), seed=0)
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -342,12 +350,14 @@ def test_train_raises_on_a_nan_loss():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_raises_on_a_nan_parameter_no_loss_reads():
-    # no loss reads the last layer's phase 3: every loss stays finite here
-    # and only the weights show the NaN
+    # no loss reads the embedding row of a feature the graph lacks: every
+    # loss stays finite here and only the weights show the NaN
     g = sep_graph()
     split = make_split(g, seed=0)
     model, fwd = method_model("grafenne", g, "node_classification", dim=4, layers=2, seed=0)
-    p3 = model.params["layer1/p3/W7"]
-    p3.values = np.full_like(p3.values, np.nan)
-    with pytest.raises(FloatingPointError, match="parameter layer1/p3/W7 is not finite"):
+    assert 999 not in g.feature_ids()
+    model.table.ensure([999])
+    assert model.table.row == {999: 0}  # g's rows are drawn at the first forward
+    model.table.weight.values = np.full_like(model.table.weight.values, np.nan)
+    with pytest.raises(FloatingPointError, match="parameter feat_embed is not finite"):
         train(model, g, split, TrainConfig(epochs=5, lr=0.01, seeds=(0,)), forward=fwd)
