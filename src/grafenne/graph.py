@@ -59,7 +59,23 @@ def _entry_arrays(feats, nodes):
     return node[keep], feat[keep], value[keep]
 
 
-class HeteroGraph:
+class _Derives:
+    """Graph structure that is never modified once built, and that keeps
+    what is derived from it: derived(build) is build(self), computed on
+    the first call with that function and returned from then on. Sparse
+    operators and derived layouts are so built once per graph, however
+    many forwards and backwards read them."""
+
+    __slots__ = ("_derived",)
+
+    def derived(self, build):
+        memo = self._derived
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
+
+
+class HeteroGraph(_Derives):
     """Immutable-by-convention snapshot: nodes, canonical undirected edges,
     feature entries, optional labels. `feats` is given either as a node ->
     {feature: value} mapping or as (node, feature, value) arrays; zero
@@ -98,6 +114,7 @@ class HeteroGraph:
         self.num_classes = int(num_classes)
         self.node_names = node_names
         self.feat_names = feat_names
+        self._derived = {}
 
     @property
     def num_nodes(self):
@@ -132,22 +149,6 @@ class HeteroGraph:
                     node_names=self.node_names, feat_names=self.feat_names)
         args.update(kw)
         return HeteroGraph(**args)
-
-
-class _Derives:
-    """Graph structure that is never modified once built, and that keeps
-    what is derived from it: derived(build) is build(self), computed on
-    the first call with that function and returned from then on. Sparse
-    operators and derived layouts are so built once per graph, however
-    many forwards and backwards read them."""
-
-    __slots__ = ("_derived",)
-
-    def derived(self, build):
-        memo = self._derived
-        if build not in memo:
-            memo[build] = build(self)
-        return memo[build]
 
 
 class Edges(_Derives):

@@ -42,8 +42,13 @@ def _expand(g):
     return vals, mask, node_ids, feat_ids
 
 
+def _layout(g):
+    """g's edges both ways over the rows of g.nodes (once per graph: g.derived)."""
+    return directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
+
+
 def _adjacency_matrix(g):
-    e = directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
+    e = g.derived(_layout)
     return sp.csr_matrix((np.ones(len(e)), e.src, e.indptr), shape=e.shape)
 
 
@@ -136,4 +141,4 @@ class DenseGnnModel(ModelBase):
 def dense_inputs(g, dense):
     """(edge layout, input tensor) of DenseGnnModel.forward over g, built
     once per graph so every forward reuses the layout's sparse matrices."""
-    return directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges), T.Tensor(dense.values)
+    return g.derived(_layout), T.Tensor(dense.values)

@@ -7,10 +7,10 @@ Every output reads the graph-node states alone, so the last layer has no
 phase 3: neither its parameters nor its computation exist.
 
 Phases 1 and 3 are _attend with graph and feature roles swapped, around
-the `attention` of the GAT backbone. Scores use the split form
-    w . LeakyReLU(a || b || c) = w_a . LR(a) + w_b . LR(b) + w_c . LR(c)
-(exact, LeakyReLU being elementwise), and the edge-weight channel c = x w
-uses LeakyReLU's positive homogeneity,
+the `attention` of the GAT backbone. LeakyReLU acts elementwise, so the
+paper's score w . LR(h_v W_dst || h_u W_src || x_uv w_e) of an edge u -> v
+is a sum of three terms, and the softmax over v's edges cancels the h_v
+one: no model builds it. The edge channel uses LR's positive homogeneity,
     LR(x w) = |x| LR(sign(x) w),
 so it costs two d-vector scores and one per-edge vector. Every
 aggregation is one tape node over a graph.Edges layout, so no (edges, d)
@@ -37,10 +37,9 @@ _PHASE2 = ("sage", "gat", "gin")
 LEAKY_SLOPE = 0.2  # of every LeakyReLU activation
 GIN_EPSILON = 0.0  # initial value of GIN's learnable epsilon
 
-# parameter names of the attention phases, in the order (dst score, src
-# score, edge vector, attention vector, self projection, message)
-_ATTEND_PARAMS = {"p1": ("W1", "W2", "w3", "w4", "W5", "W6"),
-                  "p3": ("W7", "W8", "w9", "w10", "W11", "W12")}
+# attention parameters: src score, edge vector, attention vector, self, message
+_ATTEND_PARAMS = {"p1": ("W2", "w3", "w4", "W5", "W6"),
+                  "p3": ("W8", "w9", "w10", "W11", "W12")}
 
 
 @dataclass
@@ -135,9 +134,9 @@ class ModelBase:
         self.num_classes = num_classes
         self.params = {}
 
-    def _add(self, rng, name, shape):
+    def _add(self, rng, name, shape, skip=0):
         assert name not in self.params, name
-        self.params[name] = T.Parameter(glorot(rng, shape), name)
+        self.params[name] = T.Parameter(glorot(rng, shape)[skip:], name)
 
     def _add_zeros(self, name, size):
         self.params[name] = T.Parameter(np.zeros(size), name)
@@ -164,9 +163,9 @@ class ModelBase:
         if backend == "sage":
             self._add(rng, f"{prefix}/W13", (2 * d_in, d))
         elif backend == "gat":
-            self._add(rng, f"{prefix}/W13", (d_in, d))
+            glorot(rng, (d_in, d))  # cancelled destination score: drawn so later draws stay
             self._add(rng, f"{prefix}/W14", (d_in, d))
-            self._add(rng, f"{prefix}/w15", (2 * d,))
+            self._add(rng, f"{prefix}/w15", (2 * d,), skip=d)
             self._add(rng, f"{prefix}/W16", (d_in, d))
         else:  # gin
             self._add_mlp(rng, f"{prefix}/mlp", d_in, d)
@@ -180,8 +179,8 @@ class ModelBase:
         if backend == "sage":
             return sage_layer(h, edges, p[f"{prefix}/W13"])
         if backend == "gat":
-            return gat_layer(h, edges, p[f"{prefix}/W13"], p[f"{prefix}/W14"],
-                             p[f"{prefix}/w15"], p[f"{prefix}/W16"], self._act)
+            return gat_layer(h, edges, p[f"{prefix}/W14"], p[f"{prefix}/w15"],
+                             p[f"{prefix}/W16"], self._act)
         return gin_layer(h, edges, p[f"{prefix}/epsilon"],
                          self._mlp_params(f"{prefix}/mlp"), self._act)
 
@@ -192,9 +191,6 @@ class ModelBase:
         """Every parameter; the list is fixed from construction on."""
         table = [self.table.weight] if self.table is not None else []
         return list(self.params.values()) + table
-
-    def non_embedding_parameter_count(self):
-        return sum(p.size for p in self.params.values())
 
     def logits(self, h):
         if self.num_classes is None:
@@ -219,9 +215,10 @@ class GrafenneModel(ModelBase):
 
     def _add_attention(self, rng, l, phase):
         d = self.config.dim
-        shapes = ((d, d), (d, d), (d,), (3 * d,), (d, d), (d, d))
-        for name, shape in zip(_ATTEND_PARAMS[phase], shapes):
-            self._add(rng, f"layer{l}/{phase}/{name}", shape)
+        glorot(rng, (d, d))  # cancelled destination score: drawn so later draws stay
+        shapes = ((d, d), (d,), (3 * d,), (d, d), (d, d))
+        for name, shape, skip in zip(_ATTEND_PARAMS[phase], shapes, (0, 0, d, 0, 0)):
+            self._add(rng, f"layer{l}/{phase}/{name}", shape, skip)
         self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d)
 
     def forward(self, alt, rng=None):
@@ -254,15 +251,16 @@ class GrafenneModel(ModelBase):
         """Attention aggregate of phases 1 and 3: every dst state combines
         its own projection with the attention-weighted sum of its src
         neighbours' messages along the weighted Edges layout `edges`."""
-        w_dst, w_src, w_edge, w_att, w_self, w_msg = (
+        w_src, w_edge, w_att, w_self, w_msg = (
             self.params[f"layer{l}/{phase}/{name}"] for name in _ATTEND_PARAMS[phase])
         d = self.config.dim
         self_part = T.matmul(h_dst, w_self)
         if len(edges) == 0:
             agg = T.Tensor(np.zeros((edges.shape[0], d)))
         else:
-            s_edge = self._edge_channel(edges.weight, w_edge, T.slice_rows(w_att, 2 * d, 3 * d))
-            agg = attention(h_dst, h_src, edges, w_dst, w_src, w_att, w_msg, self._act, s_edge)
+            a_src, a_edge = T.slice_rows(w_att, 0, d), T.slice_rows(w_att, d, 2 * d)
+            s_edge = self._edge_channel(edges.weight, w_edge, a_edge)
+            agg = attention(h_src, edges, w_src, a_src, w_msg, self._act, s_edge)
         combined = T.concat([self_part, agg], axis=1)
         return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), self._act)
 
@@ -281,16 +279,13 @@ class GrafenneModel(ModelBase):
         return self._attend(l, "p3", hf, hg_new, edges)
 
 
-def attention(h_dst, h_src, edges, w_dst, w_src, w_att, w_msg, act, s_edge=None):
+def attention(h_src, edges, w_src, w_att, w_msg, act, s_edge=None):
     """Softmax-weighted sum of the messages h_src[u] @ w_msg along the
-    Edges u -> v into each v, scored per edge as w_att . act(h_dst[v] w_dst
-    || h_src[u] w_src), plus s_edge, the scores of an edge channel if any.
-    Scoring, softmax and aggregation are one tensor.edge_softmax_spmm."""
-    d = w_msg.shape[1]
-    # the attention vector split into its concat segments
-    s_dst = T.matmul(act(T.matmul(h_dst, w_dst)), T.slice_rows(w_att, 0, d))
-    s_src = T.matmul(act(T.matmul(h_src, w_src)), T.slice_rows(w_att, d, 2 * d))
-    return T.edge_softmax_spmm(s_dst, s_src, s_edge, edges, T.matmul(h_src, w_msg))
+    Edges u -> v into each v, scored per edge as w_att . act(h_src[u] w_src)
+    plus s_edge, the scores of an edge channel if any. Scoring, softmax and
+    aggregation are one tensor.edge_softmax_spmm."""
+    s_src = T.matmul(act(T.matmul(h_src, w_src)), w_att)
+    return T.edge_softmax_spmm(s_src, s_edge, edges, T.matmul(h_src, w_msg))
 
 
 # what the backbone layers derive from an Edges layout, built once per
@@ -317,9 +312,9 @@ def sage_layer(h, edges, w):
     return T.relu(T.matmul(T.concat([h, mean], axis=1), w))
 
 
-def gat_layer(h, edges, w_dst, w_src, w_att, w_msg, act):
+def gat_layer(h, edges, w_src, w_att, w_msg, act):
     """Attention over in-neighbours plus a self-loop."""
-    return attention(h, h, edges.derived(_self_looped), w_dst, w_src, w_att, w_msg, act)
+    return attention(h, edges.derived(_self_looped), w_src, w_att, w_msg, act)
 
 
 def gin_layer(h, edges, epsilon, mlp_params, act):
@@ -412,7 +407,7 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
     return mse().item(), untrained
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(model, path):

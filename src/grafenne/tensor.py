@@ -378,28 +378,28 @@ def segment_softmax(scores, segments, num_segments=None):
     return _node(p, (scores,), lambda g: _accumulate(scores, _softmax_backward(p, g, ids, num)))
 
 
-def edge_softmax_spmm(s_dst, s_src, s_edge, edges, x):
-    """spmm(segment_softmax(s_dst[dst] + s_src[src] (+ s_edge), dst), edges, x)
-    as one tape node: attention over the graph.Edges layout `edges`, with
-    per-destination scores s_dst, per-source scores s_src and optional
-    per-edge scores s_edge (None for none).
+def edge_softmax_spmm(s_src, s_edge, edges, x):
+    """spmm(segment_softmax(s_src[src] (+ s_edge), dst), edges, x) as one
+    tape node: attention over the graph.Edges layout `edges`, with
+    per-source scores s_src and optional per-edge scores s_edge (None for
+    none); a per-destination score would cancel in the softmax.
 
     Values and gradients are those of the staged gather/add/softmax/spmm
     ops, expression for expression. Backward is S_alpha^T @ G for x, the
     SDDMM dalpha[e] = <G[dst[e]], x[src[e]]>, the softmax backward
     dscore = alpha * (dalpha - per-destination sum of alpha * dalpha), and
-    dscore summed into destinations for s_dst, into sources for s_src.
+    dscore summed into sources for s_src.
     """
-    s_dst, s_src, x = as_tensor(s_dst), as_tensor(s_src), as_tensor(x)
+    s_src, x = as_tensor(s_src), as_tensor(x)
     s_edge = None if s_edge is None else as_tensor(s_edge)
-    scores = (s_dst, s_src) if s_edge is None else (s_dst, s_src, s_edge)
+    scores = (s_src,) if s_edge is None else (s_src, s_edge)
     _check_spmm_x(x, edges)
     num_dst, num_src = edges.shape
-    for name, s, n in zip(("s_dst", "s_src", "s_edge"), scores, (num_dst, num_src, len(edges))):
+    for name, s, n in zip(("s_src", "s_edge"), scores, (num_src, len(edges))):
         if s.shape != (n,):
             raise ValueError(f"edge_softmax_spmm needs {name} of shape ({n},), got {s.shape}")
     dst, src, xv = edges.dst, edges.src, x.values
-    score = s_dst.values[dst] + s_src.values[src]
+    score = s_src.values[src]
     if s_edge is not None:
         score = score + s_edge.values
     p = _softmax(score, dst, num_dst)
@@ -409,8 +409,6 @@ def edge_softmax_spmm(s_dst, s_src, s_edge, edges, x):
             _accumulate(x, _product(edges, p, g, transpose=True))
         if any(s.requires_grad for s in scores):
             ds = _softmax_backward(p, _sddmm(g, xv, edges), dst, num_dst)
-            if s_dst.requires_grad:
-                _accumulate(s_dst, np.bincount(dst, ds, minlength=num_dst))
             if s_src.requires_grad:
                 _accumulate(s_src, np.bincount(src, ds, minlength=num_src))
             if s_edge is not None and s_edge.requires_grad:

@@ -275,18 +275,18 @@ def _case_edge_softmax_spmm(rng):
     cols = rng.integers(0, n, size=e)
     cols[1] = cols[0]  # a repeated source
     edges = Edges(cols, rows, (k, n))
-    s_dst, s_src, s_edge = rng.normal(size=(k,)), rng.normal(size=(n,)), rng.normal(size=(e,))
+    s_src, s_edge = rng.normal(size=(n,)), rng.normal(size=(e,))
     xs = rng.normal(size=(n, d))
     fixed = rng.normal(size=(n, d))
     u = rng.normal(size=(k, d))
 
     def build(x):
-        s_dst_, s_src_, s_edge_, xs_ = x
-        trained = T.edge_softmax_spmm(s_dst_, s_src_, s_edge_, edges, xs_)
-        constant_x = T.edge_softmax_spmm(s_dst_, s_src_, None, edges, fixed)
+        s_src_, s_edge_, xs_ = x
+        trained = T.edge_softmax_spmm(s_src_, s_edge_, edges, xs_)
+        constant_x = T.edge_softmax_spmm(s_src_, None, edges, fixed)
         return T.sum_all(T.mul(T.add(trained, constant_x), u))
 
-    return build, [s_dst, s_src, s_edge, xs]
+    return build, [s_src, s_edge, xs]
 
 
 CASE_BUILDERS = [

@@ -4,6 +4,13 @@ Written in the plain concatenated form with python loops over sorted
 neighbors — a deliberately different code path from the vectorized model
 (which uses the split attention-score identity). Used as the
 hand-evaluation oracle.
+
+The paper's score w . LeakyReLU(h_v W_dst || h_u W_src || ...) has a
+destination term that the softmax over v's edges cancels, so the model
+builds no W_dst and no destination segment of w. The reference keeps the
+concatenated form and supplies that block itself, seeded and non-zero
+(with_destination_block), so every comparison with the model confirms that
+the term cancels; zeros would only make it vanish.
 """
 
 import numpy as np
@@ -106,10 +113,27 @@ def adjacency(g):
     return {v: tuple(sorted(ns)) for v, ns in nbr.items()}
 
 
+def with_destination_block(pv, w_src, w_dst, w_att, seed):
+    """pv plus a destination block: a seeded non-zero matrix named w_dst,
+    shaped like the source matrix pv[w_src], and its segment prepended to
+    the attention vector pv[w_att]."""
+    rng = np.random.default_rng([seed, 7919])
+    shape = pv[w_src].shape
+    return {**pv, w_dst: rng.normal(size=shape),
+            w_att: np.concatenate([rng.normal(size=shape[1]), pv[w_att]])}
+
+
+# (source matrix, destination matrix, attention vector) of each phase
+_DST_BLOCK = {"p1": ("W2", "W1", "w4"), "p3": ("W8", "W7", "w10"), "p2": ("W14", "W13", "w15")}
+
+
 def _layer_params(model, l, phase):
     pre = f"layer{l}/{phase}/"
-    return {name[len(pre):]: p.values for name, p in model.params.items()
-            if name.startswith(pre)}
+    pv = {name[len(pre):]: p.values for name, p in model.params.items()
+          if name.startswith(pre)}
+    if phase != "p2" or model.config.phase2 == "gat":
+        pv = with_destination_block(pv, *_DST_BLOCK[phase], seed=[l, int(phase[1])])
+    return pv
 
 
 def naive_forward(model, g):

@@ -98,7 +98,7 @@ def test_importance_ignores_a_stale_grad_the_logits_do_not_reach():
     for p in model.trainable_parameters():
         p.grad = np.ones_like(p.values)
     omega = compute_importance(model, g.replace(feats={}), [0, 1, 2])
-    assert not omega["layer0/p1/W1"].any()
+    assert not omega["layer0/p1/W2"].any()
 
 
 def test_importance_empty_set_warns():

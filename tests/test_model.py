@@ -1,4 +1,5 @@
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from grafenne import tensor as T
 from grafenne.continual import StreamConfig, compute_importance, run_stream
 from grafenne.graph import Edges, HeteroGraph, make_split, to_allotropic
+from grafenne.imputation import DenseGnnModel, dense_inputs, impute_special_label
 from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel,
                             VanillaAltModel, init_states, load_checkpoint,
                             recovery_probe, save_checkpoint)
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import allotropic_forward, method_model
-from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp)
+from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp,
+                       with_destination_block)
 from test_graph import random_graph, toy
 
 
@@ -90,7 +93,7 @@ def test_table_growth_appends_rows_drawn_from_seed_and_id():
 def test_parameter_list_fixed_while_the_table_grows():
     model = GrafenneModel(GrafenneConfig(layers=2, dim=64, seed=0), num_classes=7)
     params = model.trainable_parameters()
-    assert len(params) == 35
+    assert len(params) == 32
     assert not any(p.name.startswith("layer1/p3/") for p in params)
     g = random_graph(np.random.default_rng(4), n_max=12)
     model.forward(to_allotropic(g))
@@ -108,6 +111,7 @@ def test_phase1_hand_tiny_instance():
     model = GrafenneModel(cfg)
     hg_t, _ = model.forward(to_allotropic(g))
     p = {k.split("p1/")[1]: v.values for k, v in model.params.items() if "/p1/" in k}
+    p = with_destination_block(p, "W2", "W1", "w4", seed=1)  # an arbitrary W1: it cancels
     h0, h1 = embedding(model.table, 0), embedding(model.table, 1)
     hv = np.zeros(2)
     m0 = leaky(np.concatenate([hv @ p["W1"], h0 @ p["W2"], 0.7 * p["w3"]]))
@@ -143,6 +147,7 @@ def test_phase2_sage_hand_three_node_path():
 
 def _hand_phase1_state(model, g, v):
     p = {k.split("p1/")[1]: t.values for k, t in model.params.items() if "layer0/p1/" in k}
+    p = with_destination_block(p, "W2", "W1", "w4", seed=2)  # an arbitrary W1: it cancels
     hv = np.zeros(model.config.dim)
     pairs = sorted(g.node_feats(v).items())
     msgs = [leaky(np.concatenate([hv @ p["W1"], embedding(model.table, f) @ p["W2"],
@@ -284,7 +289,7 @@ def test_inductivity_parameter_counts():
     g_big = random_graph(np.random.default_rng(1), n_max=40)
     small.forward(to_allotropic(g_small))
     big.forward(to_allotropic(g_big))
-    assert small.non_embedding_parameter_count() == big.non_embedding_parameter_count()
+    assert sum(p.size for p in small.params.values()) == sum(p.size for p in big.params.values())
     # table grows by exactly one row of dim entries per new feature
     rows = small.table.weight.shape[0]
     small.table.ensure([999])
@@ -298,7 +303,7 @@ def test_unseen_nodes_and_features_forward():
     g = random_graph(np.random.default_rng(5), n_max=10)
     model = GrafenneModel(small_cfg(), num_classes=2)
     model.forward(to_allotropic(g))
-    count = model.non_embedding_parameter_count()
+    count = sum(p.size for p in model.params.values())
     new_nodes = tuple((max(g.nodes) + 1 + i, None) for i in range(5))
     new_feats = tuple((v, 1000 + (i % 3), 0.5) for i, (v, _) in enumerate(new_nodes))
     delta = StreamDelta(t=2, add_nodes=new_nodes,
@@ -307,7 +312,7 @@ def test_unseen_nodes_and_features_forward():
     g2, _ = apply_delta(g, delta)
     hg, hf = model.forward(to_allotropic(g2))
     assert np.isfinite(hg.values).all() and np.isfinite(hf.values).all()
-    assert model.non_embedding_parameter_count() == count
+    assert sum(p.size for p in model.params.values()) == count
 
 
 def test_phase_state_separation():
@@ -559,6 +564,66 @@ def test_load_checkpoint_rejects_arrays_of_the_wrong_shape(tmp_path):
         np.savez(tmp_path / "bad.npz", **{**arrays, key: np.zeros(1)})
         with pytest.raises(ValueError, match=f"'{key}' has shape"):
             load_checkpoint(tmp_path / "bad.npz")
+
+
+def _saved_arrays(tmp_path):
+    model = GrafenneModel(small_cfg(), num_classes=3)
+    save_checkpoint(model, tmp_path / "good.npz")
+    with np.load(tmp_path / "good.npz") as blob:
+        return dict(blob)
+
+
+def test_load_checkpoint_rejects_another_version(tmp_path):
+    arrays = _saved_arrays(tmp_path)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta = np.frombuffer(json.dumps({**meta, "version": 2}).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "v2.npz", **{**arrays, "__meta__": meta})
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        load_checkpoint(tmp_path / "v2.npz")
+
+
+def test_load_checkpoint_rejects_a_parameter_the_model_does_not_build(tmp_path):
+    # W1, the destination-score matrix of a version-2 file
+    arrays = {**_saved_arrays(tmp_path), "p/layer0/p1/W1": np.zeros((3, 3))}
+    np.savez(tmp_path / "w1.npz", **arrays)
+    with pytest.raises(ValueError, match="'layer0/p1/W1' unknown to model"):
+        load_checkpoint(tmp_path / "w1.npz")
+
+
+def _varied_graph():
+    """12 nodes, 5 features: values differ within each node's entries and
+    within each feature's entries, so no edge channel is constant within a
+    softmax segment."""
+    rng = np.random.default_rng(23)
+    n = 12
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    feats = {v: {int(f): float(rng.uniform(0.2, 2.0)) * rng.choice([-1.0, 1.0])
+                 for f in rng.choice(5, size=3, replace=False)} for v in range(n)}
+    return HeteroGraph(range(n), edges, feats, {v: v % 3 for v in range(n)})
+
+
+@pytest.mark.parametrize("kind", ["sage", "gat", "gin", "vanilla",
+                                  "dense+sage", "dense+gat", "dense+gin"])
+def test_no_parameter_is_dead(kind):
+    """One cross-entropy backward reaches every parameter. The one
+    exception, layer0/p1/W5, projects the graph states into layer 0's
+    phase 1; those start at zero, so its gradient is exactly 0."""
+    g = _varied_graph()
+    cfg = small_cfg(phase2=kind.split("+")[-1] if kind != "vanilla" else "sage", dim=4)
+    if kind.startswith("dense"):
+        dense = impute_special_label(g)
+        model = DenseGnnModel(cfg, len(dense.feat_ids), g.num_classes)
+        h = model.forward(*dense_inputs(g, dense))
+    else:
+        model = (VanillaAltModel if kind == "vanilla" else GrafenneModel)(cfg, g.num_classes)
+        h = model.forward(to_allotropic(g))[0]
+    T.backward(T.cross_entropy(model.logits(h), [g.labels[v] for v in g.nodes]))
+    size = {p.name: 0.0 if p.grad is None else np.abs(p.grad).max()
+            for p in model.trainable_parameters()}
+    largest = max(size.values())
+    dead = [name for name, s in size.items()
+            if not s > 1e-8 * largest and name != "layer0/p1/W5"]
+    assert dead == []
 
 
 def test_recovery_probe_d1():

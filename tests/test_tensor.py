@@ -122,9 +122,9 @@ def test_spmm_rejects_alpha_and_x_that_do_not_fit_the_layout():
     assert T.spmm(np.ones(3), edges, x).shape == (2, 2)
 
 
-def _staged_attention(s_dst, s_src, s_edge, edges, x):
+def _staged_attention(s_src, s_edge, edges, x):
     """The gather/add/segment_softmax/spmm ops edge_softmax_spmm fuses."""
-    score = T.add(T.gather_rows(s_dst, edges.dst), T.gather_rows(s_src, edges.src))
+    score = T.gather_rows(s_src, edges.src)
     if s_edge is not None:
         score = T.add(score, s_edge)
     return T.spmm(T.segment_softmax(score, edges.dst, edges.shape[0]), edges, x)
@@ -137,15 +137,14 @@ def test_edge_softmax_spmm_equals_the_staged_ops_bit_for_bit(with_edge_scores):
     rows = np.sort(rng.integers(0, k, size=e))
     rows[rows % 3 == 0] += 1  # empty segments, including row 0
     edges = Edges(rng.integers(0, n, size=e), rows, (k, n))
-    arrays = [rng.normal(size=k), rng.normal(size=n), rng.normal(size=e),
-              rng.normal(size=(n, d))]
+    arrays = [rng.normal(size=n), rng.normal(size=e), rng.normal(size=(n, d))]
     weights = rng.normal(size=(k, d))
     results = []
     for op in (T.edge_softmax_spmm, _staged_attention):
-        s_dst, s_src, s_edge, x = [T.Parameter(a.copy(), f"leaf{i}") for i, a in enumerate(arrays)]
-        out = op(s_dst, s_src, s_edge if with_edge_scores else None, edges, x)
+        s_src, s_edge, x = [T.Parameter(a.copy(), f"leaf{i}") for i, a in enumerate(arrays)]
+        out = op(s_src, s_edge if with_edge_scores else None, edges, x)
         T.backward(T.sum_all(T.mul(out, weights)))
-        grads = [p.grad for p in (s_dst, s_src, x) + ((s_edge,) if with_edge_scores else ())]
+        grads = [p.grad for p in (s_src, x) + ((s_edge,) if with_edge_scores else ())]
         results.append([out.values] + grads)
     for fused, staged in zip(*results):
         assert np.array_equal(fused, staged)
@@ -155,11 +154,11 @@ def test_edge_softmax_spmm_equals_the_staged_ops_bit_for_bit(with_edge_scores):
 def test_edge_softmax_spmm_rejects_scores_and_x_that_do_not_fit_the_layout():
     edges = Edges([0, 1, 2], [0, 1, 1], (2, 3))
     x = np.ones((3, 2))
-    good = (np.zeros(2), np.zeros(3), np.zeros(3))
-    for which, bad in ((0, np.zeros(3)), (1, np.zeros(2)), (2, np.zeros(4)), (2, np.zeros((3, 1)))):
+    good = (np.zeros(3), np.zeros(3))
+    for which, bad in ((0, np.zeros(2)), (1, np.zeros(4)), (1, np.zeros((3, 1)))):
         scores = list(good)
         scores[which] = bad
-        with pytest.raises(ValueError, match=("s_dst", "s_src", "s_edge")[which]):
+        with pytest.raises(ValueError, match=("s_src", "s_edge")[which]):
             T.edge_softmax_spmm(*scores, edges, x)
     with pytest.raises(ValueError, match="3 rows"):
         T.edge_softmax_spmm(*good, edges, np.ones((4, 2)))
@@ -348,7 +347,7 @@ TAPE_OPS = {
     "spmm": lambda: T.spmm(_param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
     "segment_softmax": lambda: T.segment_softmax(_param(3), [0, 1, 0]),
     "edge_softmax_spmm": lambda: T.edge_softmax_spmm(
-        _param(2), _param(3), _param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
+        _param(3), _param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
     "stack_rows": lambda: T.stack_rows([_param(2), _param(2)]),
     "sum_all": lambda: T.sum_all(_param(2, 3)),
     "mean_all": lambda: T.mean_all(_param(2, 3)),
