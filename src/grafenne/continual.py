@@ -93,9 +93,6 @@ class ReplayBuffer:
     def entries(self):
         return tuple(self.items)
 
-    def __len__(self):
-        return len(self.items)
-
 
 def sample_U(train_nodes, size, seed):
     """Uniform subset of training nodes, without replacement."""

@@ -4,7 +4,9 @@ a pluggable backend (SAGE/GAT/GIN), (3) graph nodes message back to
 feature nodes. Graph nodes start at zero, feature nodes at learnable
 embeddings, so parameter count is independent of node and feature counts.
 Every output reads the graph-node states alone, so the last layer has no
-phase 3: neither its parameters nor its computation exist.
+phase 3: neither its parameters nor its computation exist. A zero state
+projects to zero, so layer 0's phase 1 has no self part either: its
+combine reads the aggregate alone, and no graph state exists before it.
 
 Phases 1 and 3 are _attend with graph and feature roles swapped, around
 the `attention` of the GAT backbone. LeakyReLU acts elementwise, so the
@@ -96,13 +98,11 @@ class FeatureEmbeddingTable:
             self.weight.values = np.vstack([self.weight.values, *draws])
 
 
-def init_states(alt, table, dim):
-    """Layer-0 states: zero vectors for graph nodes, embedding rows for
-    feature nodes."""
+def init_states(alt, table):
+    """Layer-0 feature states, the embedding rows; graph nodes start at
+    zero, which layer 0's phase 1 never reads."""
     table.ensure(alt.feat_ids)
-    hg = T.Tensor(np.zeros((alt.n, dim)))
-    hf = T.gather_rows(table.weight, [table.row[f] for f in alt.feat_ids])
-    return hg, hf
+    return T.gather_rows(table.weight, [table.row[f] for f in alt.feat_ids])
 
 
 def _capped(edges, cap, rng):
@@ -141,8 +141,8 @@ class ModelBase:
     def _add_zeros(self, name, size):
         self.params[name] = T.Parameter(np.zeros(size), name)
 
-    def _add_mlp(self, rng, prefix, d_in, d_out):
-        self._add(rng, f"{prefix}/A0", (d_in, d_out))
+    def _add_mlp(self, rng, prefix, d_in, d_out, skip=0):
+        self._add(rng, f"{prefix}/A0", (d_in, d_out), skip)
         self._add_zeros(f"{prefix}/b0", d_out)
         self._add(rng, f"{prefix}/A1", (d_out, d_out))
         self._add_zeros(f"{prefix}/b1", d_out)
@@ -219,7 +219,11 @@ class GrafenneModel(ModelBase):
         shapes = ((d, d), (d,), (3 * d,), (d, d), (d, d))
         for name, shape, skip in zip(_ATTEND_PARAMS[phase], shapes, (0, 0, d, 0, 0)):
             self._add(rng, f"layer{l}/{phase}/{name}", shape, skip)
-        self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d)
+        # no self part before layer 0: W5 and A0's top rows drawn so later draws stay, dropped
+        selfless = d if (l, phase) == (0, "p1") else 0
+        if selfless:
+            del self.params["layer0/p1/W5"]
+        self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d, selfless)
 
     def forward(self, alt, rng=None):
         """Run L triple-phase layers; returns (graph states, feature states),
@@ -232,7 +236,7 @@ class GrafenneModel(ModelBase):
             rng = None
         elif rng is None:
             rng = np.random.default_rng([cfg.seed, 3571])
-        hg, hf = init_states(alt, self.table, cfg.dim)
+        hg, hf = None, init_states(alt, self.table)
         for l in range(cfg.layers):
             hg = self._phase2(l, alt, self._phase1(l, alt, hg, hf, rng), rng)
             if l < cfg.layers - 1:
@@ -249,19 +253,19 @@ class GrafenneModel(ModelBase):
 
     def _attend(self, l, phase, h_dst, h_src, edges):
         """Attention aggregate of phases 1 and 3: every dst state combines
-        its own projection with the attention-weighted sum of its src
-        neighbours' messages along the weighted Edges layout `edges`."""
+        its own projection (none when h_dst is None, in layer 0's phase 1)
+        with the attention-weighted sum of its src neighbours' messages
+        along the weighted Edges layout `edges`."""
         w_src, w_edge, w_att, w_self, w_msg = (
-            self.params[f"layer{l}/{phase}/{name}"] for name in _ATTEND_PARAMS[phase])
+            self.params.get(f"layer{l}/{phase}/{name}") for name in _ATTEND_PARAMS[phase])
         d = self.config.dim
-        self_part = T.matmul(h_dst, w_self)
         if len(edges) == 0:
             agg = T.Tensor(np.zeros((edges.shape[0], d)))
         else:
             a_src, a_edge = T.slice_rows(w_att, 0, d), T.slice_rows(w_att, d, 2 * d)
             s_edge = self._edge_channel(edges.weight, w_edge, a_edge)
             agg = attention(h_src, edges, w_src, a_src, w_msg, self._act, s_edge)
-        combined = T.concat([self_part, agg], axis=1)
+        combined = agg if h_dst is None else T.concat([T.matmul(h_dst, w_self), agg], axis=1)
         return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), self._act)
 
     def _phase1(self, l, alt, hg, hf, rng):
@@ -339,8 +343,9 @@ class VanillaAltModel(ModelBase):
     def forward(self, alt):
         """(graph states, feature states), as GrafenneModel.forward."""
         n, m = alt.n, alt.m
-        hg0, hf0 = init_states(alt, self.table, self.config.dim)
-        h = T.concat([hg0, hf0], axis=0) if m else hg0
+        h = T.Tensor(np.zeros((n, self.config.dim)))  # graph nodes start at zero
+        if m:
+            h = T.concat([h, init_states(alt, self.table)], axis=0)
         edges = alt.derived(_joint_layout)
         for l in range(self.config.layers):
             h = sage_layer(h, edges, self.params[f"layer{l}/W"])
@@ -407,7 +412,7 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
     return mse().item(), untrained
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(model, path):

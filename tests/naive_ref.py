@@ -11,6 +11,12 @@ builds no W_dst and no destination segment of w. The reference keeps the
 concatenated form and supplies that block itself, seeded and non-zero
 (with_destination_block), so every comparison with the model confirms that
 the term cancels; zeros would only make it vanish.
+
+Graph nodes start at zero, so the self part h_v W5 of layer 0's phase 1 is
+zero too, and the model builds neither W5 nor the rows of that phase's
+mlp/A0 that read it. The reference keeps graph nodes at zero and the paper's
+combine mlp([h_v W5 || agg]), and supplies both blocks itself, seeded and
+non-zero (with_self_block), so every comparison confirms that they cancel.
 """
 
 import numpy as np
@@ -123,6 +129,15 @@ def with_destination_block(pv, w_src, w_dst, w_att, seed):
             w_att: np.concatenate([rng.normal(size=shape[1]), pv[w_att]])}
 
 
+def with_self_block(pv, seed):
+    """pv plus a self block: a seeded non-zero W5, and its rows prepended
+    to the combine's mlp/A0."""
+    rng = np.random.default_rng([seed, 7927])
+    d = pv["mlp/A0"].shape[1]
+    return {**pv, "W5": rng.normal(size=(d, d)),
+            "mlp/A0": np.vstack([rng.normal(size=(d, d)), pv["mlp/A0"]])}
+
+
 # (source matrix, destination matrix, attention vector) of each phase
 _DST_BLOCK = {"p1": ("W2", "W1", "w4"), "p3": ("W8", "W7", "w10"), "p2": ("W14", "W13", "w15")}
 
@@ -133,6 +148,8 @@ def _layer_params(model, l, phase):
           if name.startswith(pre)}
     if phase != "p2" or model.config.phase2 == "gat":
         pv = with_destination_block(pv, *_DST_BLOCK[phase], seed=[l, int(phase[1])])
+    if (l, phase) == (0, "p1"):
+        pv = with_self_block(pv, seed=[l, 1])
     return pv
 
 

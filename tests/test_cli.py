@@ -141,7 +141,10 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     for i, extra in enumerate(cases):
         conf = write(tmp_path / f"bad{i}.conf", toy_source() + extra)
         assert main(["run", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "regression" in extra:
+            assert "unknown task 'regression'" in err
 
 
 def test_run_missing_out_exits_2(tmp_path, capsys):

@@ -273,14 +273,14 @@ def test_replay_buffer_reservoir():
     buf = ReplayBuffer(capacity=5, seed=0)
     for v in range(100):
         buf.add(v, v % 2)
-    assert len(buf) == 5
+    assert len(buf.entries()) == 5
     assert buf.seen == 100
     nodes = [v for v, _ in buf.entries()]
     assert all(0 <= v < 100 for v in nodes)
     empty = ReplayBuffer(capacity=0, seed=0)
     for v in range(10):
         empty.add(v, 0)
-    assert len(empty) == 0
+    assert len(empty.entries()) == 0
 
 
 def test_ewc_state_storage_is_flat():

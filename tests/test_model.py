@@ -16,7 +16,7 @@ from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import allotropic_forward, method_model
 from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp,
-                       with_destination_block)
+                       with_destination_block, with_self_block)
 from test_graph import random_graph, toy
 
 
@@ -54,13 +54,13 @@ def test_init_states():
     g = tiny_graph()
     alt = to_allotropic(g)
     table = FeatureEmbeddingTable(dim=3, seed=1)
-    hg, hf = init_states(alt, table, 3)
-    assert not hg.values.any() and hg.shape == (1, 3)
+    hf = init_states(alt, table)
+    assert hf.shape == (2, 3)
     assert np.array_equal(hf.values[0], embedding(table, 0))
     assert np.array_equal(hf.values[1], embedding(table, 1))
     # a second graph sharing feature ids reuses identical rows
     g2 = HeteroGraph([0, 1], [(0, 1)], {1: {1: 2.0}}, {})
-    _, hf2 = init_states(to_allotropic(g2), table, 3)
+    hf2 = init_states(to_allotropic(g2), table)
     assert np.array_equal(hf2.values[0], hf.values[1])
 
 
@@ -93,7 +93,9 @@ def test_table_growth_appends_rows_drawn_from_seed_and_id():
 def test_parameter_list_fixed_while_the_table_grows():
     model = GrafenneModel(GrafenneConfig(layers=2, dim=64, seed=0), num_classes=7)
     params = model.trainable_parameters()
-    assert len(params) == 32
+    assert len(params) == 31
+    assert "layer0/p1/W5" not in model.params and "layer1/p1/W5" in model.params
+    assert model.params["layer0/p1/mlp/A0"].shape == (64, 64)
     assert not any(p.name.startswith("layer1/p3/") for p in params)
     g = random_graph(np.random.default_rng(4), n_max=12)
     model.forward(to_allotropic(g))
@@ -112,6 +114,7 @@ def test_phase1_hand_tiny_instance():
     hg_t, _ = model.forward(to_allotropic(g))
     p = {k.split("p1/")[1]: v.values for k, v in model.params.items() if "/p1/" in k}
     p = with_destination_block(p, "W2", "W1", "w4", seed=1)  # an arbitrary W1: it cancels
+    p = with_self_block(p, seed=1)  # an arbitrary W5 and A0 top block: hv is zero
     h0, h1 = embedding(model.table, 0), embedding(model.table, 1)
     hv = np.zeros(2)
     m0 = leaky(np.concatenate([hv @ p["W1"], h0 @ p["W2"], 0.7 * p["w3"]]))
@@ -148,6 +151,7 @@ def test_phase2_sage_hand_three_node_path():
 def _hand_phase1_state(model, g, v):
     p = {k.split("p1/")[1]: t.values for k, t in model.params.items() if "layer0/p1/" in k}
     p = with_destination_block(p, "W2", "W1", "w4", seed=2)  # an arbitrary W1: it cancels
+    p = with_self_block(p, seed=2)  # an arbitrary W5 and A0 top block: hv is zero
     hv = np.zeros(model.config.dim)
     pairs = sorted(g.node_feats(v).items())
     msgs = [leaky(np.concatenate([hv @ p["W1"], embedding(model.table, f) @ p["W2"],
@@ -319,9 +323,9 @@ def test_phase_state_separation():
     g = tiny_graph()
     alt = to_allotropic(g)
     model = GrafenneModel(small_cfg(layers=2))
-    hg0, hf0 = init_states(alt, model.table, model.config.dim)
+    hf0 = init_states(alt, model.table)
     before = hf0.values.copy()
-    hg1 = model._phase1(0, alt, hg0, hf0, None)
+    hg1 = model._phase1(0, alt, None, hf0, None)  # no graph state before layer 0
     assert np.array_equal(hf0.values, before)  # phase 1 leaves feature states alone
     hg2 = model._phase2(0, alt, hg1, None)
     assert np.array_equal(hf0.values, before)
@@ -480,7 +484,7 @@ def test_phase3_runs_in_every_layer_but_the_last(monkeypatch, layers, caps):
     _, hf = model.forward(alt)
     assert [l for l, _ in read] == list(range(layers - 1))  # none at all with one layer
     # the feature states returned are those the last layer read
-    want = read[-1][1] if read else init_states(alt, model.table, model.config.dim)[1]
+    want = read[-1][1] if read else init_states(alt, model.table)
     assert np.array_equal(hf.values, want.values)
 
 
@@ -559,9 +563,12 @@ def test_load_checkpoint_rejects_arrays_of_the_wrong_shape(tmp_path):
     save_checkpoint(model, tmp_path / "good.npz")
     with np.load(tmp_path / "good.npz") as blob:
         arrays = dict(blob)
-    # a (1,) bias would broadcast into the logits, a width-1 row into the block
-    for key in ("p/head/b", "t/1"):
-        np.savez(tmp_path / "bad.npz", **{**arrays, key: np.zeros(1)})
+    # a (1,) bias would broadcast into the logits, a width-1 row into the
+    # block; a (2d, d) layer-0 phase-1 A0 is a version-3 layout
+    d = model.config.dim
+    for key, value in (("p/head/b", np.zeros(1)), ("t/1", np.zeros(1)),
+                       ("p/layer0/p1/mlp/A0", np.zeros((2 * d, d)))):
+        np.savez(tmp_path / "bad.npz", **{**arrays, key: value})
         with pytest.raises(ValueError, match=f"'{key}' has shape"):
             load_checkpoint(tmp_path / "bad.npz")
 
@@ -576,18 +583,18 @@ def _saved_arrays(tmp_path):
 def test_load_checkpoint_rejects_another_version(tmp_path):
     arrays = _saved_arrays(tmp_path)
     meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta = np.frombuffer(json.dumps({**meta, "version": 2}).encode(), dtype=np.uint8)
-    np.savez(tmp_path / "v2.npz", **{**arrays, "__meta__": meta})
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-        load_checkpoint(tmp_path / "v2.npz")
+    meta = np.frombuffer(json.dumps({**meta, "version": 3}).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "v3.npz", **{**arrays, "__meta__": meta})
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+        load_checkpoint(tmp_path / "v3.npz")
 
 
 def test_load_checkpoint_rejects_a_parameter_the_model_does_not_build(tmp_path):
-    # W1, the destination-score matrix of a version-2 file
-    arrays = {**_saved_arrays(tmp_path), "p/layer0/p1/W1": np.zeros((3, 3))}
-    np.savez(tmp_path / "w1.npz", **arrays)
-    with pytest.raises(ValueError, match="'layer0/p1/W1' unknown to model"):
-        load_checkpoint(tmp_path / "w1.npz")
+    # W5, layer 0's phase-1 self projection in a version-3 file
+    arrays = {**_saved_arrays(tmp_path), "p/layer0/p1/W5": np.zeros((3, 3))}
+    np.savez(tmp_path / "w5.npz", **arrays)
+    with pytest.raises(ValueError, match="'layer0/p1/W5' unknown to model"):
+        load_checkpoint(tmp_path / "w5.npz")
 
 
 def _varied_graph():
@@ -605,24 +612,34 @@ def _varied_graph():
 @pytest.mark.parametrize("kind", ["sage", "gat", "gin", "vanilla",
                                   "dense+sage", "dense+gat", "dense+gin"])
 def test_no_parameter_is_dead(kind):
-    """One cross-entropy backward reaches every parameter. The one
-    exception, layer0/p1/W5, projects the graph states into layer 0's
-    phase 1; those start at zero, so its gradient is exactly 0."""
+    """One cross-entropy backward, over 1 to 3 layers, reaches every
+    parameter. With a GAT or GIN backbone it reaches every row of each
+    weight (every entry of a vector) too, so no block that reads an input
+    zero by construction, as a self part of layer 0's phase 1 would, can
+    hide. SAGE and the vanilla model keep the per-parameter check: at
+    dim 4, a ReLU unit that is zero on every node leaves the row of the
+    next weight that reads it without a gradient (head/W row 1 in 3-layer
+    SAGE), which comes from the data, not from the model's structure."""
     g = _varied_graph()
-    cfg = small_cfg(phase2=kind.split("+")[-1] if kind != "vanilla" else "sage", dim=4)
-    if kind.startswith("dense"):
-        dense = impute_special_label(g)
-        model = DenseGnnModel(cfg, len(dense.feat_ids), g.num_classes)
-        h = model.forward(*dense_inputs(g, dense))
-    else:
-        model = (VanillaAltModel if kind == "vanilla" else GrafenneModel)(cfg, g.num_classes)
-        h = model.forward(to_allotropic(g))[0]
-    T.backward(T.cross_entropy(model.logits(h), [g.labels[v] for v in g.nodes]))
-    size = {p.name: 0.0 if p.grad is None else np.abs(p.grad).max()
-            for p in model.trainable_parameters()}
-    largest = max(size.values())
-    dead = [name for name, s in size.items()
-            if not s > 1e-8 * largest and name != "layer0/p1/W5"]
+    per_row = kind.split("+")[-1] in ("gat", "gin")
+    dead = []
+    for layers in (1, 2, 3):
+        cfg = small_cfg(phase2=kind.split("+")[-1] if kind != "vanilla" else "sage", dim=4,
+                        layers=layers)
+        if kind.startswith("dense"):
+            dense = impute_special_label(g)
+            model = DenseGnnModel(cfg, len(dense.feat_ids), g.num_classes)
+            h = model.forward(*dense_inputs(g, dense))
+        else:
+            model = (VanillaAltModel if kind == "vanilla" else GrafenneModel)(cfg, g.num_classes)
+            h = model.forward(to_allotropic(g))[0]
+        T.backward(T.cross_entropy(model.logits(h), [g.labels[v] for v in g.nodes]))
+        grads = {p.name: np.zeros(p.shape) if p.grad is None else np.abs(p.grad)
+                 for p in model.trainable_parameters()}
+        largest = max(a.max() for a in grads.values())
+        for name, a in grads.items():
+            rows = a.reshape(len(a), -1).max(axis=1) if per_row and a.ndim else [a.max()]
+            dead += [(layers, name, i) for i, s in enumerate(rows) if not s > 1e-8 * largest]
     assert dead == []
 
 
