@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .graph import make_split
 from .model import GrafenneConfig, GrafenneModel
-from .optim import check_finite_params, descend, zero_grad
+from .optim import check_finite_params, descend, grad_vector, split_vector, zero_grad
 from .stream import apply_delta
 from .tasks import _snapshot, accuracy, allotropic_forward, node_rows
 
@@ -105,13 +105,14 @@ def sample_U(train_nodes, size, seed):
 
 
 def compute_importance(model, g_t, nodes, forward=None):
-    """Mean squared per-node loss gradient, parameter entry by entry.
+    """Mean squared per-node loss gradient by parameter name, entry by entry.
 
     One forward and one tape order serve every node: each node's reverse
     sweep starts at the logits, seeded with that node's cross-entropy
-    gradient (its softmax minus one-hot row). The result is plain numpy,
-    detached from any tape. Empty node set degenerates to zero importance
-    (with a warning) — pure fine-tuning."""
+    gradient (its softmax minus one-hot row); its squared gradients add up
+    as one vector over all entries. The result is plain numpy, views of
+    that vector. Empty node set degenerates to zero importance (with a
+    warning) — pure fine-tuning."""
     params = model.trainable_parameters()
     order = sorted(nodes)
     if forward is None:
@@ -119,10 +120,10 @@ def compute_importance(model, g_t, nodes, forward=None):
     logits = model.logits(forward())
     tape = T._topo_order(logits)
     rows = node_rows(g_t, order)
-    omega = {p.name: np.zeros_like(p.values) for p in params}
+    omega = np.zeros(sum(p.values.size for p in params))
     if not order:
         warnings.warn("importance over an empty node set is zero (fine-tuning)")
-        return omega
+        return dict(zip((p.name for p in params), split_vector(omega, params)))
     zero_grad(params)  # so a parameter the logits do not reach adds nothing
     for r, v in zip(rows, order):
         seed = np.zeros_like(logits.values)
@@ -132,13 +133,9 @@ def compute_importance(model, g_t, nodes, forward=None):
         for node in tape:
             node.grad = None
         T.sweep(logits, seed, tape)
-        for p in params:
-            if p.grad is not None:
-                omega[p.name] += np.square(p.grad)
-    inv = 1.0 / len(order)
-    for k in omega:
-        omega[k] *= inv
-    return omega
+        omega += np.square(grad_vector(params))
+    omega *= 1.0 / len(order)
+    return dict(zip((p.name for p in params), split_vector(omega, params)))
 
 
 def _sum_loss(model, g, nodes, labels=None):
@@ -157,7 +154,7 @@ def continual_loss(model, affected_train_nodes, ewc, graph=None):
     quadratic importance-weighted penalty against the stored snapshot, one
     tensor.ewc_penalty node over every parameter that has both. Nodes,
     labels and each parameter's anchor and weight are matched once, here,
-    for every epoch of a timestamp."""
+    for every epoch of a timestamp, into one anchor and one weight vector."""
     affected = sorted(affected_train_nodes)
     if affected:
         if graph is None:
@@ -167,22 +164,20 @@ def continual_loss(model, affected_train_nodes, ewc, graph=None):
         task = lambda h: T.Tensor(np.asarray(0.0))
     params, anchors, weights = [], [], []
     for p in model.trainable_parameters():
-        snap = ewc.snapshot.get(p.name)
-        if snap is None:
+        snap, om = ewc.snapshot.get(p.name), ewc.omega.get(p.name)
+        if snap is None or om is None:
             continue  # parameter born after the snapshot: no prior to preserve
-        if snap.shape != p.values.shape:
-            raise ValueError(f"parameter {p.name} changed shape "
-                             f"{snap.shape} -> {p.values.shape} across timestamps")
-        om = ewc.omega.get(p.name)
-        if om is None:
-            continue
+        if not snap.shape == om.shape == p.values.shape:
+            raise ValueError(f"parameter {p.name} changed shape across timestamps: now "
+                             f"{p.values.shape}, snapshot {snap.shape}, importance {om.shape}")
         params.append(p)
-        anchors.append(snap)
-        weights.append(om)
+        anchors.append(snap.ravel())
+        weights.append(om.ravel())
     if not params:
         return task
     half = ewc.lam / 2.0
-    return lambda h: T.add(task(h), T.mul(T.ewc_penalty(params, anchors, weights), half))
+    anchor, weight = np.concatenate(anchors), np.concatenate(weights)
+    return lambda h: T.add(task(h), T.mul(T.ewc_penalty(params, anchor, weight), half))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ aggregation is one tape node over a graph.Edges layout, so no (edges, d)
 tensor is ever materialized on the tape: a plain neighbour sum is
 tensor.spmm, an attention tensor.edge_softmax_spmm (gathered scores,
 softmax per destination and weighted sum). The layouts, their sparse
-matrices and what the layers derive from them (GAT's self-loops, SAGE's
-degrees, the vanilla model's joint graph) are built once per graph,
+matrices and what the layers derive from them (split edge weights, GAT's
+self-loops, SAGE's degrees, the vanilla joint graph) are built once per graph,
 through Edges.derived and AllotropicGraph.derived.
 """
 
@@ -243,11 +243,11 @@ class GrafenneModel(ModelBase):
                 hf = self._phase3(l, alt, hg, hf, rng)
         return hg, hf
 
-    def _edge_channel(self, weights, w_vec, w_att):
+    def _edge_channel(self, edges, w_vec, w_att):
         # w_att . LR(w_e * w_vec) per edge, in the positively homogeneous
         # form |w_e| * (w_att . LR(sign(w_e) * w_vec)): two d-vector scores
         # mixed by max(w_e, 0) and max(-w_e, 0), so no (edges, d) tensor
-        coef = T.Tensor(np.stack([np.maximum(weights, 0.0), np.maximum(-weights, 0.0)], axis=1))
+        coef = T.Tensor(edges.derived(_sign_split))
         signed = T.stack_rows([w_vec, T.mul(w_vec, -1.0)])
         return T.matmul(coef, T.matmul(self._act(signed), w_att))
 
@@ -263,7 +263,7 @@ class GrafenneModel(ModelBase):
             agg = T.Tensor(np.zeros((edges.shape[0], d)))
         else:
             a_src, a_edge = T.slice_rows(w_att, 0, d), T.slice_rows(w_att, d, 2 * d)
-            s_edge = self._edge_channel(edges.weight, w_edge, a_edge)
+            s_edge = self._edge_channel(edges, w_edge, a_edge)
             agg = attention(h_src, edges, w_src, a_src, w_msg, self._act, s_edge)
         combined = agg if h_dst is None else T.concat([T.matmul(h_dst, w_self), agg], axis=1)
         return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), self._act)
@@ -292,11 +292,15 @@ def attention(h_src, edges, w_src, w_att, w_msg, act, s_edge=None):
     return T.edge_softmax_spmm(s_src, s_edge, edges, T.matmul(h_src, w_msg))
 
 
-# what the backbone layers derive from an Edges layout, built once per
-# layout through Edges.derived
+# what the layers derive from an Edges layout, built once per layout
+# through Edges.derived
 
 def _ones(edges):
     return np.ones(len(edges))
+
+
+def _sign_split(edges):
+    return np.stack([np.maximum(edges.weight, 0.0), np.maximum(-edges.weight, 0.0)], axis=1)
 
 
 def _inverse_degree(edges):

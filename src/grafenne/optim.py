@@ -1,10 +1,11 @@
-"""Adam with bias correction over named parameters, and descend, the one
-full-batch training loop every trainer runs."""
+"""Adam with bias correction over a parameter list's concatenated entries,
+and descend, the one full-batch training loop every trainer runs."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from . import tensor as T
 @dataclass
 class AdamState:
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = None  # the moments, one vector each over the
+    v: np.ndarray = None  # parameter list's concatenated entries
 
 
 def zero_grad(params):
@@ -23,32 +24,46 @@ def zero_grad(params):
         p.grad = None
 
 
+def grad_vector(params):
+    """The gradients of params raveled into one vector, zeros for a None."""
+    return np.concatenate([np.zeros(p.values.size) if p.grad is None else p.grad.ravel()
+                           for p in params])
+
+
+def split_vector(vec, params):
+    """vec cut into one view per parameter, in order, of its shape."""
+    ends = accumulate(p.values.size for p in params)
+    return [vec[hi - p.values.size:hi].reshape(p.values.shape) for p, hi in zip(params, ends)]
+
+
 def adam_step(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, state=None):
-    """One Adam update over `params`; returns the (mutated) state.
+    """One Adam update over `params`, concatenated into one vector of
+    values and one of gradients; returns the (mutated) state, whose
+    moments fit only parameter lists of the same total size.
 
     A missing gradient counts as zero, so parameters outside the current
-    loss still decay their momentum. Values are rebound, not written in
-    place, so live tapes keep their forward arrays.
+    loss still decay their momentum. Values are rebound to views of a new
+    vector, not written in place, so live tapes keep their forward arrays.
     """
     if state is None:
         state = AdamState()
+    values, g = np.concatenate([p.values.ravel() for p in params]), grad_vector(params)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+    if not values.size == g.size == state.m.size:
+        raise ValueError(f"Adam: {values.size} values, {g.size} gradients, {state.m.size} moments")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.values)
-        m = state.m.get(p.name)
-        if m is None:
-            m = np.zeros_like(p.values)
-            state.m[p.name] = m
-            state.v[p.name] = np.zeros_like(p.values)
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.values = p.values - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    new = values - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for p, part in zip(params, split_vector(new, params)):
+        p.values = part
     return state
 
 

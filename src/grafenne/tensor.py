@@ -83,10 +83,10 @@ def as_tensor(x):
 
 def _attach(out, parents, backward_fn):
     """Wire the tape edge if any parent needs gradients."""
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward = True, tuple(parents), backward_fn
+            break
     return out
 
 
@@ -309,8 +309,14 @@ def _product(edges, alpha, x, transpose=False):
 
 def _sddmm(g, x, edges):
     """<g[dst[e]], x[src[e]]> for every edge e: the gradient of S_alpha @ x
-    with respect to alpha."""
-    return (np.take(g, edges.dst, axis=0) * np.take(x, edges.src, axis=0)).sum(axis=1)
+    with respect to alpha. Edges go in layout-order blocks of at most 64k
+    gathered entries, which stay in cache; each row's sum is unchanged."""
+    out = np.empty(len(edges))
+    step = max(65536 // max(g.shape[1], 1), 1)
+    for lo in range(0, len(edges), step):
+        dst, src = edges.dst[lo:lo + step], edges.src[lo:lo + step]
+        out[lo:lo + step] = (np.take(g, dst, axis=0) * np.take(x, src, axis=0)).sum(axis=1)
+    return out
 
 
 def _check_spmm_x(x, edges):
@@ -440,35 +446,35 @@ def mean_all(x):
     return _node(x.values.mean(), (x,), lambda g: _accumulate(x, g * inv))
 
 
-def ewc_penalty(params, anchors, weights):
-    """Sum over p of sum(weights_p * (p - anchors_p)**2) as one tape node.
+def ewc_penalty(params, anchor, weight):
+    """Sum over p of sum(weight_p * (p - anchor_p)**2) as one tape node.
 
     The diagonal quadratic penalty of elastic weight consolidation
-    (Kirkpatrick et al. 2017). anchors and weights are constant arrays of
-    each parameter's shape. Terms are summed in parameter order and each
-    gradient 2 * g * weights_p * (p - anchors_p) is formed as h + h with
-    h = (g * weights_p) * (p - anchors_p): the rounding of the staged
-    sub/mul/mul/sum_all/add form, one node instead of five per parameter.
+    (Kirkpatrick et al. 2017). anchor and weight are constant vectors over
+    the parameters' concatenated entries: the difference, its weighted
+    square and the gradient are one array op each. Terms are summed per
+    parameter, in order, and each gradient 2 * g * weight_p * (p - anchor_p)
+    is h + h with h = (g * weight_p) * (p - anchor_p): the rounding of the
+    staged sub/mul/mul/sum_all/add form, in one node, not five per parameter.
     """
     params = [as_tensor(p) for p in params]
-    if not len(params) == len(anchors) == len(weights):
-        raise ValueError(f"ewc_penalty needs one anchor and one weight per parameter, got "
-                         f"{len(params)}, {len(anchors)} and {len(weights)}")
-    diffs, total = [], np.float64(0.0)
-    for i, (p, a, w) in enumerate(zip(params, anchors, weights)):
-        if np.shape(a) != p.shape or np.shape(w) != p.shape:
-            raise ValueError(f"ewc_penalty term {i}: anchor {np.shape(a)} and weight "
-                             f"{np.shape(w)} do not match parameter {p.shape}")
-        d = p.values - a
-        term = ((d * d) * w).sum()
-        total = term if i == 0 else total + term
-        diffs.append(d)
+    bounds = np.cumsum([0] + [p.values.size for p in params]).tolist()
+    if np.shape(anchor) != (bounds[-1],) or np.shape(weight) != (bounds[-1],):
+        raise ValueError(f"ewc_penalty needs an anchor and a weight of {bounds[-1]} entries, "
+                         f"got shapes {np.shape(anchor)} and {np.shape(weight)}")
+    d = np.concatenate([p.values.ravel() for p in params]) - anchor
+    sq = (d * d) * weight
+    total = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        term = sq[lo:hi].sum()
+        total = term if total is None else total + term
 
     def _bw(g):
-        for p, w, d in zip(params, weights, diffs):
+        h = (g * weight) * d
+        h = h + h
+        for p, lo, hi in zip(params, bounds[:-1], bounds[1:]):
             if p.requires_grad:
-                h = (g * w) * d
-                _accumulate(p, h + h)
+                _accumulate(p, h[lo:hi].reshape(p.shape))
 
     return _node(total, tuple(params), _bw)
 

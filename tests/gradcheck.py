@@ -195,8 +195,10 @@ def _case_ewc(rng):
     weights = [rng.random(size=s) * (rng.random(size=s) < 0.7) for s in shapes]  # some ω = 0
     u = rng.normal(size=shapes[0])
 
+    anchor, weight = (np.concatenate([np.ravel(a) for a in xs]) for xs in (anchors, weights))
+
     def build(x):
-        pen = T.ewc_penalty(x, anchors, weights)
+        pen = T.ewc_penalty(x, anchor, weight)
         return T.add(T.sum_all(T.mul(x[0], u)), T.mul(pen, 0.75))
 
     return build, values

@@ -228,7 +228,8 @@ def _apply_op(b, name):
         anchors = [rng.normal(size=s) for s in shapes]
         weights = [rng.uniform(0.0, 2.0, size=s) * (rng.random(size=s) < 0.7)
                    for s in shapes]  # some ω = 0
-        b._emit(lambda ts, picks=picks, a=anchors, w=weights:
+        a, w = (np.concatenate([np.ravel(x) for x in xs]) for xs in (anchors, weights))
+        b._emit(lambda ts, picks=picks, a=a, w=w:
                 T.ewc_penalty([ts[i] for i in picks], a, w), ())
     else:  # pragma: no cover
         raise AssertionError(name)

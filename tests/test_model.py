@@ -217,7 +217,8 @@ def test_edge_channel_matches_direct_form():
         col = T.Tensor(weights.reshape(-1, 1))
         return T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), w_att_t)
 
-    got = run(lambda w3_t, w_att_t: model._edge_channel(weights, w3_t, w_att_t))
+    edges = Edges(np.arange(7), np.arange(7), (7, 7), weight=weights)
+    got = run(lambda w3_t, w_att_t: model._edge_channel(edges, w3_t, w_att_t))
     want = run(direct)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-12

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grafenne import tensor as T
 from grafenne.graph import Edges
+from grafenne.model import FeatureEmbeddingTable, GrafenneConfig, GrafenneModel
 from grafenne.optim import AdamState, adam_step, descend, zero_grad
 from gradcheck import check_case, run_gradient_suite
 
@@ -184,6 +185,18 @@ def test_spmm_products_interleaved_on_one_layout_read_their_own_alpha():
         assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("e", [0, 29])
+def test_blocked_sddmm_equals_the_one_shot_product(e):
+    # at d = 8192 a block holds 8 edges: 29 edges are three blocks and a tail of 5
+    rng = np.random.default_rng(8)
+    k, n, d = 6, 5, 8192
+    edges = Edges(rng.integers(0, n, size=e), np.sort(rng.integers(0, k, size=e)), (k, n))
+    g, x = rng.normal(size=(k, d)), rng.normal(size=(n, d))
+    one_shot = (np.take(g, edges.dst, axis=0) * np.take(x, edges.src, axis=0)).sum(axis=1)
+    blocked = T._sddmm(g, x, edges)
+    assert blocked.shape == (e,) and np.array_equal(blocked, one_shot)
+
+
 def test_slice_rows_backward_adds_into_the_slice():
     x = T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     out = T.slice_rows(x, 1, 3)
@@ -352,8 +365,8 @@ TAPE_OPS = {
     "sum_all": lambda: T.sum_all(_param(2, 3)),
     "mean_all": lambda: T.mean_all(_param(2, 3)),
     "ewc_penalty": lambda: T.ewc_penalty([_param(2, 3), _param(3)],
-                                         [np.zeros((2, 3)), np.ones(3)],
-                                         [np.ones((2, 3)), np.full(3, 2.0)]),
+                                         np.r_[np.zeros(6), np.ones(3)],
+                                         np.r_[np.ones(6), np.full(3, 2.0)]),
     "cross_entropy": lambda: T.cross_entropy(_param(3, 4), [1, 0, 3]),
     "bce_with_logits": lambda: T.bce_with_logits(_param(3), [1.0, 0.0, 1.0]),
 }
@@ -395,7 +408,8 @@ def test_ewc_penalty_matches_staged_form_bitwise():
         ps = [T.Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)]
         task = T.sum_all(T.mul(ps[0], ps[0]))
         if fused:
-            pen = T.ewc_penalty(ps, anchors, weights)
+            flat = [np.concatenate([np.ravel(a) for a in arrays]) for arrays in (anchors, weights)]
+            pen = T.ewc_penalty(ps, *flat)
         else:
             pen = None
             for p, a, w in zip(ps, anchors, weights):
@@ -414,11 +428,13 @@ def test_ewc_penalty_matches_staged_form_bitwise():
 
 
 def test_ewc_penalty_rejects_mismatched_shapes():
-    p = T.Parameter(np.zeros(3), "p")
-    with pytest.raises(ValueError, match="do not match"):
-        T.ewc_penalty([p], [np.zeros(2)], [np.zeros(3)])
-    with pytest.raises(ValueError, match="one anchor"):
-        T.ewc_penalty([p], [], [np.zeros(3)])
+    ps = [T.Parameter(np.zeros(3), "p"), T.Parameter(np.zeros((2, 2)), "q")]
+    with pytest.raises(ValueError, match="of 7 entries"):
+        T.ewc_penalty(ps, np.zeros(6), np.zeros(7))
+    with pytest.raises(ValueError, match="of 7 entries"):
+        T.ewc_penalty(ps, np.zeros(7), np.zeros(8))
+    with pytest.raises(ValueError, match="of 7 entries"):
+        T.ewc_penalty(ps, np.zeros(7), np.zeros((1, 7)))
 
 
 def test_softmax_minus_onehot_is_cross_entropy_gradient():
@@ -477,6 +493,85 @@ def test_adam_bit_reproducible():
         return p.values.tobytes()
 
     assert run() == run()
+
+
+def _adam_per_parameter(params, lr, state, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop, moments keyed by name: the reference
+    the flat adam_step must match bit for bit."""
+    state["t"] = t = state.get("t", 0) + 1
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for p in params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        m = state.setdefault(("m", p.name), np.zeros_like(p.values))
+        v = state.setdefault(("v", p.name), np.zeros_like(p.values))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.values = p.values - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_flat_adam_matches_the_per_parameter_loop_bitwise():
+    model = GrafenneModel(GrafenneConfig(layers=2, dim=4, phase2="gin", seed=3), 3)
+    model.table.ensure([0, 5, 9])
+    shapes = [p.shape for p in model.trainable_parameters()]
+    assert () in shapes and len({len(s) for s in shapes}) == 3  # epsilon is 0-d
+    flat, ref = ([T.Parameter(p.values.copy(), p.name) for p in model.trainable_parameters()]
+                 for _ in range(2))
+    rng = np.random.default_rng(4)
+    state, ref_state = AdamState(), {}
+    for step in range(6):
+        for a, b in zip(flat, ref):
+            g = None if rng.random() < 0.3 else rng.normal(size=a.shape) * 10.0 ** step
+            a.grad = b.grad = g
+        adam_step(flat, lr=0.05, state=state)
+        _adam_per_parameter(ref, 0.05, ref_state)
+        for a, b in zip(flat, ref):
+            assert a.shape == b.shape and np.array_equal(a.values, b.values), a.name
+    assert state.step == 6
+
+
+def test_adam_rejects_a_parameter_list_or_gradient_that_changed_size():
+    p, q = T.Parameter(np.ones(3), "p"), T.Parameter(np.ones((2, 2)), "q")
+    state = adam_step([p, q], lr=0.1)
+    with pytest.raises(ValueError, match="3 values, 3 gradients, 7 moments"):
+        adam_step([p], lr=0.1, state=state)
+    p.grad = np.ones(4)
+    with pytest.raises(ValueError, match="7 values, 8 gradients"):
+        adam_step([p, q], lr=0.1, state=state)
+    p.grad = None
+    table = FeatureEmbeddingTable(2, seed=0)
+    table.ensure([1])
+    state = adam_step([table.weight], lr=0.1)
+    table.ensure([4])  # a new feature's row under the same state
+    with pytest.raises(ValueError, match="4 values, 4 gradients, 2 moments"):
+        adam_step([table.weight], lr=0.1, state=state)
+    assert state.step == 1
+
+
+def test_a_tape_built_before_a_step_reads_its_forward_values():
+    # matmul and ewc_penalty keep their forward arrays for the backward:
+    # a step that wrote into them would change the gradients below
+    def tape():
+        p = T.Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "p")
+        x = T.Parameter(np.array([0.25, -1.5]), "x")
+        pen = T.ewc_penalty([p, x], np.arange(6.0), np.full(6, 0.5))
+        return [p, x], T.add(T.sum_all(T.matmul(p, x)), pen)
+
+    params, loss = tape()
+    T.backward(loss)
+    want = [p.grad for p in params]
+    params, loss = tape()
+    value = loss.values.copy()
+    for p in params:
+        p.grad = np.ones_like(p.values)
+    adam_step(params, lr=0.1)
+    zero_grad(params)
+    T.backward(loss)
+    assert np.array_equal(loss.values, value)
+    for p, fresh, g in zip(params, tape()[0], want):
+        assert not np.array_equal(p.values, fresh.values)  # the step moved it
+        assert np.array_equal(p.grad, g)
 
 
 def test_gradient_suite_smoke():
