@@ -59,19 +59,29 @@ def _entry_arrays(feats, nodes):
     return node[keep], feat[keep], value[keep]
 
 
+def _read_only(a, dtype=None):
+    """a as a read-only array, copied first if writeable: no caller's array is frozen."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 class _Derives:
     """Graph structure that is never modified once built, and that keeps
     what is derived from it: derived(build) is build(self), computed on
     the first call with that function and returned from then on. Sparse
     operators and derived layouts are so built once per graph, however
-    many forwards and backwards read them."""
+    many forwards and backwards read them. Their arrays are read-only."""
 
     __slots__ = ("_derived",)
 
     def derived(self, build):
         memo = self._derived
         if build not in memo:
-            memo[build] = build(self)
+            value = build(self)
+            memo[build] = _read_only(value) if isinstance(value, np.ndarray) else value
         return memo[build]
 
 
@@ -97,10 +107,8 @@ class HeteroGraph(_Derives):
                 raise GraphError(f"edge ({u},{v}) references a missing node")
             canon.add((u, v) if u < v else (v, u))
         self.edges = tuple(sorted(canon))
-        self.feat_node, self.feat_id, self.feat_value = _entry_arrays(
-            feats, np.asarray(self.nodes, dtype=np.int64))
-        for a in (self.feat_node, self.feat_id, self.feat_value):
-            a.flags.writeable = False
+        self.feat_node, self.feat_id, self.feat_value = map(_read_only, _entry_arrays(
+            feats, np.asarray(self.nodes, dtype=np.int64)))
         self.labels = {}
         for v, c in labels.items():
             v, c = int(v), int(c)
@@ -160,10 +168,9 @@ class Edges(_Derives):
     __slots__ = ("src", "dst", "shape", "weight", "indptr")
 
     def __init__(self, src, dst, shape, weight=None):
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        self.src, self.dst = _read_only(src, np.int64), _read_only(dst, np.int64)
         self.shape = num_dst, num_src = tuple(map(int, shape))
-        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
+        self.weight = None if weight is None else _read_only(weight, np.float64)
         shapes = [a.shape for a in (self.src, self.dst, self.weight) if a is not None]
         if self.dst.ndim != 1 or len(set(shapes)) != 1:
             raise ValueError(f"edges need 1-D src, dst and weight of one length, got {shapes}")
@@ -172,7 +179,7 @@ class Edges(_Derives):
         if len(self) and (self.dst[0] < 0 or self.dst[-1] >= num_dst
                           or self.src.min() < 0 or self.src.max() >= num_src):
             raise ValueError(f"edge index out of range for a {self.shape} matrix")
-        self.indptr = np.searchsorted(self.dst, np.arange(num_dst + 1))
+        self.indptr = _read_only(np.searchsorted(self.dst, np.arange(num_dst + 1)))
         self._derived = {}
 
     def __len__(self):
@@ -217,8 +224,8 @@ class AllotropicGraph(_Derives):
         (node id, feature id, value) sorted by (node, feature), one entry
         per pair; the feature nodes are the distinct feature ids among them."""
         nodes, feats, weights = feature_edges
-        self.node_ids = np.asarray(node_ids, dtype=np.int64)
-        self.feat_ids = np.unique(feats)
+        self.node_ids = _read_only(node_ids, np.int64)
+        self.feat_ids = _read_only(np.unique(feats))
         self.graph_edges = tuple(graph_edges)
         node = np.searchsorted(self.node_ids, nodes)
         feat = np.searchsorted(self.feat_ids, feats)

@@ -122,10 +122,10 @@ def _capped(edges, cap, rng):
 
 class ModelBase:
     """What GrafenneModel, VanillaAltModel and DenseGnnModel share: named
-    parameters drawn in a fixed order from a seeded RNG, the LeakyReLU
-    activation, the SAGE/GAT/GIN backbone layer and the linear head.
-    forward and GRAFENNE's _phase1/2/3 stay in each model's own class body,
-    where bench/tracing.py looks them up to time them."""
+    parameters, each one glorot draw of its own shape from a seeded RNG in
+    construction order, the LeakyReLU activation, the SAGE/GAT/GIN backbone
+    and the linear head. forward and GRAFENNE's _phase1/2/3 stay in each
+    model's own class body, where bench/tracing.py looks them up to time them."""
 
     table = None  # FeatureEmbeddingTable, where a model has one
 
@@ -134,15 +134,15 @@ class ModelBase:
         self.num_classes = num_classes
         self.params = {}
 
-    def _add(self, rng, name, shape, skip=0):
+    def _add(self, rng, name, shape):
         assert name not in self.params, name
-        self.params[name] = T.Parameter(glorot(rng, shape)[skip:], name)
+        self.params[name] = T.Parameter(glorot(rng, shape), name)
 
     def _add_zeros(self, name, size):
         self.params[name] = T.Parameter(np.zeros(size), name)
 
-    def _add_mlp(self, rng, prefix, d_in, d_out, skip=0):
-        self._add(rng, f"{prefix}/A0", (d_in, d_out), skip)
+    def _add_mlp(self, rng, prefix, d_in, d_out):
+        self._add(rng, f"{prefix}/A0", (d_in, d_out))
         self._add_zeros(f"{prefix}/b0", d_out)
         self._add(rng, f"{prefix}/A1", (d_out, d_out))
         self._add_zeros(f"{prefix}/b1", d_out)
@@ -163,9 +163,8 @@ class ModelBase:
         if backend == "sage":
             self._add(rng, f"{prefix}/W13", (2 * d_in, d))
         elif backend == "gat":
-            glorot(rng, (d_in, d))  # cancelled destination score: drawn so later draws stay
             self._add(rng, f"{prefix}/W14", (d_in, d))
-            self._add(rng, f"{prefix}/w15", (2 * d,), skip=d)
+            self._add(rng, f"{prefix}/w15", (d,))
             self._add(rng, f"{prefix}/W16", (d_in, d))
         else:  # gin
             self._add_mlp(rng, f"{prefix}/mlp", d_in, d)
@@ -206,24 +205,18 @@ class GrafenneModel(ModelBase):
         for l in range(config.layers):
             self._add_attention(rng, l, "p1")
             self._add_backbone(rng, f"layer{l}/p2", config.dim)
-            self._add_attention(rng, l, "p3")
-        # no output reads the last layer's phase 3: its values are drawn, so
-        # the head's stay as they were, and dropped
-        dead = f"layer{config.layers - 1}/p3/"
-        self.params = {k: p for k, p in self.params.items() if not k.startswith(dead)}
+            if l < config.layers - 1:  # no output reads the last layer's phase 3
+                self._add_attention(rng, l, "p3")
         self._add_head(rng, num_classes)
 
     def _add_attention(self, rng, l, phase):
         d = self.config.dim
-        glorot(rng, (d, d))  # cancelled destination score: drawn so later draws stay
-        shapes = ((d, d), (d,), (3 * d,), (d, d), (d, d))
-        for name, shape, skip in zip(_ATTEND_PARAMS[phase], shapes, (0, 0, d, 0, 0)):
-            self._add(rng, f"layer{l}/{phase}/{name}", shape, skip)
-        # no self part before layer 0: W5 and A0's top rows drawn so later draws stay, dropped
-        selfless = d if (l, phase) == (0, "p1") else 0
-        if selfless:
-            del self.params["layer0/p1/W5"]
-        self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d, d, selfless)
+        has_self = (l, phase) != (0, "p1")  # no graph state before layer 0
+        shapes = ((d, d), (d,), (2 * d,), (d, d), (d, d))
+        for name, shape in zip(_ATTEND_PARAMS[phase], shapes):
+            if has_self or name != "W5":
+                self._add(rng, f"layer{l}/{phase}/{name}", shape)
+        self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d if has_self else d, d)
 
     def forward(self, alt, rng=None):
         """Run L triple-phase layers; returns (graph states, feature states),
@@ -300,7 +293,9 @@ def _ones(edges):
 
 
 def _sign_split(edges):
-    return np.stack([np.maximum(edges.weight, 0.0), np.maximum(-edges.weight, 0.0)], axis=1)
+    # less the destination's first edge: a constant that the softmax cancels
+    coef = np.stack([np.maximum(edges.weight, 0.0), np.maximum(-edges.weight, 0.0)], axis=1)
+    return coef - coef[edges.indptr[edges.dst]]
 
 
 def _inverse_degree(edges):
@@ -388,18 +383,14 @@ def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
     seg = np.repeat(np.arange(trials), d)
 
     prng = np.random.default_rng([seed, 31])
-    phi = [
-        T.Parameter(glorot(prng, (2 * d, hidden)), "probe/msg/A0"),
-        T.Parameter(np.zeros(hidden), "probe/msg/b0"),
-        T.Parameter(glorot(prng, (hidden, d)), "probe/msg/A1"),
-        T.Parameter(np.zeros(d), "probe/msg/b1"),
-    ]
-    rho = [
-        T.Parameter(glorot(prng, (d, hidden)), "probe/comb/A0"),
-        T.Parameter(np.zeros(hidden), "probe/comb/b0"),
-        T.Parameter(glorot(prng, (hidden, d)), "probe/comb/A1"),
-        T.Parameter(np.zeros(d), "probe/comb/b1"),
-    ]
+
+    def mlp(name, d_in):  # d_in -> hidden -> d
+        return [T.Parameter(glorot(prng, (d_in, hidden)), f"probe/{name}/A0"),
+                T.Parameter(np.zeros(hidden), f"probe/{name}/b0"),
+                T.Parameter(glorot(prng, (hidden, d)), f"probe/{name}/A1"),
+                T.Parameter(np.zeros(d), f"probe/{name}/b1")]
+
+    phi, rho = mlp("msg", 2 * d), mlp("comb", d)
     m_in = T.Tensor(msgs)
     target = T.Tensor(x)
 

@@ -154,14 +154,15 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    av, bv = a.values, b.values
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+            _accumulate(a, _unbroadcast(g * bv, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.values, b.shape))
+            _accumulate(b, _unbroadcast(g * av, b.shape))
 
-    return _node(a.values * b.values, (a, b), _bw)
+    return _node(av * bv, (a, b), _bw)
 
 
 def matmul(a, b):

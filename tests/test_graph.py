@@ -180,6 +180,29 @@ def test_edges_take_keeps_weights_aligned():
     assert Edges(src, dst, (5, 4)).take(keep).weight is None
 
 
+def test_layouts_and_derived_arrays_are_read_only():
+    alt = to_allotropic(toy())
+    layouts = (alt.feat_to_node, alt.node_to_feat, alt.node_to_node)
+    arrays = {"node_ids": alt.node_ids, "feat_ids": alt.feat_ids,
+              "derived": alt.feat_to_node.derived(lambda e: np.ones(len(e)))}
+    for name, e in zip(("feat_to_node", "node_to_feat", "node_to_node"), layouts):
+        arrays.update({f"{name}.{k}": getattr(e, k) for k in ("src", "dst", "indptr")})
+    arrays.update(weight=alt.feat_to_node.weight, reversed_weight=alt.node_to_feat.weight)
+    for name, a in arrays.items():
+        assert len(a), name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_edges_never_freeze_the_callers_arrays():
+    src, dst, weight = np.array([2, 0, 1]), np.array([0, 1, 1]), np.array([0.5, 1.0, 2.0])
+    e = Edges(src, dst, (2, 3), weight)
+    src[0], weight[0] = 1, 9.0  # still the caller's to write, and not the layout's
+    assert e.src.tolist() == [2, 0, 1] and e.weight.tolist() == [0.5, 1.0, 2.0]
+    frozen = e.src
+    assert Edges(frozen, dst, (2, 3)).src is frozen  # a read-only array is shared
+
+
 def test_dict_and_triple_inputs_give_the_same_sorted_entries():
     rng = np.random.default_rng(4)
     for _ in range(30):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from grafenne import model as model_module
 from grafenne import tensor as T
 from grafenne.continual import StreamConfig, compute_importance, run_stream
 from grafenne.graph import Edges, HeteroGraph, make_split, to_allotropic
@@ -197,14 +198,17 @@ def test_uniform_attention_when_messages_identical():
 
 
 def test_edge_channel_matches_direct_form():
-    # |w| LR(sign(w) v) against LR(w v) with negative, zero and positive
-    # edge weights and exactly-zero components, where the subgradient of
-    # LeakyReLU takes the positive branch
+    # |w| LR(sign(w) v) against LR(w v) less its value on the first edge into
+    # the same destination, with negative, zero and positive edge weights
+    # and exactly-zero components, where the subgradient of LeakyReLU takes
+    # the positive branch; destinations 0, 2 and 3 hold several edges
     model = GrafenneModel(small_cfg(dim=5))
     weights = np.array([1.5, -0.7, 0.0, 2.0, -3.0, 0.0, 0.25])
+    dst = np.array([0, 0, 0, 2, 2, 3, 3])
     w3 = np.array([0.4, 0.0, -1.2, 0.0, 0.9])
     w_att = np.array([0.3, -1.1, 0.6, 2.0, -0.4])
     upstream = np.random.default_rng(8).normal(size=len(weights))
+    edges = Edges(np.arange(7), dst, (4, 7), weight=weights)
 
     def run(channel):
         w3_t = T.Tensor(w3.copy(), requires_grad=True)
@@ -215,13 +219,35 @@ def test_edge_channel_matches_direct_form():
 
     def direct(w3_t, w_att_t):
         col = T.Tensor(weights.reshape(-1, 1))
-        return T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), w_att_t)
+        score = T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), w_att_t)
+        return T.sub(score, T.gather_rows(score, edges.indptr[dst]))
 
-    edges = Edges(np.arange(7), np.arange(7), (7, 7), weight=weights)
     got = run(lambda w3_t, w_att_t: model._edge_channel(edges, w3_t, w_att_t))
     want = run(direct)
+    assert np.any(want[0] != 0.0)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("phase2", ["sage", "gat", "gin"])
+def test_binary_features_give_the_edge_channel_exactly_zero_gradients(phase2):
+    """With every feature value 1, as in the static workload and the c11
+    stream, each edge channel is constant within its softmax segment: w3,
+    w9 and the edge segments of w4 and w10 get exactly zero gradients, not
+    rounding noise that Adam would turn into moves."""
+    g = _varied_graph()
+    g = g.replace(feats=(g.feat_node, g.feat_id, np.ones(len(g.feat_value))))
+    d = 4
+    model = GrafenneModel(small_cfg(phase2=phase2, dim=d, layers=2), g.num_classes)
+    h = model.forward(to_allotropic(g))[0]
+    T.backward(T.cross_entropy(model.logits(h), [g.labels[v] for v in g.nodes]))
+    p, channel = model.params, {}
+    for l, phase, (w_edge, w_att) in ((0, "p1", ("w3", "w4")), (1, "p1", ("w3", "w4")),
+                                      (0, "p3", ("w9", "w10"))):
+        assert np.any(p[f"layer{l}/{phase}/{w_att}"].grad[:d])  # the source segment trains
+        channel[f"layer{l}/{phase}/{w_edge}"] = p[f"layer{l}/{phase}/{w_edge}"].grad
+        channel[f"layer{l}/{phase}/{w_att}[d:]"] = p[f"layer{l}/{phase}/{w_att}"].grad[d:]
+    assert {k: np.abs(v).max() for k, v in channel.items()} == dict.fromkeys(channel, 0.0)
 
 
 @pytest.mark.parametrize("backend", ["sage", "gat", "gin"])
@@ -642,6 +668,38 @@ def test_no_parameter_is_dead(kind):
             rows = a.reshape(len(a), -1).max(axis=1) if per_row and a.ndim else [a.max()]
             dead += [(layers, name, i) for i, s in enumerate(rows) if not s > 1e-8 * largest]
     assert dead == []
+
+
+_ZERO_INIT = ("/b0", "/b1", "head/b", "/epsilon")
+
+
+@pytest.mark.parametrize("kind", ["sage", "gat", "gin", "vanilla",
+                                  "dense+sage", "dense+gat", "dense+gin"])
+def test_every_glorot_draw_is_a_kept_parameter(monkeypatch, kind):
+    """Each glorot draw is one parameter's initial values, in construction
+    order, and every parameter but the zero-initialised biases and GIN
+    epsilons is one: nothing is drawn and thrown away."""
+    draws = []
+    glorot = model_module.glorot
+
+    def recorded(rng, shape):
+        draws.append(glorot(rng, shape))
+        return draws[-1]
+
+    monkeypatch.setattr(model_module, "glorot", recorded)
+    for layers in (1, 2, 3):
+        draws.clear()
+        cfg = small_cfg(phase2=kind.split("+")[-1] if kind != "vanilla" else "sage", dim=4,
+                        layers=layers)
+        if kind.startswith("dense"):
+            model = DenseGnnModel(cfg, 6, 3)
+        else:
+            model = (VanillaAltModel if kind == "vanilla" else GrafenneModel)(cfg, 3)
+        kept = [p.values for name, p in model.params.items() if not name.endswith(_ZERO_INIT)]
+        assert len(draws) == len(kept), layers
+        assert all(np.array_equal(a, b) for a, b in zip(draws, kept)), layers
+        assert not any(p.values.any() for name, p in model.params.items()
+                       if name.endswith(_ZERO_INIT))
 
 
 def test_recovery_probe_d1():

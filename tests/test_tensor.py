@@ -444,6 +444,21 @@ def test_softmax_minus_onehot_is_cross_entropy_gradient():
     assert np.array_equal(x.grad, T.softmax_minus_onehot(logits, [1, 0, 3]) / 3)
 
 
+def test_mul_backward_reads_its_forward_arrays():
+    """A tape swept after an Adam step rebound p's values takes mul's
+    gradients from the forward-time arrays, as matmul's do."""
+    p = T.Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "p")
+    q = T.Parameter(np.full((2, 2), 2.0), "q")
+    p0, q0 = p.values.copy(), q.values.copy()
+    loss = T.sum_all(T.mul(T.mul(p, p), q))
+    p.grad, q.grad = np.ones((2, 2)), np.ones((2, 2))
+    adam_step([p, q], lr=0.1)
+    assert not np.array_equal(p.values, p0)
+    zero_grad([p, q])
+    T.backward(loss)
+    assert np.array_equal(p.grad, 2 * p0 * q0) and np.array_equal(q.grad, p0 * p0)
+
+
 def test_adam_zero_grad_no_move():
     p = T.Parameter(np.array([1.0, -2.0]), "p")
     zero_grad([p])
