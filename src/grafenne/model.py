@@ -9,19 +9,20 @@ projects to zero, so layer 0's phase 1 has no self part either: its
 combine reads the aggregate alone, and no graph state exists before it.
 
 Phases 1 and 3 are _attend with graph and feature roles swapped, around
-the `attention` of the GAT backbone. LeakyReLU acts elementwise, so the
-paper's score w . LR(h_v W_dst || h_u W_src || x_uv w_e) of an edge u -> v
-is a sum of three terms, and the softmax over v's edges cancels the h_v
-one: no model builds it. The edge channel uses LR's positive homogeneity,
-    LR(x w) = |x| LR(sign(x) w),
+tensor.attention, the GAT backbone's attention too. LeakyReLU acts
+elementwise, so the paper's score w . LR(h_v W_dst || h_u W_src || x_uv w_e)
+of an edge u -> v is a sum of three terms, and the softmax over v's edges
+cancels the h_v one: no model builds it. The edge channel uses LR's
+positive homogeneity, LR(x w) = |x| LR(sign(x) w),
 so it costs two d-vector scores and one per-edge vector. Every
 aggregation is one tape node over a graph.Edges layout, so no (edges, d)
-tensor is ever materialized on the tape: a plain neighbour sum is
-tensor.spmm, an attention tensor.edge_softmax_spmm (gathered scores,
-softmax per destination and weighted sum). The layouts, their sparse
-matrices and what the layers derive from them (split edge weights, GAT's
-self-loops, SAGE's degrees, the vanilla joint graph) are built once per graph,
-through Edges.derived and AllotropicGraph.derived.
+tensor is ever materialized: an attention, projections, scores, softmax
+per destination and weighted sum, is tensor.attention, a SAGE layer
+tensor.sage, GIN's neighbour sum tensor.spmm, and every MLP, the head
+included, tensor.mlp. The layouts, their sparse matrices and what the
+layers derive from them (split edge weights, GAT's self-loops, SAGE's
+degrees, the vanilla joint graph) are built once per graph, through
+Edges.derived and AllotropicGraph.derived.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def _capped(edges, cap, rng):
 class ModelBase:
     """What GrafenneModel, VanillaAltModel and DenseGnnModel share: named
     parameters, each one glorot draw of its own shape from a seeded RNG in
-    construction order, the LeakyReLU activation, the SAGE/GAT/GIN backbone
-    and the linear head. forward and GRAFENNE's _phase1/2/3 stay in each
-    model's own class body, where bench/tracing.py looks them up to time them."""
+    construction order, the SAGE/GAT/GIN backbone and the linear head.
+    forward and GRAFENNE's _phase1/2/3 stay in each model's own class
+    body, where bench/tracing.py looks them up to time them."""
 
     table = None  # FeatureEmbeddingTable, where a model has one
 
@@ -177,14 +178,11 @@ class ModelBase:
         backend = self.config.phase2
         if backend == "sage":
             return sage_layer(h, edges, p[f"{prefix}/W13"])
-        if backend == "gat":
-            return gat_layer(h, edges, p[f"{prefix}/W14"], p[f"{prefix}/w15"],
-                             p[f"{prefix}/W16"], self._act)
+        if backend == "gat":  # attention over in-neighbours plus a self-loop
+            return T.attention(h, edges.derived(_self_looped), p[f"{prefix}/W14"],
+                               p[f"{prefix}/w15"], p[f"{prefix}/W16"], LEAKY_SLOPE)
         return gin_layer(h, edges, p[f"{prefix}/epsilon"],
-                         self._mlp_params(f"{prefix}/mlp"), self._act)
-
-    def _act(self, x):
-        return T.leaky_relu(x, LEAKY_SLOPE)
+                         self._mlp_params(f"{prefix}/mlp"), LEAKY_SLOPE)
 
     def trainable_parameters(self):
         """Every parameter; the list is fixed from construction on."""
@@ -194,7 +192,7 @@ class ModelBase:
     def logits(self, h):
         if self.num_classes is None:
             raise ValueError("model built without a classification head")
-        return T.add(T.matmul(h, self.params["head/W"]), self.params["head/b"])
+        return T.mlp(h, [self.params["head/W"], self.params["head/b"]], None)
 
 
 class GrafenneModel(ModelBase):
@@ -236,14 +234,6 @@ class GrafenneModel(ModelBase):
                 hf = self._phase3(l, alt, hg, hf, rng)
         return hg, hf
 
-    def _edge_channel(self, edges, w_vec, w_att):
-        # w_att . LR(w_e * w_vec) per edge, in the positively homogeneous
-        # form |w_e| * (w_att . LR(sign(w_e) * w_vec)): two d-vector scores
-        # mixed by max(w_e, 0) and max(-w_e, 0), so no (edges, d) tensor
-        coef = T.Tensor(edges.derived(_sign_split))
-        signed = T.stack_rows([w_vec, T.mul(w_vec, -1.0)])
-        return T.matmul(coef, T.matmul(self._act(signed), w_att))
-
     def _attend(self, l, phase, h_dst, h_src, edges):
         """Attention aggregate of phases 1 and 3: every dst state combines
         its own projection (none when h_dst is None, in layer 0's phase 1)
@@ -251,15 +241,13 @@ class GrafenneModel(ModelBase):
         along the weighted Edges layout `edges`."""
         w_src, w_edge, w_att, w_self, w_msg = (
             self.params.get(f"layer{l}/{phase}/{name}") for name in _ATTEND_PARAMS[phase])
-        d = self.config.dim
         if len(edges) == 0:
-            agg = T.Tensor(np.zeros((edges.shape[0], d)))
+            agg = T.Tensor(np.zeros((edges.shape[0], self.config.dim)))
         else:
-            a_src, a_edge = T.slice_rows(w_att, 0, d), T.slice_rows(w_att, d, 2 * d)
-            s_edge = self._edge_channel(edges, w_edge, a_edge)
-            agg = attention(h_src, edges, w_src, a_src, w_msg, self._act, s_edge)
+            agg = T.attention(h_src, edges, w_src, w_att, w_msg, LEAKY_SLOPE,
+                              edges.derived(_sign_split), w_edge)
         combined = agg if h_dst is None else T.concat([T.matmul(h_dst, w_self), agg], axis=1)
-        return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), self._act)
+        return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), LEAKY_SLOPE)
 
     def _phase1(self, l, alt, hg, hf, rng):
         edges = _capped(alt.feat_to_node, self.config.cap_features, rng)
@@ -276,24 +264,14 @@ class GrafenneModel(ModelBase):
         return self._attend(l, "p3", hf, hg_new, edges)
 
 
-def attention(h_src, edges, w_src, w_att, w_msg, act, s_edge=None):
-    """Softmax-weighted sum of the messages h_src[u] @ w_msg along the
-    Edges u -> v into each v, scored per edge as w_att . act(h_src[u] w_src)
-    plus s_edge, the scores of an edge channel if any. Scoring, softmax and
-    aggregation are one tensor.edge_softmax_spmm."""
-    s_src = T.matmul(act(T.matmul(h_src, w_src)), w_att)
-    return T.edge_softmax_spmm(s_src, s_edge, edges, T.matmul(h_src, w_msg))
-
-
 # what the layers derive from an Edges layout, built once per layout
 # through Edges.derived
 
-def _ones(edges):
-    return np.ones(len(edges))
-
-
 def _sign_split(edges):
-    # less the destination's first edge: a constant that the softmax cancels
+    # the edge channel's mixing weights: w_att . LR(w_e * w_vec) per edge is
+    # |w_e| * (w_att . LR(sign(w_e) * w_vec)), two d-vector scores mixed by
+    # max(w_e, 0) and max(-w_e, 0), so no (edges, d) tensor; less the
+    # destination's first edge, a constant that the softmax cancels
     coef = np.stack([np.maximum(edges.weight, 0.0), np.maximum(-edges.weight, 0.0)], axis=1)
     return coef - coef[edges.indptr[edges.dst]]
 
@@ -310,21 +288,14 @@ def _self_looped(edges):
 
 def sage_layer(h, edges, w):
     """ReLU([h || mean of in-neighbours] @ w)."""
-    neigh = T.spmm(edges.derived(_ones), edges, h)  # neighbour sums
-    mean = T.mul(neigh, T.Tensor(edges.derived(_inverse_degree)))
-    return T.relu(T.matmul(T.concat([h, mean], axis=1), w))
+    return T.sage(h, edges, edges.derived(_inverse_degree), w)
 
 
-def gat_layer(h, edges, w_src, w_att, w_msg, act):
-    """Attention over in-neighbours plus a self-loop."""
-    return attention(h, edges.derived(_self_looped), w_src, w_att, w_msg, act)
-
-
-def gin_layer(h, edges, epsilon, mlp_params, act):
+def gin_layer(h, edges, epsilon, mlp_params, slope):
     """MLP((1 + epsilon) h + sum of in-neighbours)."""
-    neigh = T.spmm(edges.derived(_ones), edges, h)  # neighbour sums
+    neigh = T.spmm(edges.derived(T._ones), edges, h)  # neighbour sums
     scaled = T.mul(h, T.add(epsilon, 1.0))
-    return T.mlp(T.add(scaled, neigh), mlp_params, act)
+    return T.mlp(T.add(scaled, neigh), mlp_params, slope)
 
 
 class VanillaAltModel(ModelBase):
@@ -348,7 +319,8 @@ class VanillaAltModel(ModelBase):
         edges = alt.derived(_joint_layout)
         for l in range(self.config.layers):
             h = sage_layer(h, edges, self.params[f"layer{l}/W"])
-        return T.slice_rows(h, 0, n), T.slice_rows(h, n, n + m)
+        # no output reads the feature states: a plain view, off the tape
+        return T.slice_rows(h, 0, n), T.Tensor(h.values[n:n + m])
 
 
 def _joint_layout(alt):

@@ -21,12 +21,13 @@ the output only through a weak reference, so no closure holds its own
 output, the tape is acyclic and a dropped tape is freed by reference
 counting alone, without waiting for the cyclic garbage collector.
 
-The sparse ops read a graph.Edges layout. spmm is one weighted neighbour
-sum, and edge_softmax_spmm one whole attention: per-edge scores, their
-softmax per destination and the weighted sum, in one node. Both multiply
-through the layout's CSR matrix and its CSC transpose, built once per
-layout and shared by every call, which rebinds their values to its own
-edge weights right before each product, forward and backward.
+The fused ops attention, sage and mlp are whole layer blocks in one node
+each, their backward the staged ops' expressions in the staged order, so
+values and gradients are bit for bit those of the staged composition. The
+sparse ones (spmm too) multiply through a graph.Edges layout's CSR matrix
+and its CSC transpose, built once per layout and shared by every call,
+which rebinds their values to its own edge weights right before each
+product, forward and backward.
 """
 
 from __future__ import annotations
@@ -221,16 +222,23 @@ def concat(parts, axis=0):
     return _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), _bw)
 
 
-def leaky_relu(x, slope=0.2):
-    """max(x, slope * x), which is LeakyReLU for 0 <= slope <= 1 only."""
+def _leaky(x, slope):
+    """leaky_relu's values, an array even when x is 0-d."""
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu slope {slope} outside [0, 1]")
+    o = np.multiply(x, slope, out=np.empty_like(x))
+    return np.maximum(x, o, out=o)
+
+
+def _leaky_grad(x, slope):  # the subgradient at 0 takes the positive branch
+    return np.where(x >= 0, 1.0, slope)
+
+
+def leaky_relu(x, slope=0.2):
+    """max(x, slope * x), which is LeakyReLU for 0 <= slope <= 1 only."""
     x = as_tensor(x)
     xv = x.values
-    o = np.multiply(xv, slope, out=np.empty_like(xv))  # an array even when 0-d
-    # subgradient at 0 takes the positive branch
-    return _node(np.maximum(xv, o, out=o), (x,),
-                 lambda g: _accumulate(x, g * np.where(xv >= 0, 1.0, slope)))
+    return _node(_leaky(xv, slope), (x,), lambda g: _accumulate(x, g * _leaky_grad(xv, slope)))
 
 
 def relu(x):
@@ -288,6 +296,10 @@ def slice_rows(x, lo, hi):
     return _node(x.values[lo:hi].copy(), (x,), _bw)
 
 
+def _ones(edges):
+    return np.ones(len(edges))
+
+
 def _matrices(edges):
     """The CSR matrix of the graph.Edges layout `edges` and its CSC
     transpose, one index structure shared by both. Built once per layout
@@ -320,9 +332,9 @@ def _sddmm(g, x, edges):
     return out
 
 
-def _check_spmm_x(x, edges):
+def _check_rows(op, x, edges):
     if x.values.ndim != 2 or x.shape[0] != edges.shape[1]:
-        raise ValueError(f"spmm needs a 2-D x of {edges.shape[1]} rows, got shape {x.shape}")
+        raise ValueError(f"{op} needs a 2-D input of {edges.shape[1]} rows, got shape {x.shape}")
 
 
 def spmm(alpha, edges, x):
@@ -337,7 +349,7 @@ def spmm(alpha, edges, x):
     be a constant array (ones for a plain sum).
     """
     alpha, x = as_tensor(alpha), as_tensor(x)
-    _check_spmm_x(x, edges)
+    _check_rows("spmm", x, edges)
     if alpha.shape != (len(edges),):
         raise ValueError(f"spmm needs one alpha per edge, got shape {alpha.shape} "
                          f"for {len(edges)} edges")
@@ -385,43 +397,93 @@ def segment_softmax(scores, segments, num_segments=None):
     return _node(p, (scores,), lambda g: _accumulate(scores, _softmax_backward(p, g, ids, num)))
 
 
-def edge_softmax_spmm(s_src, s_edge, edges, x):
-    """spmm(segment_softmax(s_src[src] (+ s_edge), dst), edges, x) as one
-    tape node: attention over the graph.Edges layout `edges`, with
-    per-source scores s_src and optional per-edge scores s_edge (None for
-    none); a per-destination score would cancel in the softmax.
-
-    Values and gradients are those of the staged gather/add/softmax/spmm
-    ops, expression for expression. Backward is S_alpha^T @ G for x, the
-    SDDMM dalpha[e] = <G[dst[e]], x[src[e]]>, the softmax backward
-    dscore = alpha * (dalpha - per-destination sum of alpha * dalpha), and
-    dscore summed into sources for s_src.
-    """
-    s_src, x = as_tensor(s_src), as_tensor(x)
-    s_edge = None if s_edge is None else as_tensor(s_edge)
-    scores = (s_src,) if s_edge is None else (s_src, s_edge)
-    _check_spmm_x(x, edges)
+def attention(h, edges, w_src, w_att, w_msg, slope, coef=None, w_edge=None):
+    """A whole attention as one tape node: the softmax-weighted sum of the
+    messages (h W_msg)[u] along the graph.Edges u -> v into each v, an edge
+    e = u -> v scored as LR(h W_src)[u] . w_att[:d] (LR the LeakyReLU of
+    `slope`), plus, where coef gives each edge two mixing weights, the
+    edge channel coef[e] . (LR([w_edge; -w_edge]) @ w_att[d:]). A
+    per-destination score would cancel in the softmax. Backward is
+    S_alpha^T @ G for the messages, the SDDMM <G[dst[e]], msg[src[e]]>,
+    the softmax backward, then the staged ops' through both score terms;
+    h gets its score part, then its message part."""
+    h, w_src, w_att, w_msg = (as_tensor(t) for t in (h, w_src, w_att, w_msg))
+    _check_rows("attention", h, edges)
+    d = w_src.shape[1]
+    parents = (h, w_src, w_att, w_msg) + (() if coef is None else (as_tensor(w_edge),))
+    if coef is not None and (np.shape(coef) != (len(edges), 2) or parents[4].shape != (d,)):
+        raise ValueError(f"attention needs coef of shape ({len(edges)}, 2) and w_edge of "
+                         f"shape ({d},), got {np.shape(coef)} and {parents[4].shape}")
+    if w_att.shape != (d if coef is None else 2 * d,):
+        raise ValueError(f"attention needs w_att of {d} entries, {2 * d} with an edge channel, "
+                         f"got shape {w_att.shape}")
     num_dst, num_src = edges.shape
-    for name, s, n in zip(("s_src", "s_edge"), scores, (num_src, len(edges))):
-        if s.shape != (n,):
-            raise ValueError(f"edge_softmax_spmm needs {name} of shape ({n},), got {s.shape}")
-    dst, src, xv = edges.dst, edges.src, x.values
-    score = s_src.values[src]
-    if s_edge is not None:
-        score = score + s_edge.values
+    dst, src = edges.dst, edges.src
+    hv, ws, wa, wm = h.values, w_src.values, w_att.values, w_msg.values
+    z = hv @ ws
+    lz = _leaky(z, slope)
+    score = (lz @ wa[:d])[src]
+    if coef is not None:
+        w_edge, we = parents[4], parents[4].values
+        signed = np.stack([we, we * -1.0])
+        ls = _leaky(signed, slope)
+        score = score + coef @ (ls @ wa[d:])
+    mv = hv @ wm
     p = _softmax(score, dst, num_dst)
 
     def _bw(g):
-        if x.requires_grad:
-            _accumulate(x, _product(edges, p, g, transpose=True))
-        if any(s.requires_grad for s in scores):
-            ds = _softmax_backward(p, _sddmm(g, xv, edges), dst, num_dst)
-            if s_src.requires_grad:
-                _accumulate(s_src, np.bincount(src, ds, minlength=num_src))
-            if s_edge is not None and s_edge.requires_grad:
-                _accumulate(s_edge, ds)
+        if h.requires_grad or w_msg.requires_grad:
+            gm = _product(edges, p, g, transpose=True)
+        if any(t.requires_grad for t in parents[:3] + parents[4:]):  # a score input
+            ds = _softmax_backward(p, _sddmm(g, mv, edges), dst, num_dst)
+            gs = np.bincount(src, ds, minlength=num_src)
+            g_att = [lz.T @ gs]
+            if coef is not None:
+                gv = coef.T @ ds
+                g_att.append(ls.T @ gv)
+                if w_edge.requires_grad:
+                    g_signed = (gv[:, None] * wa[d:][None, :]) * _leaky_grad(signed, slope)
+                    _accumulate(w_edge, g_signed[0])
+                    _accumulate(w_edge, g_signed[1] * -1.0)
+            if w_att.requires_grad:
+                _accumulate(w_att, g_att[0] if coef is None else np.concatenate(g_att))
+            gz = (gs[:, None] * wa[:d][None, :]) * _leaky_grad(z, slope)
+            if w_src.requires_grad:
+                _accumulate(w_src, hv.T @ gz)
+            if h.requires_grad:
+                _accumulate(h, gz @ ws.T)
+        if h.requires_grad:
+            _accumulate(h, gm @ wm.T)
+        if w_msg.requires_grad:
+            _accumulate(w_msg, hv.T @ gm)
 
-    return _node(_product(edges, p, xv), scores + (x,), _bw)
+    return _node(_product(edges, p, mv), parents, _bw)
+
+
+def sage(h, edges, inv_deg, w):
+    """relu([h || inv_deg * (S_1 h)] @ w) as one tape node: GraphSAGE over
+    the graph.Edges layout `edges`, S_1 h each row's in-neighbour sum and
+    inv_deg the (rows, 1) reciprocal in-degrees; h gets its self part,
+    then its neighbour part."""
+    h, w = as_tensor(h), as_tensor(w)
+    _check_rows("sage", h, edges)
+    ones = edges.derived(_ones)
+    hv, wv = h.values, w.values
+    dh = hv.shape[1]
+    cat = np.concatenate([hv, _product(edges, ones, hv) * inv_deg], axis=1)
+    z = cat @ wv
+    pos = z >= 0
+
+    def _bw(g):
+        gz = g * pos
+        if h.requires_grad:
+            gc = gz @ wv.T
+            _accumulate(h, gc[:, :dh])
+            _accumulate(h, _product(edges, ones, gc[:, dh:] * inv_deg, transpose=True))
+        if w.requires_grad:
+            _accumulate(w, cat.T @ gz)
+
+    return _node(np.where(pos, z, 0.0), (h, w), _bw)
 
 
 def stack_rows(rows):
@@ -480,21 +542,43 @@ def ewc_penalty(params, anchor, weight):
     return _node(total, tuple(params), _bw)
 
 
-def mlp(x, weights, activation=leaky_relu):
-    """Affine stack: weights is a flat [W0, b0, W1, b1, ...] list.
-
-    Activation after every layer but the last; None means identity.
-    """
+def mlp(x, weights, slope=0.2):
+    """Affine stack on a matrix x as one tape node: weights is a flat
+    [W0, b0, W1, b1, ...] list, and LeakyReLU of `slope` follows every
+    layer but the last (slope None: identity). The backward runs the layers
+    in reverse: the bias sum, h.T @ g and g @ W.T, then the slope mask."""
     if len(weights) % 2 != 0:
         raise ValueError("mlp expects alternating weight/bias parameters")
-    h = x
-    n_layers = len(weights) // 2
-    for i in range(n_layers):
-        w, b = weights[2 * i], weights[2 * i + 1]
-        h = add(matmul(h, w), b)
-        if activation is not None and i < n_layers - 1:
-            h = activation(h)
-    return h
+    x = as_tensor(x)
+    if x.values.ndim != 2:
+        raise ValueError(f"mlp expects a 2-D input, got shape {x.shape}")
+    weights = [as_tensor(w) for w in weights]
+    ws = [w.values for w in weights[0::2]]
+    ins, pre = [], []  # each layer's input; each activated layer's pre-activation
+    h = x.values
+    for i, (w, b) in enumerate(zip(ws, weights[1::2])):
+        ins.append(h)
+        h = h @ w + b.values
+        if slope is not None and i < len(ws) - 1:
+            pre.append(h)
+            h = _leaky(h, slope)
+
+    def _bw(g):
+        for i in range(len(ws) - 1, -1, -1):
+            w, b = weights[2 * i], weights[2 * i + 1]
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(g, b.shape))
+            if w.requires_grad:
+                _accumulate(w, ins[i].T @ g)
+            if i == 0:
+                if x.requires_grad:
+                    _accumulate(x, g @ ws[0].T)
+            else:
+                g = g @ ws[i].T
+                if slope is not None:
+                    g = g * _leaky_grad(pre[i - 1], slope)
+
+    return _node(h, (x, *weights), _bw)
 
 
 def _log_softmax_parts(v):

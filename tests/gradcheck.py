@@ -110,7 +110,7 @@ def _case_mlp_ce(rng):
 
     def build(x):
         xs_, w1_, b1_, w2_, b2_ = x
-        logits = T.mlp(xs_, [w1_, b1_, w2_, b2_], T.leaky_relu)
+        logits = T.mlp(xs_, [w1_, b1_, w2_, b2_], 0.2)
         return T.cross_entropy(logits, labels)
 
     return build, [xs, w1, b1, w2, b2]
@@ -271,24 +271,43 @@ def _case_spmm(rng):
     return build, [xs, alpha]
 
 
-def _case_edge_softmax_spmm(rng):
-    n, d, k, e = rng.integers(2, 6), rng.integers(1, 5), rng.integers(3, 7), rng.integers(2, 9)
+def _case_fused_attention(rng):
+    n, c, d, k, e = (rng.integers(2, 6), rng.integers(1, 5), rng.integers(1, 5),
+                     rng.integers(3, 7), rng.integers(2, 9))
     rows = np.sort(rng.integers(0, k - 1, size=e))  # row k - 1 stays empty
     cols = rng.integers(0, n, size=e)
     cols[1] = cols[0]  # a repeated source
     edges = Edges(cols, rows, (k, n))
-    s_src, s_edge = rng.normal(size=(n,)), rng.normal(size=(e,))
-    xs = rng.normal(size=(n, d))
-    fixed = rng.normal(size=(n, d))
+    coef = rng.normal(size=(e, 2))
+    h = rng.normal(size=(n, c))
+    w_src, w_msg = rng.normal(size=(c, d)), rng.normal(size=(c, d))
+    w_att, w_edge, w_gat = rng.normal(size=(2 * d,)), rng.normal(size=(d,)), rng.normal(size=(d,))
     u = rng.normal(size=(k, d))
 
     def build(x):
-        s_src_, s_edge_, xs_ = x
-        trained = T.edge_softmax_spmm(s_src_, s_edge_, edges, xs_)
-        constant_x = T.edge_softmax_spmm(s_src_, None, edges, fixed)
-        return T.sum_all(T.mul(T.add(trained, constant_x), u))
+        h_, w_src_, w_att_, w_msg_, w_edge_, w_gat_ = x
+        channel = T.attention(h_, edges, w_src_, w_att_, w_msg_, 0.2, coef, w_edge_)
+        plain = T.attention(h_, edges, w_src_, w_gat_, w_msg_, 0.2)
+        return T.sum_all(T.mul(T.add(channel, plain), u))
 
-    return build, [s_src, s_edge, xs]
+    return build, [h, w_src, w_att, w_msg, w_edge, w_gat]
+
+
+def _case_sage(rng):
+    n, c, o, e = rng.integers(3, 7), rng.integers(1, 5), rng.integers(1, 5), rng.integers(2, 9)
+    rows = np.sort(rng.integers(0, n - 1, size=e))  # row n - 1 stays empty
+    cols = rng.integers(0, n, size=e)
+    cols[1] = cols[0]  # a repeated source
+    edges = Edges(cols, rows, (n, n))
+    inv_deg = (1.0 / np.maximum(np.diff(edges.indptr), 1)).reshape(-1, 1)
+    h, w = rng.normal(size=(n, c)), rng.normal(size=(2 * c, o))
+    u = rng.normal(size=(n, o))
+
+    def build(x):
+        h_, w_ = x
+        return T.sum_all(T.mul(T.sage(h_, edges, inv_deg, w_), u))
+
+    return build, [h, w]
 
 
 CASE_BUILDERS = [
@@ -305,7 +324,8 @@ CASE_BUILDERS = [
     _case_deep,
     _case_softmax_groups,
     _case_spmm,
-    _case_edge_softmax_spmm,
+    _case_fused_attention,
+    _case_sage,
     _case_ewc,
 ]
 

@@ -43,7 +43,7 @@ def check(name, ok, detail=""):
 
 _DIFF_OPS = ("add", "sub", "mul", "matmul", "reshape", "concat", "leaky_relu",
              "relu", "sigmoid", "gather_rows", "slice_rows", "segment_sum",
-             "segment_softmax", "spmm", "edge_softmax_spmm", "stack_rows", "sum_all",
+             "segment_softmax", "spmm", "attention", "sage", "stack_rows", "sum_all",
              "mean_all", "mlp", "cross_entropy", "bce_with_logits", "ewc_penalty")
 
 
@@ -170,26 +170,40 @@ def _apply_op(b, name):
             j = b.leaf((e,))                        # learned weights
             b._emit(lambda ts, i=i, j=j, edges=edges:
                     T.spmm(ts[j], edges, ts[i]), (k, b.shapes[i][1]))
-    elif name == "edge_softmax_spmm":
+    elif name == "attention":
         i = b.pick(lambda s: len(s) == 2)
         if i is None:
             i = b.leaf((_dim(rng), _dim(rng)))
-        n, d = b.shapes[i]
+        n, c = b.shapes[i]
+        d, o = _dim(rng), _dim(rng)
         e = int(rng.integers(1, 9))
         k = int(rng.integers(1, 5))
         rows = np.sort(rng.integers(0, k, size=e))  # rows never hit are empty
         cols = rng.integers(0, n, size=e)           # columns repeat
         edges = Edges(cols, rows, (k, n))
-        j = b.pick(lambda s, n=n: s == (n,))       # source scores: a built vector or a leaf
-        if j is None:
-            j = b.leaf((n,))
-        # the draws of the destination-score leaf the op no longer takes, so
-        # every later random program stays as it was
-        rng.uniform(0.2, 1.5, size=(k,)), rng.choice([-1.0, 1.0], size=(k,))
-        se = b.leaf((e,)) if rng.random() < 0.5 else None
-        b._emit(lambda ts, i=i, j=j, se=se, edges=edges:
-                T.edge_softmax_spmm(ts[j], None if se is None else ts[se], edges, ts[i]),
-                (k, d))
+        w_src, w_msg = b.leaf((c, d), scale=1.0 / c), b.leaf((c, o), scale=1.0 / c)
+        if rng.random() < 0.5:                      # with an edge channel
+            coef = rng.uniform(-1.5, 1.5, size=(e, 2))
+            w_att, w_edge = b.leaf((2 * d,)), b.leaf((d,))
+            b._emit(lambda ts, i=i, ws=(w_src, w_att, w_msg), we=w_edge, c=coef, edges=edges:
+                    T.attention(ts[i], edges, *(ts[w] for w in ws), 0.2, c, ts[we]), (k, o))
+        else:
+            w_att = b.leaf((d,))
+            b._emit(lambda ts, i=i, ws=(w_src, w_att, w_msg), edges=edges:
+                    T.attention(ts[i], edges, *(ts[w] for w in ws), 0.2), (k, o))
+    elif name == "sage":
+        i = b.pick(lambda s: len(s) == 2)
+        if i is None:
+            i = b.leaf((_dim(rng), _dim(rng)))
+        n, c = b.shapes[i]
+        e = int(rng.integers(1, 9))
+        rows = np.sort(rng.integers(0, n, size=e))  # rows never hit are empty
+        edges = Edges(rng.integers(0, n, size=e), rows, (n, n))
+        inv_deg = (1.0 / np.maximum(np.diff(edges.indptr), 1)).reshape(-1, 1)
+        o = _dim(rng)
+        w = b.leaf((2 * c, o), scale=1.0 / (2 * c))
+        b._emit(lambda ts, i=i, w=w, edges=edges, inv_deg=inv_deg:
+                T.sage(ts[i], edges, inv_deg, ts[w]), (n, o))
     elif name == "stack_rows":
         i = b.pick(lambda s: len(s) == 1 and s[0] >= 1)
         if i is None:
@@ -244,6 +258,41 @@ def _trial_loss(b):
     return total
 
 
+def _fd_step(loss):
+    """The central-difference step for a program whose loss is `loss`:
+    1e-6, grown as the cube root of |loss| above 1. The loss carries a
+    rounding error of about |loss| * 1e-16, which a fixed step divides by
+    2e-6 alone; this step keeps that term and the truncation error both
+    small."""
+    return 1e-6 * max(1.0, abs(loss)) ** (1.0 / 3.0)
+
+
+def _fd_check(b, step=_fd_step):
+    """The worst relative error between backward's gradients of b's program
+    and its central differences of step step(loss), and where it is."""
+    loss = _trial_loss(b)
+    zero_grad(b.params)
+    T.backward(loss)
+    grads = [p.grad.copy() for p in b.params]
+    h = step(loss.item())
+    worst, where = 0.0, None
+    for p, g in zip(b.params, grads):
+        flat = p.values.ravel()
+        gflat = np.asarray(g).ravel()
+        for e in range(flat.size):
+            keep = flat[e]
+            flat[e] = keep + h
+            up = float(_trial_loss(b).values)
+            flat[e] = keep - h
+            dn = float(_trial_loss(b).values)
+            flat[e] = keep
+            fd = (up - dn) / (2 * h)
+            rel = abs(gflat[e] - fd) / max(abs(gflat[e]), abs(fd), 1.0)
+            if rel >= worst:
+                worst, where = rel, (p.name, e, gflat[e], fd)
+    return worst, where
+
+
 def test_c01_gradient_suite():
     rng = np.random.default_rng(20240817)
     t0 = time.perf_counter()
@@ -257,38 +306,33 @@ def test_c01_gradient_suite():
             name = _DIFF_OPS[trial % len(_DIFF_OPS)] if step == 0 \
                 else _DIFF_OPS[int(rng.integers(0, len(_DIFF_OPS)))]
             _apply_op(b, name)
-
-        loss = _trial_loss(b)
-        zero_grad(b.params)
-        T.backward(loss)
-        grads = [p.grad.copy() for p in b.params]
-        h = 1e-6
-        for p, g in zip(b.params, grads):
-            flat = p.values.ravel()
-            gflat = np.asarray(g).ravel()
-            for e in range(flat.size):
-                keep = flat[e]
-                flat[e] = keep + h
-                up = float(_trial_loss(b).values)
-                flat[e] = keep - h
-                dn = float(_trial_loss(b).values)
-                flat[e] = keep
-                fd = (up - dn) / (2 * h)
-                rel = abs(gflat[e] - fd) / max(abs(gflat[e]), abs(fd), 1.0)
-                worst = max(worst, rel)
-                assert rel <= 1e-4, (trial, p.name, e, gflat[e], fd)
+        rel, where = _fd_check(b)
+        worst = max(worst, rel)
+        assert rel <= 1e-4, (trial, *where)
     elapsed = time.perf_counter() - t0
     check("c01 gradient suite", worst <= 1e-4 and elapsed < 60.0,
           f"200 graphs, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
+def test_c01_step_scales_with_a_large_loss():
+    """A loss near 1e7 rounds to about 2e-9: at a fixed 1e-6 step that is
+    an error near 1e-3 in a gradient near 1, which the scaled step keeps
+    below the gate's 1e-4."""
+    b = _Builder(np.random.default_rng(5))
+    b.leaf((3,), scale=2000.0)  # squares near 3e6 each
+    b.leaf((2, 3))              # gradients 2x, between 0.4 and 3
+    loss = _trial_loss(b).item()
+    assert 1e6 < loss < 1e8
+    fixed, _ = _fd_check(b, step=lambda loss: 1e-6)
+    scaled, _ = _fd_check(b)
+    assert fixed > 1e-4 >= scaled
 def test_c01_covers_every_tape_op():
     """Every public tensor function that builds a tape node through _node
     is one of the ops c01 composes."""
     tape_ops = {name for name, fn in vars(T).items()
                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
                 and not name.startswith("_") and "_node" in fn.__code__.co_names}
-    assert {"matmul", "spmm", "edge_softmax_spmm", "ewc_penalty"} <= tape_ops
+    assert {"matmul", "spmm", "attention", "sage", "mlp", "ewc_penalty"} <= tape_ops
     assert tape_ops <= set(_DIFF_OPS), sorted(tape_ops - set(_DIFF_OPS))
 
 

@@ -198,33 +198,41 @@ def test_uniform_attention_when_messages_identical():
 
 
 def test_edge_channel_matches_direct_form():
-    # |w| LR(sign(w) v) against LR(w v) less its value on the first edge into
+    # tensor.attention over the model's sign-split coefficients against an
+    # attention scored with LR(w v) less its value on the first edge into
     # the same destination, with negative, zero and positive edge weights
     # and exactly-zero components, where the subgradient of LeakyReLU takes
-    # the positive branch; destinations 0, 2 and 3 hold several edges
-    model = GrafenneModel(small_cfg(dim=5))
+    # the positive branch; destinations 0, 2 and 3 hold several edges, 1 none
+    d = 5
     weights = np.array([1.5, -0.7, 0.0, 2.0, -3.0, 0.0, 0.25])
     dst = np.array([0, 0, 0, 2, 2, 3, 3])
     w3 = np.array([0.4, 0.0, -1.2, 0.0, 0.9])
-    w_att = np.array([0.3, -1.1, 0.6, 2.0, -0.4])
-    upstream = np.random.default_rng(8).normal(size=len(weights))
+    a_edge = np.array([0.3, -1.1, 0.6, 2.0, -0.4])
+    rng = np.random.default_rng(8)
+    h, w_src, w_msg = rng.normal(size=(7, 3)), rng.normal(size=(3, d)), rng.normal(size=(3, d))
+    w_att = np.concatenate([rng.normal(size=d), a_edge])
+    upstream = rng.normal(size=(4, d))
     edges = Edges(np.arange(7), dst, (4, 7), weight=weights)
 
-    def run(channel):
-        w3_t = T.Tensor(w3.copy(), requires_grad=True)
-        w_att_t = T.Tensor(w_att.copy(), requires_grad=True)
-        out = channel(w3_t, w_att_t)
+    def run(attend):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (h, w_src, w_att, w_msg, w3)]
+        out = attend(*leaves)
         T.backward(T.sum_all(T.mul(out, upstream)))
-        return out.values, w3_t.grad, w_att_t.grad
+        return [out.values] + [leaf.grad for leaf in leaves]
 
-    def direct(w3_t, w_att_t):
+    def direct(h_t, w_src_t, w_att_t, w_msg_t, w3_t):
+        s_src = T.matmul(T.leaky_relu(T.matmul(h_t, w_src_t), 0.2), T.slice_rows(w_att_t, 0, d))
         col = T.Tensor(weights.reshape(-1, 1))
-        score = T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), w_att_t)
-        return T.sub(score, T.gather_rows(score, edges.indptr[dst]))
+        channel = T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), T.slice_rows(w_att_t, d, 2 * d))
+        channel = T.sub(channel, T.gather_rows(channel, edges.indptr[dst]))
+        score = T.add(T.gather_rows(s_src, edges.src), channel)
+        return T.spmm(T.segment_softmax(score, dst, 4), edges, T.matmul(h_t, w_msg_t))
 
-    got = run(lambda w3_t, w_att_t: model._edge_channel(edges, w3_t, w_att_t))
+    coef = edges.derived(model_module._sign_split)
+    got = run(lambda h_t, w_src_t, w_att_t, w_msg_t, w3_t:
+              T.attention(h_t, edges, w_src_t, w_att_t, w_msg_t, 0.2, coef, w3_t))
     want = run(direct)
-    assert np.any(want[0] != 0.0)
+    assert np.any(want[-1] != 0.0) and np.any(want[3][d:] != 0.0)  # the channel trains
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-12
 

@@ -123,48 +123,111 @@ def test_spmm_rejects_alpha_and_x_that_do_not_fit_the_layout():
     assert T.spmm(np.ones(3), edges, x).shape == (2, 2)
 
 
-def _staged_attention(s_src, s_edge, edges, x):
-    """The gather/add/segment_softmax/spmm ops edge_softmax_spmm fuses."""
-    score = T.gather_rows(s_src, edges.src)
-    if s_edge is not None:
-        score = T.add(score, s_edge)
-    return T.spmm(T.segment_softmax(score, edges.dst, edges.shape[0]), edges, x)
+def _staged_attention(h, edges, w_src, w_att, w_msg, slope, coef=None, w_edge=None):
+    """The matmul/leaky_relu/slice_rows/stack_rows/gather_rows/
+    segment_softmax/spmm ops that attention fuses."""
+    d = w_src.shape[1]
+    a_src = w_att if coef is None else T.slice_rows(w_att, 0, d)
+    score = T.gather_rows(T.matmul(T.leaky_relu(T.matmul(h, w_src), slope), a_src), edges.src)
+    if coef is not None:
+        signed = T.leaky_relu(T.stack_rows([w_edge, T.mul(w_edge, -1.0)]), slope)
+        channel = T.matmul(T.Tensor(coef), T.matmul(signed, T.slice_rows(w_att, d, 2 * d)))
+        score = T.add(score, channel)
+    alpha = T.segment_softmax(score, edges.dst, edges.shape[0])
+    return T.spmm(alpha, edges, T.matmul(h, w_msg))
 
 
-@pytest.mark.parametrize("with_edge_scores", [True, False])
-def test_edge_softmax_spmm_equals_the_staged_ops_bit_for_bit(with_edge_scores):
+def _staged_sage(h, edges, inv_deg, w):
+    """The spmm/mul/concat/matmul/relu ops that sage fuses."""
+    mean = T.mul(T.spmm(np.ones(len(edges)), edges, h), T.Tensor(inv_deg))
+    return T.relu(T.matmul(T.concat([h, mean], axis=1), w))
+
+
+def _staged_mlp(x, weights, slope):
+    """The matmul/add/leaky_relu ops that mlp fuses."""
+    n = len(weights) // 2
+    for i in range(n):
+        x = T.add(T.matmul(x, weights[2 * i]), weights[2 * i + 1])
+        if slope is not None and i < n - 1:
+            x = T.leaky_relu(x, slope)
+    return x
+
+
+def _fused_cases():
+    """name -> (fused op, staged composition, leaf arrays, whether the
+    first leaf requires grad, the other arguments after the leaves)."""
     rng = np.random.default_rng(17)
-    n, d, k, e = 9, 4, 12, 40
+    n, c, d, k, e = 9, 3, 4, 12, 40
     rows = np.sort(rng.integers(0, k, size=e))
-    rows[rows % 3 == 0] += 1  # empty segments, including row 0
+    rows[rows % 3 == 0] += 1  # empty destinations, including row 0
     edges = Edges(rng.integers(0, n, size=e), rows, (k, n))
-    arrays = [rng.normal(size=n), rng.normal(size=e), rng.normal(size=(n, d))]
-    weights = rng.normal(size=(k, d))
+    square = Edges(rng.integers(0, n, size=e), np.sort(rng.integers(1, n, size=e)), (n, n))
+    inv_deg = (1.0 / np.maximum(np.diff(square.indptr), 1)).reshape(-1, 1)
+    h = rng.normal(size=(n, c))
+    att = [h, rng.normal(size=(c, d)), rng.normal(size=(d,)), rng.normal(size=(c, d))]
+    att_edge = [h, att[1], rng.normal(size=(2 * d,)), att[3], rng.normal(size=(d,))]
+    coef = rng.uniform(-1.5, 1.5, size=(e, 2))
+
+    def att_args(leaves):
+        return (leaves[0], edges, *leaves[1:4], 0.2) + (
+            (coef, leaves[4]) if len(leaves) == 5 else ())
+
+    def sage_args(leaves):
+        return (leaves[0], square, inv_deg, leaves[1])
+
+    def mlp_args(slope):
+        return lambda leaves: (leaves[0], leaves[1:], slope)
+
+    mlp3 = [h, rng.normal(size=(c, 5)), rng.normal(size=(5,)), rng.normal(size=(5, 4)),
+            rng.normal(size=(4,)), rng.normal(size=(4, 2)), rng.normal(size=(2,))]
+    sage = [h, rng.normal(size=(2 * c, d))]
+    return {
+        "attention": (T.attention, _staged_attention, att, True, att_args),
+        "attention-edge-channel": (T.attention, _staged_attention, att_edge, True, att_args),
+        "attention-constant-h": (T.attention, _staged_attention, att_edge, False, att_args),
+        "sage": (T.sage, _staged_sage, sage, True, sage_args),
+        "sage-constant-h": (T.sage, _staged_sage, sage, False, sage_args),
+        "mlp-3-layers": (T.mlp, _staged_mlp, mlp3, True, mlp_args(0.2)),
+        "mlp-3-layers-constant-x": (T.mlp, _staged_mlp, mlp3, False, mlp_args(0.2)),
+        "mlp-1-layer-identity": (T.mlp, _staged_mlp, mlp3[:3], True, mlp_args(None)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fused_cases()))
+def test_fused_op_equals_its_staged_composition_bit_for_bit(case):
+    fused_op, staged_op, arrays, h_grad, args = _fused_cases()[case]
     results = []
-    for op in (T.edge_softmax_spmm, _staged_attention):
-        s_src, s_edge, x = [T.Parameter(a.copy(), f"leaf{i}") for i, a in enumerate(arrays)]
-        out = op(s_src, s_edge if with_edge_scores else None, edges, x)
+    for op in (fused_op, staged_op):
+        leaves = [T.Tensor(a.copy(), requires_grad=h_grad or i > 0) for i, a in enumerate(arrays)]
+        out = op(*args(leaves))
+        weights = np.random.default_rng(3).normal(size=out.shape)
         T.backward(T.sum_all(T.mul(out, weights)))
-        grads = [p.grad for p in (s_src, x) + ((s_edge,) if with_edge_scores else ())]
-        results.append([out.values] + grads)
+        results.append([out.values] + [leaf.grad for leaf in leaves])
+    assert (results[0][1] is None) == (not h_grad)
     for fused, staged in zip(*results):
-        assert np.array_equal(fused, staged)
-    assert not results[0][0][0].any()  # an empty destination sums to zero
+        assert (fused is None and staged is None) or np.array_equal(fused, staged)
+    if case.startswith("attention"):
+        assert not results[0][0][0].any()  # an empty destination sums to zero
 
 
-def test_edge_softmax_spmm_rejects_scores_and_x_that_do_not_fit_the_layout():
+def test_attention_rejects_weights_and_h_that_do_not_fit_the_layout():
     edges = Edges([0, 1, 2], [0, 1, 1], (2, 3))
-    x = np.ones((3, 2))
-    good = (np.zeros(3), np.zeros(3))
-    for which, bad in ((0, np.zeros(2)), (1, np.zeros(4)), (1, np.zeros((3, 1)))):
-        scores = list(good)
-        scores[which] = bad
-        with pytest.raises(ValueError, match=("s_src", "s_edge")[which]):
-            T.edge_softmax_spmm(*scores, edges, x)
+    h, w, w_att = np.ones((3, 2)), np.ones((2, 2)), np.zeros(2)
+    coef, w_edge = np.zeros((3, 2)), np.zeros(2)
+    for bad_att, channel in ((np.zeros(3), ()), (np.zeros(2), (coef, w_edge)),
+                             (np.zeros((2, 1)), ())):
+        with pytest.raises(ValueError, match="w_att"):
+            T.attention(h, edges, w, bad_att, w, 0.2, *channel)
+    for bad_coef, bad_edge in ((np.zeros((2, 2)), w_edge), (np.zeros(3), w_edge),
+                               (coef, np.zeros(3))):
+        with pytest.raises(ValueError, match="coef"):
+            T.attention(h, edges, w, np.zeros(4), w, 0.2, bad_coef, bad_edge)
     with pytest.raises(ValueError, match="3 rows"):
-        T.edge_softmax_spmm(*good, edges, np.ones((4, 2)))
-    out = T.edge_softmax_spmm(*good, edges, x).values
-    assert np.array_equal(out, [[1.0, 1.0], [1.0, 1.0]])
+        T.attention(np.ones((4, 2)), edges, w, w_att, w, 0.2)
+    out = T.attention(h, edges, w, w_att, w, 0.2).values
+    assert np.array_equal(out, [[2.0, 2.0], [2.0, 2.0]])
+    edge_out = T.attention(h, edges, w, np.zeros(4), w, 0.2, coef, w_edge).values
+    assert np.array_equal(edge_out, out)
 
 
 def test_spmm_products_interleaved_on_one_layout_read_their_own_alpha():
@@ -231,7 +294,7 @@ def test_mlp_two_layer_gradcheck():
     arrays = [rng.normal(size=s) for s in [(3, 4), (4, 5), (5,), (5, 2), (2,)]]
 
     def build(x):
-        return T.sum_all(T.mlp(x[0], x[1:], T.leaky_relu))
+        return T.sum_all(T.mlp(x[0], x[1:], 0.2))
 
     assert check_case(build, arrays, tol=1e-4) < 1e-4
 
@@ -359,8 +422,12 @@ TAPE_OPS = {
     "slice_rows": lambda: T.slice_rows(_param(3, 2), 1, 3),
     "spmm": lambda: T.spmm(_param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
     "segment_softmax": lambda: T.segment_softmax(_param(3), [0, 1, 0]),
-    "edge_softmax_spmm": lambda: T.edge_softmax_spmm(
-        _param(3), _param(3), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(3, 2)),
+    "attention": lambda: T.attention(
+        _param(3, 2), Edges([1, 2, 0], [0, 0, 1], (2, 3)), _param(2, 2), _param(4),
+        _param(2, 3), 0.2, np.array([[1.0, 0.0], [-0.5, 2.0], [0.0, 0.0]]), _param(2)),
+    "sage": lambda: T.sage(_param(3, 2), Edges([1, 2, 0], [0, 0, 1], (3, 3)),
+                           np.array([[0.5], [1.0], [1.0]]), _param(4, 3)),
+    "mlp": lambda: T.mlp(_param(3, 2), [_param(2, 4), _param(4), _param(4, 3), _param(3)]),
     "stack_rows": lambda: T.stack_rows([_param(2), _param(2)]),
     "sum_all": lambda: T.sum_all(_param(2, 3)),
     "mean_all": lambda: T.mean_all(_param(2, 3)),
