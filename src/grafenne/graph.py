@@ -3,8 +3,11 @@
 A HeteroGraph keeps its features as three entry arrays (feat_node,
 feat_id, feat_value), one entry per stored nonzero value, sorted by
 (node, feature): exactly the feature edges of its allotropic form, which
-adds one node per distinct feature. Original edges survive verbatim and
-feature nodes never link to each other.
+adds one node per distinct feature. Its undirected edges are one (E, 2)
+array, edge_array, of canonical (u, v) pairs, u < v, sorted by (u, v):
+the allotropic form keeps them verbatim and feature nodes never link to
+each other. Both are checked and canonicalised with array operations, and
+every transform from a graph to its layouts stays an array operation.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GraphError(ValueError):
@@ -47,8 +51,7 @@ def _entry_arrays(feats, nodes):
         raise GraphError(f"features for missing node {node[outside][0]}")
     # strictly increasing (node, feature) pairs, as the package's own
     # callers pass them, are sorted and distinct: one pass checks both
-    in_order = (node[1:] > node[:-1]) | ((node[1:] == node[:-1]) & (feat[1:] > feat[:-1]))
-    if not in_order.all():
+    if not _increasing(node, feat):
         order = np.lexsort((feat, node))
         node, feat, value = node[order], feat[order], value[order]
         dup = (node[1:] == node[:-1]) & (feat[1:] == feat[:-1])
@@ -57,6 +60,60 @@ def _entry_arrays(feats, nodes):
             raise GraphError(f"duplicate feature entry ({node[k]},{feat[k]})")
     keep = value != 0.0
     return node[keep], feat[keep], value[keep]
+
+
+def _increasing(a, b):
+    """Whether the pairs (a[i], b[i]) strictly increase, so are sorted and distinct."""
+    return bool(((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))).all())
+
+
+def pair_array(edges):
+    """edges, an (E, 2) array or any iterable of (u, v) pairs, as an (E, 2) int64 array."""
+    a = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if a.size == 0:
+        return a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise GraphError(f"edges need (u, v) pairs, got an array of shape {a.shape}")
+    return a
+
+
+def _canonical_pairs(edges, nodes):
+    """The undirected `edges` as distinct (u, v) pairs, u < v, sorted by
+    (u, v). A self-loop or an endpoint outside the ascending id array
+    `nodes` is a GraphError, raised for the first such edge in input order."""
+    a = pair_array(edges)
+    u, v = a[:, 0], a[:, 1]
+    bad = (u == v) | ~np.isin(a, nodes).all(axis=1)
+    if bad.any():
+        u, v = a[np.flatnonzero(bad)[0]].tolist()
+        if u == v:
+            raise GraphError(f"self-loop on node {u}")
+        raise GraphError(f"edge ({u},{v}) references a missing node")
+    # canonical pairs in strictly increasing order, as the package's own
+    # callers pass them, need no sort
+    if (u < v).all() and _increasing(u, v):
+        return a
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return np.stack((lo[first], hi[first]), axis=1)
+
+
+def find_pairs(nodes, pairs, query):
+    """The index of each (u, v) row of the (k, 2) array `query` in `pairs`,
+    -1 where it is absent; `pairs` holds distinct pairs, u < v, sorted by
+    (u, v), over the ascending id array `nodes`."""
+    def keys(a):  # u's position in nodes times len(nodes) plus v's: ascends with (u, v)
+        r = np.searchsorted(nodes, a)
+        return r[:, 0] * len(nodes) + r[:, 1]
+
+    have, want = keys(pairs), keys(query)
+    at = np.searchsorted(have, want)
+    hit = np.isin(query, nodes).all(axis=1) & (at < len(have))
+    hit[hit] = have[at[hit]] == want[hit]
+    return np.where(hit, at, -1)
 
 
 def _read_only(a, dtype=None):
@@ -87,38 +144,35 @@ class _Derives:
 
 class HeteroGraph(_Derives):
     """Immutable-by-convention snapshot: nodes, canonical undirected edges,
-    feature entries, optional labels. `feats` is given either as a node ->
-    {feature: value} mapping or as (node, feature, value) arrays; zero
-    values are dropped (a stored zero counts as absent)."""
+    feature entries, optional labels. `edges` is given as an (E, 2) array
+    or any iterable of (u, v) pairs, in either orientation and order, and
+    repeats are dropped; `feats` either as a node -> {feature: value}
+    mapping or as (node, feature, value) arrays, and zero values are
+    dropped (a stored zero counts as absent). node_array, edge_array and
+    the entry arrays are read-only."""
 
-    __slots__ = ("nodes", "edges", "feat_node", "feat_id", "feat_value", "labels",
-                 "num_classes", "node_names", "feat_names")
+    __slots__ = ("nodes", "node_array", "edge_array", "feat_node", "feat_id", "feat_value",
+                 "labels", "num_classes", "node_names", "feat_names")
 
     def __init__(self, nodes, edges, feats, labels, num_classes=None,
                  node_names=None, feat_names=None):
-        self.nodes = tuple(sorted(set(int(v) for v in nodes)))
-        node_set = set(self.nodes)
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphError(f"self-loop on node {u}")
-            if u not in node_set or v not in node_set:
-                raise GraphError(f"edge ({u},{v}) references a missing node")
-            canon.add((u, v) if u < v else (v, u))
-        self.edges = tuple(sorted(canon))
+        self.node_array = _read_only(np.unique(np.fromiter(nodes, dtype=np.int64)))
+        self.nodes = tuple(self.node_array.tolist())
+        self.edge_array = _read_only(_canonical_pairs(edges, self.node_array))
         self.feat_node, self.feat_id, self.feat_value = map(_read_only, _entry_arrays(
-            feats, np.asarray(self.nodes, dtype=np.int64)))
-        self.labels = {}
-        for v, c in labels.items():
-            v, c = int(v), int(c)
-            if v not in node_set:
-                raise GraphError(f"label for missing node {v}")
-            if c < 0:
-                raise GraphError(f"negative class id {c} for node {v}")
-            self.labels[v] = c
+            feats, self.node_array))
+        labelled = np.fromiter(labels.keys(), dtype=np.int64, count=len(labels))
+        classes = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
+        missing = ~np.isin(labelled, self.node_array)
+        bad = missing | (classes < 0)
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            if missing[k]:
+                raise GraphError(f"label for missing node {labelled[k]}")
+            raise GraphError(f"negative class id {classes[k]} for node {labelled[k]}")
+        self.labels = dict(zip(labelled.tolist(), classes.tolist()))
         if num_classes is None:
-            num_classes = max(self.labels.values()) + 1 if self.labels else 0
+            num_classes = int(classes.max()) + 1 if len(classes) else 0
         self.num_classes = int(num_classes)
         self.node_names = node_names
         self.feat_names = feat_names
@@ -130,7 +184,13 @@ class HeteroGraph(_Derives):
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @property
+    def edges(self):
+        """The edges as a tuple of (u, v) int tuples, built afresh from
+        edge_array on each access."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def feats(self):
@@ -151,7 +211,7 @@ class HeteroGraph(_Derives):
         return dict(zip(self.feat_id[lo:hi].tolist(), self.feat_value[lo:hi].tolist()))
 
     def replace(self, **kw):
-        args = dict(nodes=self.nodes, edges=self.edges,
+        args = dict(nodes=self.nodes, edges=self.edge_array,
                     feats=(self.feat_node, self.feat_id, self.feat_value),
                     labels=self.labels, num_classes=self.num_classes,
                     node_names=self.node_names, feat_names=self.feat_names)
@@ -201,12 +261,30 @@ def by_destination(shape, *blocks, weight=None):
     return Edges(src[order], dst[order], shape, None if weight is None else weight[order])
 
 
-def directed_edges(nodes, edges):
-    """Both directions of the undirected `edges`, as rows of the ascending
-    id array `nodes`, sorted by (dst, src)."""
-    rows = np.searchsorted(nodes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    u, v = rows[:, 0], rows[:, 1]
-    return by_destination((len(nodes),) * 2, (u, v), (v, u))
+def transpose(edges):
+    """The Edges layout of `edges` reversed, each src -> dst now dst -> src,
+    grouped by the new destination with its sources ascending and the
+    weights carried along. The layout's CSR arrays are the CSC arrays of
+    the transposed matrix; SciPy's conversion of those to CSR is a
+    counting sort, O(E) where by_destination sorts."""
+    data = np.ones(len(edges)) if edges.weight is None else edges.weight
+    t = sp.csc_matrix((data, edges.src, edges.indptr), shape=edges.shape[::-1]).tocsr()
+    dst = np.repeat(np.arange(edges.shape[1]), np.diff(t.indptr))
+    return Edges(t.indices, dst, edges.shape[::-1], None if edges.weight is None else t.data)
+
+
+def directed_edges(nodes, pairs):
+    """Both directions of the undirected edges `pairs`, distinct (u, v)
+    rows, u < v, sorted by (u, v) (a HeteroGraph's edge_array), as rows of
+    the ascending id array `nodes`, sorted by (dst, src)."""
+    rows = np.searchsorted(nodes, pairs)
+    up = Edges(rows[:, 1], rows[:, 0], (len(nodes),) * 2)  # v -> u, by (u, v)
+    down = transpose(up)                                   # u -> v, by (v, u)
+    # into each destination, down's sources are all below it and up's all
+    # above it, and each part ascends: a stable sort by destination merges them
+    src, dst = np.concatenate([down.src, up.src]), np.concatenate([down.dst, up.dst])
+    order = np.argsort(dst, kind="stable")
+    return Edges(src[order], dst[order], up.shape)
 
 
 class AllotropicGraph(_Derives):
@@ -216,23 +294,24 @@ class AllotropicGraph(_Derives):
     node_to_node (phase 2) the graph edges in both directions. All orders
     ascend by id, which pins the floating-point summation order."""
 
-    __slots__ = ("node_ids", "feat_ids", "graph_edges",
+    __slots__ = ("node_ids", "feat_ids", "graph_edge_array",
                  "feat_to_node", "node_to_feat", "node_to_node")
 
     def __init__(self, node_ids, feature_edges, graph_edges):
-        """node_ids and graph_edges ascend; feature_edges is three arrays
-        (node id, feature id, value) sorted by (node, feature), one entry
-        per pair; the feature nodes are the distinct feature ids among them."""
+        """node_ids ascend; graph_edges are distinct (u, v) pairs, u < v,
+        sorted by (u, v), as HeteroGraph.edge_array holds them;
+        feature_edges is three arrays (node id, feature id, value) sorted
+        by (node, feature), one entry per pair; the feature nodes are the
+        distinct feature ids among them."""
         nodes, feats, weights = feature_edges
         self.node_ids = _read_only(node_ids, np.int64)
-        self.feat_ids = _read_only(np.unique(feats))
-        self.graph_edges = tuple(graph_edges)
+        feat_ids, feat = np.unique(np.asarray(feats, dtype=np.int64), return_inverse=True)
+        self.feat_ids = _read_only(feat_ids)
+        self.graph_edge_array = _read_only(pair_array(graph_edges))
         node = np.searchsorted(self.node_ids, nodes)
-        feat = np.searchsorted(self.feat_ids, feats)
         self.feat_to_node = Edges(feat, node, (self.n, self.m), weights)
-        self.node_to_feat = by_destination((self.m, self.n), (node, feat),
-                                           weight=self.feat_to_node.weight)
-        self.node_to_node = directed_edges(self.node_ids, self.graph_edges)
+        self.node_to_feat = transpose(self.feat_to_node)
+        self.node_to_node = directed_edges(self.node_ids, self.graph_edge_array)
         self._derived = {}
 
     @property
@@ -243,11 +322,17 @@ class AllotropicGraph(_Derives):
     def m(self):
         return len(self.feat_ids)
 
+    @property
+    def graph_edges(self):
+        """The graph edges as a tuple of (u, v) int tuples, built afresh
+        from graph_edge_array on each access."""
+        return tuple(map(tuple, self.graph_edge_array.tolist()))
+
 
 def to_allotropic(g):
     """Build G^alt: one feature node per distinct feature, weighted
     feature edges from stored values, original edges retained."""
-    return AllotropicGraph(g.nodes, (g.feat_node, g.feat_id, g.feat_value), g.edges)
+    return AllotropicGraph(g.node_array, (g.feat_node, g.feat_id, g.feat_value), g.edge_array)
 
 
 def project_back(alt):
@@ -302,11 +387,14 @@ def make_split(g, fractions=(0.6, 0.2, 0.2), seed=0):
 
 def remove_edges(g, edges):
     """Snapshot without the given undirected edges (used by link splits)."""
-    drop = {(min(u, v), max(u, v)) for u, v in edges}
-    missing = drop - set(g.edges)
-    if missing:
-        raise GraphError(f"removing nonexistent edges: {sorted(missing)[:3]}")
-    return g.replace(edges=tuple(e for e in g.edges if e not in drop))
+    drop = np.sort(pair_array(edges), axis=1)
+    at = find_pairs(g.node_array, g.edge_array, drop)
+    if (at < 0).any():
+        missing = sorted(set(map(tuple, drop[at < 0].tolist())))
+        raise GraphError(f"removing nonexistent edges: {missing[:3]}")
+    keep = np.ones(g.num_edges, dtype=bool)
+    keep[at] = False
+    return g.replace(edges=g.edge_array[keep])
 
 
 def translate_features(g, scale, shift):
@@ -398,12 +486,13 @@ def write_allotropic(alt, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# allotropic graph v1\n")
         fh.write(f"# graph_nodes={alt.n} feature_nodes={alt.m} "
-                 f"graph_edges={len(alt.graph_edges)} feature_edges={len(alt.feat_to_node)}\n")
+                 f"graph_edges={len(alt.graph_edge_array)} "
+                 f"feature_edges={len(alt.feat_to_node)}\n")
         for v in alt.node_ids.tolist():
             fh.write(f"GN\t{v}\n")
         for f in alt.feat_ids.tolist():
             fh.write(f"FN\t{f}\n")
-        for u, v in alt.graph_edges:
+        for u, v in alt.graph_edge_array.tolist():
             fh.write(f"GE\t{u}\t{v}\n")
         for v, fmap in project_back(alt).items():
             for f, w in fmap.items():

@@ -33,7 +33,7 @@ class DenseFeatures:
 
 def _expand(g):
     node_ids, feat_ids = g.nodes, g.feature_ids()
-    rows = np.searchsorted(np.asarray(node_ids, dtype=np.int64), g.feat_node)
+    rows = np.searchsorted(g.node_array, g.feat_node)
     cols = np.searchsorted(np.asarray(feat_ids, dtype=np.int64), g.feat_id)
     vals = np.zeros((len(node_ids), len(feat_ids)))
     mask = np.zeros_like(vals, dtype=bool)
@@ -44,7 +44,7 @@ def _expand(g):
 
 def _layout(g):
     """g's edges both ways over the rows of g.nodes (once per graph: g.derived)."""
-    return directed_edges(np.asarray(g.nodes, dtype=np.int64), g.edges)
+    return directed_edges(g.node_array, g.edge_array)
 
 
 def _adjacency_matrix(g):
@@ -86,11 +86,13 @@ def feature_propagation(g, iterations=40):
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
     a_hat = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
-    observed = np.where(mask, vals, 0.0)
-    x = observed.copy()
+    # the observed entries' flat positions and values, gathered once
+    at = np.flatnonzero(mask)
+    observed = vals.ravel()[at]
+    x = np.where(mask, vals, 0.0)
     for _ in range(iterations):
         x = a_hat @ x
-        x[mask] = observed[mask]
+        np.put(x, at, observed)
     return DenseFeatures(x, mask, node_ids, feat_ids)
 
 

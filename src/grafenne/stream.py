@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, HeteroGraph
+from .graph import GraphError, HeteroGraph, find_pairs, pair_array
 
 
 @dataclass(frozen=True)
@@ -37,23 +37,37 @@ class StreamDelta:
                     or self.del_edges or self.add_feats or self.del_feats)
 
 
+def _repeats(a):
+    """Whether each entry (row, if 2-D) of `a` equals an earlier one."""
+    out = np.ones(len(a), dtype=bool)
+    out[np.unique(a, axis=0, return_index=True)[1]] = False
+    return out
+
+
 def apply_delta(g, delta):
     """Apply one delta; returns (new snapshot, affected node set).
 
     Deletions must reference existing elements; additions must not
     duplicate existing ones. Deleting a node drops its incident edges,
-    features, and label.
+    features, and label. Edges stay an (E, 2) array throughout: a deletion
+    is a search of the canonical pairs, an addition a concatenation that
+    the new snapshot's constructor canonicalises.
     """
     nodes = set(g.nodes)
-    edges = set(g.edges)
+    pairs = g.edge_array
     feats = g.feats
     labels = dict(g.labels)
 
-    for u, v in delta.del_edges:
-        e = (min(u, v), max(u, v))
-        if e not in edges:
+    if delta.del_edges:
+        drop = np.sort(pair_array(delta.del_edges), axis=1)
+        at = find_pairs(g.node_array, pairs, drop)
+        bad = (at < 0) | _repeats(at)  # a pair deleted twice is gone the second time
+        if bad.any():
+            e = tuple(drop[np.flatnonzero(bad)[0]].tolist())
             raise GraphError(f"t={delta.t}: deleting nonexistent edge {e}")
-        edges.remove(e)
+        keep = np.ones(len(pairs), dtype=bool)
+        keep[at] = False
+        pairs = pairs[keep]
     for v, f in delta.del_feats:
         if v not in nodes or f not in feats.get(v, {}):
             raise GraphError(f"t={delta.t}: deleting nonexistent feature ({v},{f})")
@@ -65,21 +79,30 @@ def apply_delta(g, delta):
         feats.pop(v, None)
         labels.pop(v, None)
     if delta.del_nodes:
-        gone = set(delta.del_nodes)
-        edges = {e for e in edges if e[0] not in gone and e[1] not in gone}
+        gone = np.fromiter(delta.del_nodes, dtype=np.int64)
+        pairs = pairs[~np.isin(pairs, gone).any(axis=1)]
     for v, label in delta.add_nodes:
         if v in nodes:
             raise GraphError(f"t={delta.t}: adding existing node {v}")
         nodes.add(v)
         if label is not None:
             labels[v] = label
-    for u, v in delta.add_edges:
-        e = (min(u, v), max(u, v))
-        if u == v or u not in nodes or v not in nodes:
-            raise GraphError(f"t={delta.t}: bad edge addition ({u},{v})")
-        if e in edges:
-            raise GraphError(f"t={delta.t}: adding existing edge {e}")
-        edges.add(e)
+    if delta.add_edges:
+        add = pair_array(delta.add_edges)
+        now = np.array(sorted(nodes), dtype=np.int64)
+        bad = (add[:, 0] == add[:, 1]) | ~np.isin(add, now).all(axis=1)
+        add = np.sort(add, axis=1)
+        at = find_pairs(now, pairs, add)
+        # a repeat of an earlier addition exists by then; a bad earlier one raises first
+        taken = (at >= 0) | _repeats(add)
+        first = np.flatnonzero(bad | taken)
+        if len(first):
+            k = first[0]
+            if bad[k]:
+                u, v = delta.add_edges[k]
+                raise GraphError(f"t={delta.t}: bad edge addition ({u},{v})")
+            raise GraphError(f"t={delta.t}: adding existing edge {tuple(add[k].tolist())}")
+        pairs = np.concatenate([pairs, add])
     for v, f, w in delta.add_feats:
         if v not in nodes:
             raise GraphError(f"t={delta.t}: feature addition on missing node {v}")
@@ -88,7 +111,7 @@ def apply_delta(g, delta):
         feats.setdefault(v, {})[f] = w
 
     num_classes = max([g.num_classes] + [c + 1 for c in labels.values()]) if labels else g.num_classes
-    out = HeteroGraph(nodes, edges, feats, labels, num_classes=num_classes,
+    out = HeteroGraph(nodes, pairs, feats, labels, num_classes=num_classes,
                       node_names=g.node_names, feat_names=g.feat_names)
     return out, delta.affected_nodes()
 

@@ -230,8 +230,11 @@ def _leaky(x, slope):
     return np.maximum(x, o, out=o)
 
 
-def _leaky_grad(x, slope):  # the subgradient at 0 takes the positive branch
-    return np.where(x >= 0, 1.0, slope)
+def _leaky_grad(x, slope):
+    """leaky_relu's derivative, 1 where x >= 0 (the subgradient at 0 takes
+    the positive branch) else slope: for 0 <= slope <= 1 that is
+    max(x >= 0, slope), which has no branch to mispredict."""
+    return np.maximum(x >= 0, slope)
 
 
 def leaky_relu(x, slope=0.2):
@@ -464,7 +467,7 @@ def sage(h, edges, inv_deg, w):
     """relu([h || inv_deg * (S_1 h)] @ w) as one tape node: GraphSAGE over
     the graph.Edges layout `edges`, S_1 h each row's in-neighbour sum and
     inv_deg the (rows, 1) reciprocal in-degrees; h gets its self part,
-    then its neighbour part."""
+    then its neighbour part. The ReLU is max(z, 0), which keeps a NaN."""
     h, w = as_tensor(h), as_tensor(w)
     _check_rows("sage", h, edges)
     ones = edges.derived(_ones)
@@ -483,7 +486,7 @@ def sage(h, edges, inv_deg, w):
         if w.requires_grad:
             _accumulate(w, cat.T @ gz)
 
-    return _node(np.where(pos, z, 0.0), (h, w), _bw)
+    return _node(np.maximum(z, 0.0), (h, w), _bw)
 
 
 def stack_rows(rows):

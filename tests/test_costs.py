@@ -1,5 +1,7 @@
 """Cost ledger: tape nodes per forward and per training epoch at fixed
-small shapes, and no cyclic garbage after whole runs.
+small shapes, reverse sweeps per importance pass and tape orders per
+epoch, no cyclic garbage after whole runs, and no edge tuples on the
+set-up and training path.
 
 A pinned count may only go down, or go up with a stated reason.
 """
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 
 from grafenne import tensor as T
-from grafenne.continual import EwcState, STRATEGIES, StreamConfig, continual_loss, run_stream
-from grafenne.graph import make_split
+from grafenne.continual import (EwcState, STRATEGIES, StreamConfig, compute_importance,
+                                continual_loss, run_stream)
+from grafenne.graph import (AllotropicGraph, HeteroGraph, apply_missing_mask, make_split,
+                            to_allotropic)
 from grafenne.model import recovery_probe
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
@@ -77,6 +81,57 @@ def test_tape_nodes_per_ewc_training_epoch(monkeypatch):
         T.backward(loss_fn(forward()))
 
     assert _tape_nodes(monkeypatch, epoch) == 20
+
+
+def _calls(monkeypatch, name):
+    """A list that gets one entry per call of tensor.<name> from now on."""
+    calls, orig = [], getattr(T, name)
+
+    def counted(*args):
+        calls.append(None)
+        return orig(*args)
+    monkeypatch.setattr(T, name, counted)
+    return calls
+
+
+def test_one_reverse_sweep_per_importance_node(monkeypatch):
+    g = _graph()
+    model, _ = method_model("grafenne", g, "node_classification", dim=8, layers=2)
+    nodes = g.nodes[:7]
+    sweeps, orders = _calls(monkeypatch, "sweep"), _calls(monkeypatch, "_topo_order")
+    compute_importance(model, g, nodes)
+    assert (len(sweeps), len(orders)) == (len(nodes), 1)
+
+
+def test_one_tape_order_per_training_epoch(monkeypatch):
+    g = _graph()
+    split = make_split(g, (0.6, 0.2, 0.2), seed=0)
+    model, forward = method_model("grafenne", g, "node_classification", dim=8, layers=2)
+    cfg = TrainConfig(epochs=5, lr=0.01, seeds=(0,), patience=5)
+    orders = _calls(monkeypatch, "_topo_order")
+    result = train(model, g, split, cfg, forward, record_history=True)
+    assert len(result.history) == 5 and len(orders) == 5
+
+
+def _no_tuples(self):
+    raise AssertionError("edges read as tuples")
+
+
+def test_static_set_up_and_training_read_edges_as_arrays(monkeypatch):
+    """The static benchmark's set-up (mask, drop a feature block, split,
+    build the model, transform the inference graph) and a training epoch
+    never build the edge tuples."""
+    g = _graph()
+    monkeypatch.setattr(HeteroGraph, "edges", property(_no_tuples))
+    monkeypatch.setattr(AllotropicGraph, "graph_edges", property(_no_tuples))
+    g_inf = apply_missing_mask(g, 0.5, 1)
+    g_train = g_inf.replace(feats={v: {f: w for f, w in fmap.items() if f < 10}
+                                   for v, fmap in g_inf.feats.items()})
+    split = make_split(g_train, seed=1)
+    model, forward = method_model("grafenne", g_train, "node_classification", dim=8, layers=2)
+    alt = to_allotropic(g_inf)
+    train(model, g_train, split, TrainConfig(epochs=1, lr=0.01, seeds=(0,), patience=1), forward)
+    model.logits(model.forward(alt)[0])
 
 
 def _cyclic_garbage(run):

@@ -55,6 +55,45 @@ def test_construction_rejects_bad_edges():
         HeteroGraph([0, 1], [(0, 2)], {}, {})
 
 
+def test_edges_from_a_list_a_set_an_array_and_unsorted_repeats_are_equal():
+    nodes = [9, 2, 5, 7]
+    canonical = [(2, 5), (2, 9), (5, 7), (7, 9)]
+    inputs = [canonical, set(canonical), np.array(canonical),
+              [(9, 7), (5, 2), (2, 9), (7, 5), (2, 5), (9, 2)],
+              np.array([[7, 9], [7, 5], [5, 2], [9, 2], [9, 7]])]
+    for edges in inputs:
+        g = HeteroGraph(nodes, edges, {}, {})
+        assert g.edges == tuple(canonical)
+        assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (4, 2)
+        assert not g.edge_array.flags.writeable
+    assert HeteroGraph([0, 1], np.zeros((0, 2), dtype=np.int64), {}, {}).edges == ()
+    assert HeteroGraph([0, 1], set(), {}, {}).edge_array.shape == (0, 2)
+
+
+def test_edge_and_label_errors_name_the_first_offender_in_input_order():
+    with pytest.raises(GraphError, match=r"^self-loop on node 1$"):
+        HeteroGraph([0, 1, 2], [(0, 1), (1, 1), (2, 5)], {}, {})
+    with pytest.raises(GraphError, match=r"^edge \(2,5\) references a missing node$"):
+        HeteroGraph([0, 1, 2], np.array([[0, 1], [2, 5], [1, 1]]), {}, {})
+    with pytest.raises(GraphError, match=r"^edge \(7,0\) references a missing node$"):
+        HeteroGraph([0, 1], [(7, 0)], {}, {})
+    with pytest.raises(GraphError, match=r"^label for missing node 7$"):
+        HeteroGraph([0, 1], [], {}, {0: 0, 7: 1, 1: -1})
+    with pytest.raises(GraphError, match=r"^negative class id -1 for node 1$"):
+        HeteroGraph([0, 1], [], {}, {0: 0, 1: -1, 7: 1})
+    with pytest.raises(GraphError, match=r"\(u, v\) pairs"):
+        HeteroGraph([0, 1, 2], np.array([[0, 1, 2]]), {}, {})
+
+
+def test_remove_edges_by_array_search():
+    g = HeteroGraph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], {}, {})
+    assert remove_edges(g, [(2, 1), (4, 0), (1, 2)]).edges == ((0, 1), (2, 3), (3, 4))
+    with pytest.raises(GraphError, match=r"removing nonexistent edges: \[\(0, 2\), \(3, 3\)\]"):
+        remove_edges(g, [(3, 3), (1, 2), (2, 0), (0, 2)])
+    with pytest.raises(GraphError, match=r"removing nonexistent edges: \[\(4, 9\)\]"):
+        remove_edges(g, [(9, 4)])
+
+
 def test_zero_feature_values_dropped():
     g = HeteroGraph([0], [], {0: {1: 0.0, 2: 5.0}}, {})
     assert g.node_feats(0) == {2: 5.0}

@@ -116,6 +116,29 @@ def test_fp_convexity_regular():
     assert (d.values[:, 0] <= 5.0 + 1e-9).all()
 
 
+def test_fp_equals_the_masked_clamp_loop():
+    """feature_propagation clamps through flat indices gathered once; the
+    values equal the loop that re-gathers observed[mask] every iteration."""
+    import scipy.sparse as sp
+
+    from grafenne.imputation import _adjacency_matrix, _expand
+
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        g = random_graph(rng, n_max=25)
+        vals, mask, _, _ = _expand(g)
+        a = _adjacency_matrix(g)
+        deg = np.asarray(a.sum(axis=1)).ravel()
+        inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
+        a_hat = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
+        observed = np.where(mask, vals, 0.0)
+        x = observed.copy()
+        for _ in range(15):
+            x = a_hat @ x
+            x[mask] = observed[mask]
+        assert np.array_equal(feature_propagation(g, 15).values, x)
+
+
 def test_fp_iterations_validation():
     g = HeteroGraph([0], [], {0: {0: 1.0}}, {})
     with pytest.raises(ValueError):

@@ -70,6 +70,41 @@ def test_leaky_relu_equals_the_where_form_bit_for_bit(slope):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _edge_values():
+    """±0, subnormals, tiny, huge and infinite values, NaN, then 64 normals."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 3.5, -3.5, 1e300, -1e300,
+                  np.inf, -np.inf, np.nan])
+    return np.concatenate([x, np.random.default_rng(4).normal(size=64)])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.5, 1.0])
+def test_leaky_grad_equals_the_where_form_bit_for_bit(slope):
+    x = _edge_values()
+    for values in (x, x[:-1].reshape(4, -1), np.array(-0.0)):
+        got = T._leaky_grad(values, slope)
+        want = np.where(values >= 0, 1.0, slope)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sage_relu_equals_the_where_form_and_keeps_nan():
+    """sage's ReLU over pre-activations z that are exactly the inputs: the
+    self weight is 1 and the neighbour weight -0.0, and no edges, so
+    z = h * 1 + 0 * -0.0 = h. Every nonzero output is bit-identical to
+    where(z >= 0, z, 0); every zero output is a zero (the sign a -0.0
+    input keeps is not pinned); a NaN stays NaN."""
+    z = _edge_values()
+    edges = Edges(np.zeros(0, np.int64), np.zeros(0, np.int64), (len(z), len(z)))
+    out = T.sage(T.Tensor(z[:, None]), edges, np.ones((len(z), 1)), T.Tensor([[1.0], [-0.0]]))
+    got, want = out.values[:, 0], np.where(z >= 0, z, 0.0)
+    nan = np.isnan(z)
+    assert np.isnan(got[nan]).all()
+    assert np.array_equal(got[~nan], want[~nan])
+    nonzero = ~nan & (want != 0)
+    assert np.array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
+
+
 @pytest.mark.parametrize("slope", [-0.2, 1.01, float("nan")])
 def test_leaky_relu_rejects_a_slope_outside_0_1(slope):
     with pytest.raises(ValueError, match="slope"):
