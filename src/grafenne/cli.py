@@ -177,6 +177,14 @@ def build_graph(cfg):
         noise=cfg["synth_noise"], seed=cfg["synth_seed"])
 
 
+def _distinct(key, values):
+    """values, the entries of a list key, unless one repeats: a repeat would
+    run the same cells again and write their rows twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"repeated entry in {key}: {','.join(map(str, values))}")
+    return values
+
+
 def _resolve_out(cfg, args):
     out = args.out if args.out else cfg.get("out")
     if not out:
@@ -204,6 +212,8 @@ def _run_cell(payload):
 
 
 def cmd_run(cfg, args):
+    _distinct("methods", cfg["methods"])
+    _distinct("p", cfg["p"])
     for m in cfg["methods"]:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: " + ", ".join(METHODS))
@@ -262,7 +272,7 @@ def _stream_cell(payload):
 
 
 def cmd_stream(cfg, args):
-    strategies = tuple(s.upper() for s in cfg["strategies"])
+    strategies = _distinct("strategies", tuple(s.upper() for s in cfg["strategies"]))
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; known: " + ", ".join(STRATEGIES))

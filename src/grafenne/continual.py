@@ -20,7 +20,7 @@ from .graph import make_split
 from .model import GrafenneConfig, GrafenneModel
 from .optim import check_finite_params, descend, grad_vector, split_vector, zero_grad
 from .stream import apply_delta
-from .tasks import _snapshot, accuracy, allotropic_forward, node_rows
+from .tasks import _snapshot, allotropic_forward, node_accuracy, node_loss, node_rows
 
 STRATEGIES = ("EWC", "FT", "ER", "ORACLE")
 
@@ -144,8 +144,8 @@ def _sum_loss(model, g, nodes, labels=None):
     rows = node_rows(g, nodes)
     ys = np.array([g.labels[v] for v in nodes] if labels is None else labels,
                   dtype=np.int64)
-    count = float(len(nodes))
-    return lambda h: T.mul(T.cross_entropy(T.gather_rows(model.logits(h), rows), ys), count)
+    mean, count = node_loss(model, rows, ys), float(len(nodes))
+    return lambda h: T.mul(mean(h), count)
 
 
 def continual_loss(model, affected_train_nodes, ewc, graph=None):
@@ -200,8 +200,8 @@ def _evaluate(model, g, test_nodes, forward):
     alive = sorted(v for v in test_nodes if v in g.labels)
     if not alive:
         raise ValueError("test set is empty at this timestamp")
-    preds = model.logits(forward()).values[node_rows(g, alive)].argmax(axis=1)
-    return accuracy(preds, np.array([g.labels[v] for v in alive]))
+    return node_accuracy(model, forward(), node_rows(g, alive),
+                         np.array([g.labels[v] for v in alive]))
 
 
 def _entries_changed(before, model):

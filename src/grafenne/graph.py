@@ -397,11 +397,6 @@ def remove_edges(g, edges):
     return g.replace(edges=g.edge_array[keep])
 
 
-def translate_features(g, scale, shift):
-    """x -> scale*x + shift on every stored feature value."""
-    return g.replace(feats=(g.feat_node, g.feat_id, scale * g.feat_value + shift))
-
-
 def _parse_lines(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

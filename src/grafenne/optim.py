@@ -12,6 +12,9 @@ import numpy as np
 from . import tensor as T
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     step: int = 0
@@ -36,7 +39,7 @@ def split_vector(vec, params):
     return [vec[hi - p.values.size:hi].reshape(p.values.shape) for p, hi in zip(params, ends)]
 
 
-def adam_step(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, state=None):
+def adam_step(params, lr, state=None):
     """One Adam update over `params`, concatenated into one vector of
     values and one of gradients; returns the (mutated) state, whose
     moments fit only parameter lists of the same total size.
@@ -54,14 +57,14 @@ def adam_step(params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, state=None):
         raise ValueError(f"Adam: {values.size} values, {g.size} gradients, {state.m.size} moments")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    new = values - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    new = values - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     for p, part in zip(params, split_vector(new, params)):
         p.values = part
     return state

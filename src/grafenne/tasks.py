@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"repeated entry in seeds: {tuple(self.seeds)}")
         if self.lr < 0:
             raise ValueError("negative learning rate")
         if self.neg_ratio <= 0:
@@ -164,6 +166,18 @@ def node_rows(g, nodes):
     return np.array([row_of[v] for v in nodes], dtype=np.int64)
 
 
+def node_loss(model, rows, labels):
+    """loss(h): the mean cross entropy of the head's logits at `rows` of
+    the node states h against `labels`."""
+    return lambda h: T.cross_entropy(T.gather_rows(model.logits(h), rows), labels)
+
+
+def node_accuracy(model, h, rows, labels):
+    """The share of `rows` of the node states h whose argmax logit is
+    their label."""
+    return accuracy(model.logits(h).values[rows].argmax(axis=1), labels)
+
+
 def allotropic_forward(model, g):
     """forward() of a model over g's allotropic form: the graph-node
     states, the only ones the head and the losses read."""
@@ -237,11 +251,8 @@ def _node_task(model, g, split):
     ys = {k: np.array([g.labels[v] for v in part], dtype=np.int64) for k, part in parts.items()}
 
     def loss_on(which):
-        return lambda h: T.cross_entropy(T.gather_rows(model.logits(h), rows[which]), ys[which])
-
-    def test_accuracy(h):
-        return accuracy(model.logits(h).values[rows["test"]].argmax(axis=1), ys["test"])
-    return "accuracy", loss_on, test_accuracy
+        return node_loss(model, rows[which], ys[which])
+    return "accuracy", loss_on, lambda h: node_accuracy(model, h, rows["test"], ys["test"])
 
 
 def _link_task(split):

@@ -250,12 +250,6 @@ def relu(x):
     return _node(np.where(pos, x.values, 0.0), (x,), lambda g: _accumulate(x, g * pos))
 
 
-def sigmoid(x):
-    x = as_tensor(x)
-    sv = _sigmoid_values(x.values)
-    return _node(sv, (x,), lambda g: _accumulate(x, g * sv * (1.0 - sv)))
-
-
 def _sigmoid_values(v):
     out = np.empty_like(v)
     pos = v >= 0

@@ -81,7 +81,7 @@ def _case_pointwise(rng):
 
     def build(x):
         a_, b_ = x
-        return T.mean_all(T.mul(T.sigmoid(a_), T.relu(T.sub(b_, a_))))
+        return T.mean_all(T.mul(T.leaky_relu(a_, 0.2), T.relu(T.sub(b_, a_))))
 
     return build, [a, b]
 
@@ -229,7 +229,7 @@ def _case_deep(rng):
 
     def build(x):
         a_, b_, c_, e_ = x
-        h = T.sigmoid(T.matmul(a_, b_))
+        h = T.leaky_relu(T.matmul(a_, b_), 0.2)
         h = T.mul(T.relu(T.add(h, c_)), a_)
         h = T.leaky_relu(h, 0.2)
         return T.bce_with_logits(T.matmul(h, e_), targets)

@@ -15,8 +15,7 @@ import numpy as np
 import grafenne.tensor as T
 from grafenne.cli import main as cli_main
 from grafenne.continual import StreamConfig, run_stream, _sum_loss, _train_plain
-from grafenne.graph import (Edges, load_graph, make_split, project_back, to_allotropic,
-                            translate_features)
+from grafenne.graph import Edges, load_graph, make_split, project_back, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel, recovery_probe
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
 from grafenne.synth import make_community_graph
@@ -25,7 +24,8 @@ from grafenne.optim import zero_grad
 
 from conftest import ACCEPTANCE
 from naive_ref import naive_forward
-from test_graph import random_graph, toy
+from test_graph import random_graph, toy, translate_features
+from test_stream import C11_GRAPH, C11_STREAM
 
 CORA = Path(__file__).resolve().parent.parent / "data" / "cora"
 CORA_MISSING = ("dataset not present at data/cora; "
@@ -42,7 +42,7 @@ def check(name, ok, detail=""):
 # ----------------------------------------------------- 1: gradient suite
 
 _DIFF_OPS = ("add", "sub", "mul", "matmul", "reshape", "concat", "leaky_relu",
-             "relu", "sigmoid", "gather_rows", "slice_rows", "segment_sum",
+             "relu", "gather_rows", "slice_rows", "segment_sum",
              "segment_softmax", "spmm", "attention", "sage", "stack_rows", "sum_all",
              "mean_all", "mlp", "cross_entropy", "bce_with_logits", "ewc_penalty")
 
@@ -112,7 +112,7 @@ def _apply_op(b, name):
         s = b.shapes[i]
         b._emit(lambda ts, i=i: T.concat([ts[i], ts[i]], axis=0),
                 (2 * s[0],) + s[1:])
-    elif name in ("leaky_relu", "relu", "sigmoid"):
+    elif name in ("leaky_relu", "relu"):
         i = b.pick()
         fn = getattr(T, name)
         b._emit(lambda ts, i=i, fn=fn: fn(ts[i]), b.shapes[i])
@@ -484,10 +484,8 @@ def test_c10_translation_robustness():
 
 def test_c11_continual_ordering():
     t0 = time.perf_counter()
-    g = make_community_graph(n=500, classes=4, feats_per_class=6, p_in=0.02,
-                             p_out=0.004, density=0.45, noise=0.15, seed=1)
-    deltas = generate_stream(g, T=9, p_n=0.03, p_f_add=0.05, p_f_del=0.4,
-                             p_e_add=0.0005, p_e_del=0.0005, seed=7)
+    g = make_community_graph(**C11_GRAPH)
+    deltas = generate_stream(g, **C11_STREAM)
     base = dict(epochs=150, stream_epochs=50, lr=0.01, u_size=25, dim=8,
                 layers=2, seed=0)
     ft, m_ft = run_stream(g, deltas, "FT", StreamConfig(**base))

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from grafenne.cli import ConfigError, build_graph, main, read_config, _SCHEMAS
-from grafenne.graph import load_graph, to_allotropic, translate_features, write_allotropic
+from grafenne.graph import load_graph, to_allotropic, write_allotropic
+from test_graph import translate_features
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
@@ -147,6 +148,17 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
             assert "unknown task 'regression'" in err
 
 
+@pytest.mark.parametrize("key, extra", [("methods", "methods = sage,gat,sage\n"),
+                                        ("p", "methods = sage\np = 0,0.5,0.0\n"),
+                                        ("seeds", "methods = sage\nseeds = 0,0\n")])
+def test_run_repeated_list_entry_exits_2(tmp_path, capsys, key, extra):
+    conf = write(tmp_path / "r.conf", toy_source() + extra)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", conf, "--out", str(out)]) == 2
+    assert f"repeated entry in {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_out_exits_2(tmp_path, capsys):
     assert main(["run", "--config", toy_run_conf(tmp_path)]) == 2
     assert "no output path" in capsys.readouterr().err
@@ -228,6 +240,14 @@ def test_stream_unknown_strategy_exits_2(tmp_path, capsys):
     conf = stream_conf(tmp_path, "strategies = GEM\n")
     assert main(["stream", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 2
     assert "unknown strategy" in capsys.readouterr().err
+
+
+def test_stream_repeated_strategy_exits_2(tmp_path, capsys):
+    conf = stream_conf(tmp_path, "strategies = FT,ewc,ft\n")  # names are case-blind
+    out = tmp_path / "o.csv"
+    assert main(["stream", "--config", conf, "--out", str(out)]) == 2
+    assert "repeated entry in strategies: FT,EWC,FT" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stream_config_errors_exit_2(tmp_path, capsys):

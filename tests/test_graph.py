@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from grafenne.graph import (DataError, Edges, GraphError, HeteroGraph,
                             apply_missing_mask, load_graph, make_split,
-                            project_back, remove_edges, to_allotropic,
-                            translate_features)
+                            project_back, remove_edges, to_allotropic)
 from grafenne.stream import StreamDelta, apply_delta
 from naive_ref import adjacency
 
@@ -18,6 +17,11 @@ def toy():
     return HeteroGraph(nodes=[0, 1, 2], edges=[(0, 1)],
                        feats={0: {1: 1.0, 2: 2.0}, 1: {2: 3.0}},
                        labels={0: 0, 1: 1, 2: 0})
+
+
+def translate_features(g, scale, shift):
+    """g with every stored feature value x replaced by scale * x + shift."""
+    return g.replace(feats=(g.feat_node, g.feat_id, scale * g.feat_value + shift))
 
 
 def random_graph(rng, n_max=50):

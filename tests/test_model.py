@@ -11,11 +11,11 @@ from grafenne.continual import StreamConfig, compute_importance, run_stream
 from grafenne.graph import Edges, HeteroGraph, make_split, to_allotropic
 from grafenne.imputation import DenseGnnModel, dense_inputs, impute_special_label
 from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel,
-                            VanillaAltModel, init_states, load_checkpoint,
-                            recovery_probe, save_checkpoint)
+                            VanillaAltModel, init_states, recovery_probe)
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import allotropic_forward, method_model
+from checkpoint import load_checkpoint, save_checkpoint
 from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp,
                        with_destination_block, with_self_block)
 from test_graph import random_graph, toy

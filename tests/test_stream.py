@@ -1,9 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from grafenne.graph import GraphError, HeteroGraph, to_allotropic
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
+from grafenne.synth import make_community_graph
 from test_graph import random_graph, toy
+
+# the graph and drift stream of the c11 continual gate
+C11_GRAPH = dict(n=500, classes=4, feats_per_class=6, p_in=0.02, p_out=0.004,
+                 density=0.45, noise=0.15, seed=1)
+C11_STREAM = dict(T=9, p_n=0.03, p_f_add=0.05, p_f_del=0.4, p_e_add=0.0005,
+                  p_e_del=0.0005, seed=7)
+
+
+def digest(deltas):
+    return hashlib.sha256(repr(deltas).encode()).hexdigest()
 
 
 def test_empty_delta_identity():
@@ -72,6 +85,20 @@ def test_generate_stream_deterministic():
     b = generate_stream(g, seed=7, **kw)
     assert a == b
     assert generate_stream(g, seed=8, **kw) != a
+    # non-binary values: every added value is a draw of 1 - uniform[0, 1)
+    assert len({w for d in a for *_, w in d.add_feats} - {1.0}) == 5
+    assert digest(a) == "e00b6f1747c8f9f5049c1817e0061a7913e4cc0780d6843f8a9ff8e51ea114b0"
+
+
+def test_c11_stream_is_pinned():
+    """c11 and the continual benchmark workload both read this exact stream."""
+    deltas = generate_stream(make_community_graph(**C11_GRAPH), **C11_STREAM)
+    counts = [(len(d.add_feats), len(d.del_feats), len(d.add_edges), len(d.del_edges))
+              for d in deltas]
+    assert counts == [(9, 18, 0, 0), (14, 21, 1, 0), (16, 36, 0, 0), (17, 45, 1, 0),
+                      (14, 31, 0, 2), (11, 28, 1, 0), (10, 26, 1, 1), (9, 15, 1, 2),
+                      (11, 23, 0, 0)]
+    assert digest(deltas) == "536be6b7426884727b93127ab51654916ee29307713b86bc146e209886050478"
 
 
 def test_generate_stream_validates():

@@ -24,7 +24,9 @@ def test_link_score_cases():
     a = T.Tensor(np.array([1.0, 0.0]))
     b = T.Tensor(np.array([0.0, 1.0]))
     assert link_score(a, b).item() == 0.0
-    assert T.sigmoid(link_score(a, b)).item() == pytest.approx(0.5)
+    # a zero logit is probability one half: its cross entropy is log 2 for either target
+    assert T.bce_with_logits(link_score(a, b), 1.0).item() == pytest.approx(np.log(2.0))
+    assert T.bce_with_logits(link_score(a, b), 0.0).item() == pytest.approx(np.log(2.0))
     u = T.Tensor(np.array([1.0, 0.0]))
     assert link_score(u, u).item() == pytest.approx(1.0)
     x = T.Tensor(np.array([0.3, -0.7, 2.0]))
@@ -291,6 +293,13 @@ def test_mask_p0_identity():
 
 
 # ---------------------------------------------------------------- reporting
+
+
+def test_repeated_seed_is_rejected_before_training():
+    # run_experiment keys results by seed: a repeat would train twice and keep one value
+    cfg = TrainConfig(epochs=1, seeds=(0, 1, 0))
+    with pytest.raises(ValueError, match=r"repeated entry in seeds: \(0, 1, 0\)"):
+        run_experiment(sep_graph(), "sage", cfg=cfg)
 
 
 def test_run_experiment_rows_deterministic(tmp_path):

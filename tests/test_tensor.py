@@ -451,7 +451,6 @@ TAPE_OPS = {
     "concat": lambda: T.concat([_param(2, 3), _param(1, 3)]),
     "leaky_relu": lambda: T.leaky_relu(_param(2, 3)),
     "relu": lambda: T.relu(_param(2, 3)),
-    "sigmoid": lambda: T.sigmoid(_param(2, 3)),
     "gather_rows": lambda: T.gather_rows(_param(3, 2), [2, 0, 2]),
     "segment_sum": lambda: T.segment_sum(_param(3, 2), [1, 0, 1], 2),
     "slice_rows": lambda: T.slice_rows(_param(3, 2), 1, 3),
