@@ -131,6 +131,8 @@ def read_config(path, schema):
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text ({e.reason})") from None
     cfg, seen = {}, set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -323,6 +325,8 @@ def cmd_translate(cfg, args):
             raw = fh.readlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     for lineno, line in enumerate(raw, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

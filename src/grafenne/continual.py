@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .graph import make_split
+from .graph import GraphError, make_split
 from .model import GrafenneConfig, GrafenneModel
 from .optim import check_finite_params, descend, grad_vector, split_vector, zero_grad
 from .stream import apply_delta
@@ -199,7 +199,7 @@ def _train_plain(model, forward, loss_fn, epochs, lr):
 def _evaluate(model, g, test_nodes, forward):
     alive = sorted(v for v in test_nodes if v in g.labels)
     if not alive:
-        raise ValueError("test set is empty at this timestamp")
+        raise GraphError("test set is empty at this timestamp")
     return node_accuracy(model, forward(), node_rows(g, alive),
                          np.array([g.labels[v] for v in alive]))
 

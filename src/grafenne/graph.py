@@ -399,11 +399,14 @@ def remove_edges(g, edges):
 
 def _parse_lines(path):
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                yield lineno, line.split("\t")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 class DataError(ValueError):

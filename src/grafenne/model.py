@@ -28,6 +28,7 @@ Edges.derived and AllotropicGraph.derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,19 @@ def glorot(rng, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+# a per-process memo of at most 2^14 rows, least recently used out first;
+# a row costs its 8 * dim bytes plus about 300 for its array header, key
+# and cache entry, so the memo holds at most 12.7 MiB at dim 64
+@lru_cache(maxsize=1 << 14)
+def _embedding_row(seed, dim, f):
+    """The initial embedding of feature f in a table of width dim and seed
+    `seed`, drawn from (seed, 13, f) once per process and kept read-only:
+    a grid's models of one seed and dim share their rows' draws."""
+    row = np.random.default_rng([seed, 13, f]).normal(0.0, 1.0 / np.sqrt(dim), size=dim)
+    row.flags.writeable = False
+    return row
+
+
 class FeatureEmbeddingTable:
     """feature id -> learnable d-vector, stored as row `row[f]` of the one
     Parameter `weight`. Rows are appended when a feature is first seen and
@@ -86,14 +100,15 @@ class FeatureEmbeddingTable:
         self.row = {}
 
     def ensure(self, feat_ids):
-        """Append a row for every id without one. weight.values is rebound,
-        not written in place, so live tapes keep their forward arrays."""
+        """Append a row for every id without one. weight.values is rebound
+        to a fresh stack, not written in place, so live tapes keep their
+        forward arrays and no table shares the memo's rows."""
         draws = []
-        for f in map(int, feat_ids):
+        for f in feat_ids:
             if f not in self.row:
+                f = int(f)
                 self.row[f] = len(self.row)
-                rng = np.random.default_rng([self.seed, 13, f])
-                draws.append(rng.normal(0.0, 1.0 / np.sqrt(self.dim), size=self.dim))
+                draws.append(_embedding_row(self.seed, self.dim, f))
         if draws:
             self.weight.values = np.vstack([self.weight.values, *draws])
 
@@ -101,8 +116,9 @@ class FeatureEmbeddingTable:
 def init_states(alt, table):
     """Layer-0 feature states, the embedding rows; graph nodes start at
     zero, which layer 0's phase 1 never reads."""
-    table.ensure(alt.feat_ids)
-    return T.gather_rows(table.weight, [table.row[f] for f in alt.feat_ids])
+    ids = alt.feat_ids.tolist()
+    table.ensure(ids)
+    return T.gather_rows(table.weight, [table.row[f] for f in ids])
 
 
 def _capped(edges, cap, rng):

@@ -90,12 +90,15 @@ def check_finite_params(params):
 def descend(params, loss_fn, epochs, lr):
     """Full-batch Adam over `params`: each epoch builds loss_fn(), checks it
     is finite, backpropagates it and steps, then yields the epoch index.
-    Callers that select on validation iterate it; the rest run it out."""
+    Callers that select on validation iterate it; the rest run it out. The
+    loss, and with it the tape of what only it reads, is dropped once
+    backpropagated, so no tape outlives its epoch."""
     state = AdamState()
     for epoch in range(epochs):
         loss = loss_fn()
         check_finite_loss("training", loss.item(), epoch, epochs)
         zero_grad(params)
         T.backward(loss)
+        del loss
         adam_step(params, lr=lr, state=state)
         yield epoch

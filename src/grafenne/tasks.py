@@ -204,43 +204,48 @@ def train(model, g, split, cfg, forward, record_history=False):
         metric, loss_on, test_metric = _link_task(split)
     else:
         metric, loss_on, test_metric = _node_task(model, g, split)
-    history, secs = _fit(model, cfg, forward, loss_on("train"), loss_on("val"), record_history)
+    history, secs, best_h = _fit(model, cfg, forward, loss_on("train"), loss_on("val"),
+                                 record_history)
     seed = model.config.seed
-    return RunResult(metric, {seed: test_metric(forward())}, {seed: secs}, history)
+    return RunResult(metric, {seed: test_metric(T.Tensor(best_h))}, {seed: secs}, history)
 
 
 def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
-    """Train with best-validation-loss selection and one forward per epoch:
-    epoch e's validation forward sees the parameters epoch e + 1 trains
+    """Train with best-validation-loss selection and one forward per epoch;
+    returns (history, seconds, the node states of the restored parameters).
+
+    Epoch e's validation forward sees the parameters epoch e + 1 trains
     from, so its node states, tape included, are that epoch's training
-    forward too. That holds while forward() depends on the parameters
-    alone; a forward that resampled its edges on every call would need its
-    own training forward again."""
-    best_loss, best_snap, best_epoch = math.inf, None, -1
+    forward too, and the best epoch's are the restored parameters' states:
+    E epochs make E + 1 forwards. That holds while forward() depends on
+    the parameters alone; a forward that resampled its edges on every call
+    would need its own training and test forwards again."""
+    best_loss, best_snap, best_h, best_epoch = math.inf, None, None, -1
     history = [] if record_history else None
     params = model.trainable_parameters()
     t0 = time.perf_counter()
     h = forward()
     # the lambda reads h when descend calls it: the latest validation states
     for epoch in descend(params, lambda: train_loss_fn(h), cfg.epochs, cfg.lr):
+        h = None  # the used tape goes before the next forward builds one
         h = forward()
         val_loss = val_loss_fn(h).item()
         check_finite_loss("validation", val_loss, epoch, cfg.epochs)
         if record_history:
             history.append(val_loss)
         if best_snap is None or val_loss < best_loss:
-            best_loss, best_snap, best_epoch = val_loss, _snapshot(params), epoch
+            best_loss, best_snap, best_h, best_epoch = val_loss, _snapshot(params), h.values, epoch
         if epoch - best_epoch >= cfg.patience:
             break
     check_finite_params(params)
     _restore(params, best_snap)
-    return history, time.perf_counter() - t0
+    return history, time.perf_counter() - t0, best_h
 
 
 def _nonempty_parts(train, val, test):
     for part, name in ((train, "train"), (val, "val"), (test, "test")):
         if not part:
-            raise ValueError(f"empty {name} split")
+            raise GraphError(f"empty {name} split")
     return {"train": train, "val": val, "test": test}
 
 

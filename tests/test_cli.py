@@ -202,6 +202,42 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+_CELL_KEYS = {"run": "methods = sage\nseeds = 0\nepochs = 5\n",
+              "stream": "T = 2\nepochs = 3\nstream_epochs = 2\n"}
+
+
+@pytest.mark.parametrize("command, key, content, message", [
+    ("run", "labels", b"n00\t0\n", "empty val split"),  # one labelled node
+    ("stream", "labels", b"n00\t0\n", "test set is empty at this timestamp"),
+    ("run", "edges", b"\xff\xfe", "{path}: not UTF-8 text (invalid start byte)"),
+])
+def test_bad_tsv_is_one_data_error_line(tmp_path, capsys, command, key, content, message):
+    paths = {k: DATA / f"{k}.tsv" for k in ("edges", "features", "labels")}
+    paths[key] = tmp_path / f"{key}.tsv"
+    paths[key].write_bytes(content)
+    conf = write(tmp_path / "c.conf",
+                 "".join(f"{k} = {p}\n" for k, p in paths.items()) + _CELL_KEYS[command])
+    assert main([command, "--config", conf, "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == f"data error: {message.format(path=paths[key])}\n"
+
+
+def test_translate_non_utf8_features_is_one_data_error_line(tmp_path, capsys):
+    feats = tmp_path / "f.tsv"
+    feats.write_bytes(b"n00\tf0\t1.0\n\xff\xfe")
+    conf = write(tmp_path / "t.conf", f"features = {feats}\nscale = 2\n")
+    assert main(["translate", "--config", conf, "--out", str(tmp_path / "o.tsv")]) == 3
+    assert capsys.readouterr().err == f"data error: {feats}: not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_non_utf8_config_is_one_config_error_line(tmp_path, capsys, command):
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(b"T = 2\n# \xff\xfe\n")
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read config {conf}: "
+                                       "not UTF-8 text (invalid start byte)\n")
+
+
 # --------------------------------------------------------------- cmd: stream
 
 

@@ -1,22 +1,26 @@
 """Cost ledger: tape nodes per forward and per training epoch at fixed
 small shapes, reverse sweeps per importance pass and tape orders per
-epoch, no cyclic garbage after whole runs, and no edge tuples on the
-set-up and training path.
+epoch, no cyclic garbage after whole runs, no edge tuples on the set-up
+and training path, one draw per embedding row, no tape alive past its
+epoch and the traced memory peak of one training call.
 
 A pinned count may only go down, or go up with a stated reason.
 """
 
 import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from grafenne import model as model_mod
 from grafenne import tensor as T
-from grafenne.continual import (EwcState, STRATEGIES, StreamConfig, compute_importance,
-                                continual_loss, run_stream)
+from grafenne.continual import (EwcState, STRATEGIES, StreamConfig, _sum_loss, _train_plain,
+                                compute_importance, continual_loss, run_stream)
 from grafenne.graph import (AllotropicGraph, HeteroGraph, apply_missing_mask, make_split,
                             to_allotropic)
-from grafenne.model import recovery_probe
+from grafenne.model import GrafenneConfig, GrafenneModel, recovery_probe
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import TrainConfig, method_model, train
@@ -164,3 +168,75 @@ def test_run_stream_leaves_no_cyclic_garbage(strategy):
 
 def test_recovery_probe_leaves_no_cyclic_garbage():
     assert _cyclic_garbage(lambda: recovery_probe(3, trials=4, epochs=3)) == 0
+
+
+def test_models_of_one_seed_and_dim_draw_each_embedding_row_once():
+    g = _graph()
+    alt = to_allotropic(g)
+    model_mod._embedding_row.cache_clear()
+    a, b = (GrafenneModel(GrafenneConfig(dim=8, seed=5), g.num_classes) for _ in range(2))
+    a.forward(alt)
+    b.forward(alt)
+    info = model_mod._embedding_row.cache_info()
+    assert (info.misses, info.hits) == (alt.m, alt.m)
+    for f in alt.feat_ids.tolist():
+        assert not model_mod._embedding_row(5, 8, f).flags.writeable
+    wa, wb = a.table.weight.values, b.table.weight.values
+    assert wa.flags.writeable and wb.flags.writeable
+    assert not np.shares_memory(wa, wb)
+    assert np.array_equal(wa, wb)
+
+
+def _fails_if_an_output_outlives_its_epoch(forward):
+    """forward, wrapped to fail when it is called while an output of an
+    earlier call is alive; the list it returns gets one entry per call."""
+    outputs = []
+
+    def checked():
+        alive = [k for k, ref in enumerate(outputs) if ref() is not None]
+        assert not alive, f"forward {len(outputs)} starts with outputs {alive} alive"
+        h = forward()
+        outputs.append(weakref.ref(h))
+        return h
+    return checked, outputs
+
+
+def test_no_forward_output_outlives_its_epoch_in_train():
+    g = _graph()
+    split = make_split(g, (0.6, 0.2, 0.2), seed=0)
+    model, forward = method_model("grafenne", g, "node_classification", dim=8, layers=2)
+    checked, outputs = _fails_if_an_output_outlives_its_epoch(forward)
+    cfg = TrainConfig(epochs=4, lr=0.01, seeds=(0,), patience=4)
+    # with the collector off, a dead tape goes by reference counting alone
+    assert _cyclic_garbage(lambda: train(model, g, split, cfg, checked)) == 0
+    assert len(outputs) == 5
+
+
+def test_no_forward_output_outlives_its_epoch_in_plain_descent():
+    g = _graph()
+    model, forward = method_model("grafenne", g, "node_classification", dim=8, layers=2)
+    checked, outputs = _fails_if_an_output_outlives_its_epoch(forward)
+    loss_fn = _sum_loss(model, g, g.nodes[:10])
+    assert _cyclic_garbage(lambda: _train_plain(model, checked, loss_fn, 4, 0.01)) == 0
+    assert len(outputs) == 4
+
+
+# tracemalloc peak of the train call below, in bytes, pinned with a 3%
+# tolerance: no forward runs beside an earlier epoch's tape
+TRAIN_PEAK_BYTES = 1_227_000
+
+
+def test_train_traced_memory_peak():
+    g = make_community_graph(n=200, classes=3, feats_per_class=4, p_in=0.03, p_out=0.004,
+                             density=0.5, seed=2)
+    split = make_split(g, (0.6, 0.2, 0.2), seed=0)
+    model, forward = method_model("grafenne", g, "node_classification", dim=16, layers=2)
+    forward()  # the derived layouts and the embedding rows exist before tracing
+    cfg = TrainConfig(epochs=3, lr=0.01, seeds=(0,), patience=3)
+    tracemalloc.start()
+    try:
+        train(model, g, split, cfg, forward)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRAIN_PEAK_BYTES * 1.03, peak
