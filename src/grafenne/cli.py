@@ -45,12 +45,21 @@ def _float(s):
     return x
 
 
+def _within(x, lo, hi=math.inf):
+    """x, unless it lies outside [lo, hi]."""
+    if not lo <= x <= hi:
+        raise ValueError(f"{x} lies outside [{lo}, {hi}]")
+    return x
+
+
 _KINDS = {
-    "int": int,
+    "nat": lambda s: _within(int(s), 0),
+    "pos": lambda s: _within(int(s), 1),
     "float": _float,
+    "prob": lambda s: _within(_float(s), 0.0, 1.0),
     "str": str,
-    "ints": lambda s: tuple(int(x) for x in s.split(",")),
-    "floats": lambda s: tuple(_float(x) for x in s.split(",")),
+    "nats": lambda s: tuple(map(_KINDS["nat"], s.split(","))),
+    "probs": lambda s: tuple(map(_KINDS["prob"], s.split(","))),
     "strs": lambda s: tuple(x.strip() for x in s.split(",")),
 }
 
@@ -59,14 +68,14 @@ _SOURCE_KEYS = (
     ("edges", "str", None, "edge TSV: node<TAB>node"),
     ("features", "str", None, "feature TSV: node<TAB>feature<TAB>value"),
     ("labels", "str", None, "label TSV: node<TAB>class"),
-    ("synth_nodes", "int", None, "synthetic graph size (alternative to TSVs)"),
-    ("synth_classes", "int", 2, "synthetic class count"),
-    ("synth_feats_per_class", "int", 5, "indicator features per class"),
-    ("synth_p_in", "float", 0.05, "within-community edge probability"),
-    ("synth_p_out", "float", 0.005, "cross-community edge probability"),
-    ("synth_density", "float", 0.7, "per-node own-class feature retention"),
-    ("synth_noise", "float", 0.02, "foreign-class feature probability"),
-    ("synth_seed", "int", 0, "synthetic generator seed"),
+    ("synth_nodes", "nat", None, "synthetic graph size (alternative to TSVs)"),
+    ("synth_classes", "pos", 2, "synthetic class count"),
+    ("synth_feats_per_class", "nat", 5, "indicator features per class"),
+    ("synth_p_in", "prob", 0.05, "within-community edge probability"),
+    ("synth_p_out", "prob", 0.005, "cross-community edge probability"),
+    ("synth_density", "prob", 0.7, "per-node own-class feature retention"),
+    ("synth_noise", "prob", 0.02, "foreign-class feature probability"),
+    ("synth_seed", "nat", 0, "synthetic generator seed"),
 )
 
 _SCHEMAS = {
@@ -75,39 +84,39 @@ _SCHEMAS = {
         ("task", "str", "node_classification",
          "node_classification | link_prediction"),
         ("methods", "strs", REQUIRED, "comma list from: " + ", ".join(METHODS)),
-        ("p", "floats", (0.0,), "comma list of missing-feature rates in [0,1]"),
-        ("seeds", "ints", (0, 1, 2, 3, 4), "comma list of run seeds"),
-        ("epochs", "int", 1000, "max training epochs"),
+        ("p", "probs", (0.0,), "comma list of missing-feature rates in [0,1]"),
+        ("seeds", "nats", (0, 1, 2, 3, 4), "comma list of run seeds"),
+        ("epochs", "pos", 1000, "max training epochs"),
         ("lr", "float", 1e-4, "Adam learning rate"),
-        ("patience", "int", 200, "early-stopping patience (epochs)"),
+        ("patience", "pos", 200, "early-stopping patience (epochs)"),
         ("neg_ratio", "float", 1.0, "link task: negatives per positive"),
-        ("dim", "int", 64, "hidden width"),
-        ("layers", "int", 2, "layer count"),
-        ("fp_iterations", "int", 40, "feature-propagation iterations"),
-        ("caps", "ints", (0, 0, 0), "sampling caps per phase (0 = no cap)"),
+        ("dim", "pos", 64, "hidden width"),
+        ("layers", "pos", 2, "layer count"),
+        ("fp_iterations", "pos", 40, "feature-propagation iterations"),
+        ("caps", "nats", (0, 0, 0), "sampling caps per phase (0 = no cap)"),
         ("timing", "str", "none", "none (byte-stable CSV) | wall"),
         ("out", "str", None, "output CSV path (or --out)"),
     ),
     "stream": _SOURCE_KEYS + (
         ("strategies", "strs", STRATEGIES,
          "comma list from: " + ", ".join(STRATEGIES)),
-        ("T", "int", REQUIRED, "number of stream timestamps after t=1"),
-        ("p_n", "float", 0.0, "per-timestamp node perturbation probability"),
-        ("p_f_add", "float", 0.0, "feature addition probability"),
-        ("p_f_del", "float", 0.0, "feature deletion probability"),
-        ("p_e_add", "float", 0.0, "edge addition probability"),
-        ("p_e_del", "float", 0.0, "edge deletion probability"),
-        ("stream_seed", "int", 0, "delta-generator seed"),
-        ("epochs", "int", 200, "full-training epochs (t=1 and ORACLE)"),
-        ("stream_epochs", "int", 50, "per-timestamp adaptation epochs"),
+        ("T", "pos", REQUIRED, "number of stream timestamps after t=1"),
+        ("p_n", "prob", 0.0, "per-timestamp node perturbation probability"),
+        ("p_f_add", "prob", 0.0, "feature addition probability"),
+        ("p_f_del", "prob", 0.0, "feature deletion probability"),
+        ("p_e_add", "prob", 0.0, "edge addition probability"),
+        ("p_e_del", "prob", 0.0, "edge deletion probability"),
+        ("stream_seed", "nat", 0, "delta-generator seed"),
+        ("epochs", "pos", 200, "full-training epochs (t=1 and ORACLE)"),
+        ("stream_epochs", "pos", 50, "per-timestamp adaptation epochs"),
         ("lr", "float", 0.01, "Adam learning rate"),
         ("lam", "float", 100000.0, "EWC penalty strength"),
-        ("u_size", "int", 25, "EWC importance sample size |U|"),
-        ("er_capacity", "int", None, "replay buffer capacity (default u_size)"),
-        ("dim", "int", 32, "hidden width"),
-        ("layers", "int", 2, "layer count"),
+        ("u_size", "nat", 25, "EWC importance sample size |U|"),
+        ("er_capacity", "nat", None, "replay buffer capacity (default u_size)"),
+        ("dim", "pos", 32, "hidden width"),
+        ("layers", "pos", 2, "layer count"),
         ("phase2", "str", "sage", "sage | gat | gin"),
-        ("seed", "int", 0, "model/split seed"),
+        ("seed", "nat", 0, "model/split seed"),
         ("timing", "str", "none", "none (byte-stable CSV) | wall"),
         ("out", "str", None, "output CSV path (or --out)"),
     ),
@@ -219,15 +228,8 @@ def cmd_run(cfg, args):
     for m in cfg["methods"]:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: " + ", ".join(METHODS))
-    for p in cfg["p"]:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p must lie in [0, 1], got {p}")
-    if cfg["timing"] not in ("none", "wall"):
-        raise ConfigError(f"timing must be none or wall, got {cfg['timing']!r}")
     if len(cfg["caps"]) != 3:
         raise ConfigError("caps needs exactly 3 integers")
-    if cfg["fp_iterations"] < 1:
-        raise ConfigError(f"fp_iterations must be >= 1, got {cfg['fp_iterations']}")
     seeds = (args.seed,) if args.seed is not None else cfg["seeds"]
     train_cfg = TrainConfig(task=cfg["task"], epochs=cfg["epochs"], lr=cfg["lr"],
                             seeds=seeds, patience=cfg["patience"],
@@ -278,13 +280,6 @@ def cmd_stream(cfg, args):
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; known: " + ", ".join(STRATEGIES))
-    if cfg["timing"] not in ("none", "wall"):
-        raise ConfigError(f"timing must be none or wall, got {cfg['timing']!r}")
-    for key in ("p_n", "p_f_add", "p_f_del", "p_e_add", "p_e_del"):
-        if not 0.0 <= cfg[key] <= 1.0:
-            raise ConfigError(f"{key} must lie in [0, 1], got {cfg[key]}")
-    if cfg["T"] < 1:
-        raise ConfigError("T must be >= 1")
     seed = args.seed if args.seed is not None else cfg["seed"]
     scfg = StreamConfig(epochs=cfg["epochs"], stream_epochs=cfg["stream_epochs"],
                         lr=cfg["lr"], lam=cfg["lam"], u_size=cfg["u_size"],
@@ -375,7 +370,8 @@ def _schema_epilog(schema):
             d = f"[default {default}]"
         out.append(f"  {key:<{width}}  {kind:<6} {help_} {d}".rstrip())
     out.append("\nLines are 'key = value'; '#' starts a comment line. Unknown or"
-               "\nduplicate keys abort with exit code 2."
+               "\nduplicate keys abort with exit code 2. A nat is an integer >= 0, a pos"
+               "\none >= 1 and a prob a number in [0, 1]; a plural kind is a comma list."
                "\n\nexit codes: 0 success, 2 configuration error, 3 data error,"
                "\n4 numerical error (a NaN or infinite training or validation loss, or a"
                "\nnon-finite parameter after training). NaN and infinite numbers are"
@@ -405,19 +401,19 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = read_config(args.config, _SCHEMAS[args.command])
+        if cfg.get("timing", "none") not in ("none", "wall"):
+            raise ConfigError(f"timing must be none or wall, got {cfg['timing']!r}")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, GraphError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (DataError, GraphError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except FloatingPointError as e:

@@ -11,7 +11,7 @@ or infinite training loss raises FloatingPointError.
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +62,13 @@ class StreamConfig:
 
 @dataclass
 class EwcState:
-    """One parameter snapshot plus one importance vector — nothing grows
-    with stream length."""
+    """EWC's anchor and importance weight, each one vector over the
+    concatenated entries of model.trainable_parameters(), the layout Adam
+    and tensor.ewc_penalty share: nothing grows with stream length."""
 
     lam: float = 100000.0
-    snapshot: dict = field(default_factory=dict)
-    omega: dict = field(default_factory=dict)
+    anchor: np.ndarray = None
+    weight: np.ndarray = None
 
 
 class ReplayBuffer:
@@ -123,7 +124,6 @@ def compute_importance(model, g_t, nodes, forward=None):
     omega = np.zeros(sum(p.values.size for p in params))
     if not order:
         warnings.warn("importance over an empty node set is zero (fine-tuning)")
-        return dict(zip((p.name for p in params), split_vector(omega, params)))
     zero_grad(params)  # so a parameter the logits do not reach adds nothing
     for r, v in zip(rows, order):
         seed = np.zeros_like(logits.values)
@@ -134,7 +134,7 @@ def compute_importance(model, g_t, nodes, forward=None):
             node.grad = None
         T.sweep(logits, seed, tape)
         omega += np.square(grad_vector(params))
-    omega *= 1.0 / len(order)
+    omega *= 1.0 / max(len(order), 1)
     return dict(zip((p.name for p in params), split_vector(omega, params)))
 
 
@@ -151,10 +151,10 @@ def _sum_loss(model, g, nodes, labels=None):
 def continual_loss(model, affected_train_nodes, ewc, graph=None):
     """loss(h): the sum of per-node task losses on the affected nodes, read
     from the node states h of the current graph, plus lam / 2 times the
-    quadratic importance-weighted penalty against the stored snapshot, one
-    tensor.ewc_penalty node over every parameter that has both. Nodes,
-    labels and each parameter's anchor and weight are matched once, here,
-    for every epoch of a timestamp, into one anchor and one weight vector."""
+    quadratic importance-weighted penalty against ewc's anchor, one
+    tensor.ewc_penalty node over the model's trainable parameters, which
+    raises unless the anchor and weight have one entry per parameter entry.
+    Nodes and labels are looked up once, here, for every epoch of a timestamp."""
     affected = sorted(affected_train_nodes)
     if affected:
         if graph is None:
@@ -162,21 +162,8 @@ def continual_loss(model, affected_train_nodes, ewc, graph=None):
         task = _sum_loss(model, graph, affected)
     else:
         task = lambda h: T.Tensor(np.asarray(0.0))
-    params, anchors, weights = [], [], []
-    for p in model.trainable_parameters():
-        snap, om = ewc.snapshot.get(p.name), ewc.omega.get(p.name)
-        if snap is None or om is None:
-            continue  # parameter born after the snapshot: no prior to preserve
-        if not snap.shape == om.shape == p.values.shape:
-            raise ValueError(f"parameter {p.name} changed shape across timestamps: now "
-                             f"{p.values.shape}, snapshot {snap.shape}, importance {om.shape}")
-        params.append(p)
-        anchors.append(snap.ravel())
-        weights.append(om.ravel())
-    if not params:
-        return task
-    half = ewc.lam / 2.0
-    anchor, weight = np.concatenate(anchors), np.concatenate(weights)
+    params, half = model.trainable_parameters(), ewc.lam / 2.0
+    anchor, weight = ewc.anchor, ewc.weight
     return lambda h: T.add(task(h), T.mul(T.ewc_penalty(params, anchor, weight), half))
 
 
@@ -286,8 +273,10 @@ def run_stream(g_1, deltas, strategy, cfg=None):
                              seed=cfg.seed * 100003 + delta.t)
                 affected_set = set(affected_train)
                 unaffected = tuple(v for v in u if v not in affected_set)
-                ewc.omega = compute_importance(model, g, unaffected, forward=fwd)
-                ewc.snapshot = _snapshot(model.trainable_parameters())
+                omega = compute_importance(model, g, unaffected, forward=fwd)
+                ewc.weight = np.concatenate([w.ravel() for w in omega.values()])
+                ewc.anchor = np.concatenate([p.values.ravel()
+                                             for p in model.trainable_parameters()])
                 loss_fn = continual_loss(model, affected_train, ewc, graph=g)
             elif strategy == "FT":
                 loss_fn = _sum_loss(model, g, affected_train)

@@ -251,14 +251,14 @@ class Edges(_Derives):
         return Edges(self.src[keep], self.dst[keep], self.shape, weight)
 
 
-def by_destination(shape, *blocks, weight=None):
-    """The Edges layout of `shape` of the concatenated blocks of directed
-    edges (src, dst), and of weight if given, sorted by (dst, src): a
-    fixed summation order within each destination."""
+def by_destination(shape, *blocks):
+    """The unweighted Edges layout of `shape` of the concatenated blocks of
+    directed edges (src, dst), sorted by (dst, src): a fixed summation
+    order within each destination."""
     src = np.concatenate([s for s, _ in blocks])
     dst = np.concatenate([d for _, d in blocks])
     order = np.lexsort((src, dst))
-    return Edges(src[order], dst[order], shape, None if weight is None else weight[order])
+    return Edges(src[order], dst[order], shape)
 
 
 def transpose(edges):

@@ -2,7 +2,7 @@
 
 Three imputers (special label, neighborhood mean, feature propagation)
 produce dense |V| x |F| matrices; DenseGnnModel consumes them directly,
-or impute_then_grafenne re-sparsifies the result back into a HeteroGraph.
+or resparsify turns the result back into a HeteroGraph.
 """
 
 from dataclasses import dataclass
@@ -96,16 +96,9 @@ def feature_propagation(g, iterations=40):
     return DenseFeatures(x, mask, node_ids, feat_ids)
 
 
-def impute_then_grafenne(g, method, iterations=40):
-    """Re-sparsify an NM/FP imputation into a new HeteroGraph (entries with
-    |value| < 1e-8 dropped), ready for the allotropic pipeline."""
-    method = method.lower()
-    if method == "nm":
-        dense = impute_neighborhood_mean(g)
-    elif method == "fp":
-        dense = feature_propagation(g, iterations=iterations)
-    else:
-        raise ValueError(f"unknown imputation method {method!r}")
+def resparsify(g, dense):
+    """g with its features replaced by the entries of the imputation
+    `dense` with |value| >= 1e-8, ready for the allotropic pipeline."""
     rows, cols = np.nonzero(np.abs(dense.values) >= RESPARSIFY_EPS)  # row-major
     return g.replace(feats=(np.asarray(dense.node_ids, dtype=np.int64)[rows],
                             np.asarray(dense.feat_ids, dtype=np.int64)[cols],

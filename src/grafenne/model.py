@@ -125,10 +125,10 @@ def _capped(edges, cap, rng):
     """At most cap edges into each destination, drawn by rng in
     destination order; edges itself when no cap binds (rng may then be
     None)."""
-    if cap <= 0 or len(edges) == 0:
+    if cap <= 0:
         return edges
     counts = np.diff(edges.indptr)
-    if counts.max() <= cap:
+    if (counts <= cap).all():
         return edges
     keep = [start + np.sort(rng.choice(c, size=cap, replace=False)) if c > cap
             else np.arange(start, start + c)
@@ -256,11 +256,8 @@ class GrafenneModel(ModelBase):
         along the weighted Edges layout `edges`."""
         w_src, w_edge, w_att, w_self, w_msg = (
             self.params.get(f"layer{l}/{phase}/{name}") for name in _ATTEND_PARAMS[phase])
-        if len(edges) == 0:
-            agg = T.Tensor(np.zeros((edges.shape[0], self.config.dim)))
-        else:
-            agg = T.attention(h_src, edges, w_src, w_att, w_msg, LEAKY_SLOPE,
-                              edges.derived(_sign_split), w_edge)
+        agg = T.attention(h_src, edges, w_src, w_att, w_msg, LEAKY_SLOPE,
+                          edges.derived(_sign_split), w_edge)
         combined = agg if h_dst is None else T.concat([T.matmul(h_dst, w_self), agg], axis=1)
         return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), LEAKY_SLOPE)
 
@@ -273,8 +270,6 @@ class GrafenneModel(ModelBase):
         return self._backbone(f"layer{l}/p2", hg, edges)
 
     def _phase3(self, l, alt, hg_new, hf, rng):
-        if alt.m == 0:
-            return hf
         edges = _capped(alt.node_to_feat, self.config.cap_nodes, rng)
         return self._attend(l, "p3", hf, hg_new, edges)
 
@@ -329,8 +324,7 @@ class VanillaAltModel(ModelBase):
         """(graph states, feature states), as GrafenneModel.forward."""
         n, m = alt.n, alt.m
         h = T.Tensor(np.zeros((n, self.config.dim)))  # graph nodes start at zero
-        if m:
-            h = T.concat([h, init_states(alt, self.table)], axis=0)
+        h = T.concat([h, init_states(alt, self.table)], axis=0)
         edges = alt.derived(_joint_layout)
         for l in range(self.config.layers):
             h = sage_layer(h, edges, self.params[f"layer{l}/W"])

@@ -18,7 +18,7 @@ from . import tensor as T
 from .graph import (GraphError, apply_missing_mask, make_split, partition, remove_edges,
                     to_allotropic)
 from .imputation import (DenseGnnModel, dense_inputs, feature_propagation,
-                         impute_neighborhood_mean, impute_special_label, impute_then_grafenne)
+                         impute_neighborhood_mean, impute_special_label, resparsify)
 from .model import GrafenneConfig, GrafenneModel, VanillaAltModel
 from .optim import check_finite_loss, check_finite_params, descend
 
@@ -308,15 +308,13 @@ def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
     if method == "vanilla_alt":
         model = VanillaAltModel(GrafenneConfig(phase2="sage", **base), num_classes)
         return model, allotropic_forward(model, g)
-    if "+" in method:
-        imp, backend = method.split("+", 1)
-        if imp in ("nm", "fp"):
-            if backend == "grafenne":
-                return grafenne_on(impute_then_grafenne(g, imp, fp_iterations), "sage")
-            if backend in ("sage", "gat", "gin"):
-                dense = (impute_neighborhood_mean(g) if imp == "nm"
-                         else feature_propagation(g, fp_iterations))
-                return dense_on(g, backend, dense)
+    imp, _, backend = method.partition("+")
+    if imp in ("nm", "fp") and backend in ("grafenne", "sage", "gat", "gin"):
+        dense = (impute_neighborhood_mean(g) if imp == "nm"
+                 else feature_propagation(g, fp_iterations))
+        if backend == "grafenne":
+            return grafenne_on(resparsify(g, dense), "sage")
+        return dense_on(g, backend, dense)
     raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
 
 

@@ -196,6 +196,53 @@ def test_run_non_finite_feature_exits_3(tmp_path, capsys, value):
     assert f"{bad}:3: bad value '{value}' (need a finite number)" in capsys.readouterr().err
 
 
+_SYNTH_CELLS = {"run": "synth_nodes = 40\nmethods = grafenne\nseeds = 0\nepochs = 3\ndim = 4\n",
+                "stream": "synth_nodes = 40\nT = 1\nepochs = 3\nstream_epochs = 2\ndim = 4\n"
+                          "strategies = EWC\n"}
+
+
+def _synth_cell(tmp_path, capsys, command, extra="", flags=()):
+    """(exit code, stderr lines) of one small synthetic cell, extra's keys
+    replacing the cell's own."""
+    keys = {line.split(" = ")[0]: line for line in (_SYNTH_CELLS[command] + extra).splitlines()}
+    conf = write(tmp_path / "c.conf", "".join(f"{line}\n" for line in keys.values()))
+    code = main([command, "--config", conf, "--out", str(tmp_path / "o.csv"), *flags])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("command, extra, flags, message", [
+    ("run", "seeds = -1", (), "{conf}:3: bad seeds: -1 lies outside [0, inf]"),
+    ("run", "", ("--seed", "-1"), "--seed must be >= 0, got -1"),
+    ("stream", "", ("--seed", "-1"), "--seed must be >= 0, got -1"),
+    ("stream", "seed = -1", (), "{conf}:7: bad seed: -1 lies outside [0, inf]"),
+    ("stream", "stream_seed = -1", (), "{conf}:7: bad stream_seed: -1 lies outside [0, inf]"),
+    ("run", "synth_seed = -1", (), "{conf}:6: bad synth_seed: -1 lies outside [0, inf]"),
+    ("run", "synth_nodes = -5", (), "{conf}:1: bad synth_nodes: -5 lies outside [0, inf]"),
+    ("run", "synth_classes = -2", (), "{conf}:6: bad synth_classes: -2 lies outside [1, inf]"),
+    ("run", "synth_classes = 0", (), "{conf}:6: bad synth_classes: 0 lies outside [1, inf]"),
+    ("run", "synth_feats_per_class = -1", (),
+     "{conf}:6: bad synth_feats_per_class: -1 lies outside [0, inf]"),
+    ("run", "synth_p_in = 2", (), "{conf}:6: bad synth_p_in: 2.0 lies outside [0.0, 1.0]"),
+    ("run", "synth_density = 1.5", (),
+     "{conf}:6: bad synth_density: 1.5 lies outside [0.0, 1.0]"),
+    ("run", "synth_noise = -0.5", (), "{conf}:6: bad synth_noise: -0.5 lies outside [0.0, 1.0]"),
+])
+def test_out_of_range_seed_or_synthetic_key_is_one_config_error_line(
+        tmp_path, capsys, command, extra, flags, message):
+    code, err = _synth_cell(tmp_path, capsys, command, extra + "\n", flags)
+    assert (code, err) == (2, [f"config error: {message.format(conf=tmp_path / 'c.conf')}"])
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_a_synthetic_graph_without_features_still_runs(tmp_path, capsys, command):
+    assert _synth_cell(tmp_path, capsys, command, "synth_feats_per_class = 0\n") == (0, [])
+
+
+def test_an_empty_synthetic_graph_is_still_a_data_error(tmp_path, capsys):
+    code, err = _synth_cell(tmp_path, capsys, "run", "synth_nodes = 0\n")
+    assert (code, err) == (3, ["data error: empty train split"])
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.conf"),
                  "--out", str(tmp_path / "o.csv")]) == 2

@@ -210,8 +210,7 @@ def test_importance_bitwise_repeatable():
 
 def test_continual_loss_scalar_penalty():
     toy = ToyModel(1.0)
-    ewc = EwcState(lam=2.0, snapshot={"w0": np.asarray(0.5)},
-                   omega={"w0": np.asarray(1.0)})
+    ewc = EwcState(lam=2.0, anchor=np.array([0.5]), weight=np.array([1.0]))
     loss = continual_loss(toy, [], ewc)(None)
     assert loss.item() == pytest.approx(0.25)  # 2/2 * 1 * 0.5^2
 
@@ -221,14 +220,13 @@ def test_continual_loss_theta_equal_is_task_only():
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=1), 2)
     fwd = allotropic_forward(model, g)
     fwd()
-    snap = {p.name: p.values.copy() for p in model.trainable_parameters()}
-    omega = {k: np.ones_like(v) for k, v in snap.items()}
-    ewc = EwcState(lam=50.0, snapshot=snap, omega=omega)
+    anchor = np.concatenate([p.values.ravel() for p in model.trainable_parameters()])
+    ewc = EwcState(lam=50.0, anchor=anchor, weight=np.ones_like(anchor))
     affected = [0, 1, 2]
     h = fwd()
     full = continual_loss(model, affected, ewc, graph=g)(h).item()
-    plain = continual_loss(model, affected, EwcState(lam=0.0), graph=g)(h).item()
-    assert full == pytest.approx(plain, abs=1e-12)
+    plain = continual_loss(model, affected, dataclasses.replace(ewc, lam=0.0), graph=g)(h)
+    assert full == pytest.approx(plain.item(), abs=1e-12)
 
 
 def test_continual_loss_lambda_zero_equals_task():
@@ -236,11 +234,11 @@ def test_continual_loss_lambda_zero_equals_task():
     model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=1), 2)
     fwd = allotropic_forward(model, g)
     fwd()
-    snap = {p.name: p.values + 0.3 for p in model.trainable_parameters()}
-    omega = {k: np.ones_like(v) for k, v in snap.items()}
+    anchor = np.concatenate([p.values.ravel() for p in model.trainable_parameters()]) + 0.3
     affected = [0, 2]
-    with_pen = continual_loss(model, affected, EwcState(lam=0.0, snapshot=snap,
-                                                        omega=omega), graph=g)(fwd())
+    with_pen = continual_loss(model, affected, EwcState(lam=0.0, anchor=anchor,
+                                                        weight=np.ones_like(anchor)),
+                              graph=g)(fwd())
     row_of = {v: i for i, v in enumerate(g.nodes)}
     rows = np.array([row_of[v] for v in affected])
     ys = np.array([g.labels[v] for v in affected])
@@ -252,18 +250,17 @@ def test_continual_loss_lambda_zero_equals_task():
 
 def test_continual_loss_shape_drift_errors():
     toy = ToyModel(np.array([1.0, 2.0]))
-    ewc = EwcState(lam=1.0, snapshot={"w0": np.zeros(3)},
-                   omega={"w0": np.zeros(3)})
-    with pytest.raises(ValueError, match="changed shape"):
-        continual_loss(toy, [], ewc)
+    ewc = EwcState(lam=1.0, anchor=np.zeros(3), weight=np.zeros(3))
+    with pytest.raises(ValueError, match="an anchor and a weight of 2 entries"):
+        continual_loss(toy, [], ewc)(None)
 
 
-def test_continual_loss_skips_params_born_after_snapshot():
+def test_continual_loss_rejects_params_born_after_the_anchor():
     toy = ToyModel(1.0, 4.0)
-    # snapshot predates w1: only w0 is anchored
-    ewc = EwcState(lam=2.0, snapshot={"w0": np.asarray(0.0)},
-                   omega={"w0": np.asarray(1.0)})
-    assert continual_loss(toy, [], ewc)(None).item() == pytest.approx(1.0)
+    # the anchor predates w1: one entry for two parameters
+    ewc = EwcState(lam=2.0, anchor=np.array([0.0]), weight=np.array([1.0]))
+    with pytest.raises(ValueError, match="an anchor and a weight of 2 entries"):
+        continual_loss(toy, [], ewc)(None)
 
 
 # -------------------------------------------------------------- buffers
@@ -284,14 +281,14 @@ def test_replay_buffer_reservoir():
 
 
 def test_ewc_state_storage_is_flat():
-    # one snapshot dict plus one omega dict, regardless of how often they turn over
+    # one anchor vector plus one weight vector, regardless of how often they turn over
     names = {f.name for f in dataclasses.fields(EwcState)}
-    assert names == {"lam", "snapshot", "omega"}
+    assert names == {"lam", "anchor", "weight"}
     st = EwcState()
     for t in range(5):
-        st.snapshot = {"w": np.full(3, t, dtype=float)}
-        st.omega = {"w": np.full(3, t, dtype=float)}
-    assert set(st.snapshot) == {"w"} and set(st.omega) == {"w"}
+        st.anchor = np.full(3, t, dtype=float)
+        st.weight = np.full(3, t, dtype=float)
+    assert st.anchor.shape == st.weight.shape == (3,)
 
 
 # ------------------------------------------------------------ run_stream
@@ -421,3 +418,19 @@ def test_stream_csv_roundtrip(tmp_path):
     assert path.read_bytes() == (tmp_path / "s2.csv").read_bytes()
     wall = stream_rows(recs, timing="wall")
     assert wall[0][3] == "1.23"
+
+
+def test_ewc_stream_from_a_featureless_graph_that_gains_features():
+    # t=2 drops an edge of the featureless graph, so EWC anchors a model
+    # with no embedding rows; t=3 gives six nodes their drifting-graph entries
+    g = drift_graph(n=30)
+    entries = tuple((v, f, w) for v, fm in g.feats.items() if v < 6 for f, w in fm.items())
+    deltas = [StreamDelta(t=2, del_edges=(g.edges[0],)), StreamDelta(t=3, add_feats=entries)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # both timestamps anchor on unaffected nodes
+        records, model = run_stream(g.replace(feats={}), deltas, "EWC", quick_cfg(layers=2))
+    assert [r.t for r in records] == [1, 2, 3]
+    assert all(0.0 <= r.accuracy <= 1.0 for r in records)
+    assert set(model.table.row) == {f for _, f, _ in entries}
+    # rows of features new at t=3 count whole, on top of the retrained weights
+    assert records[2].params_changed > len(model.table.row) * model.table.dim

@@ -77,8 +77,8 @@ def test_tape_nodes_per_ewc_training_epoch(monkeypatch):
     model, forward = method_model("grafenne", g, "node_classification", dim=8, layers=2)
     forward()  # the embedding rows exist before the snapshot, as in a stream
     params = model.trainable_parameters()
-    ewc = EwcState(snapshot={p.name: p.values.copy() for p in params},
-                   omega={p.name: np.ones_like(p.values) for p in params})
+    anchor = np.concatenate([p.values.ravel() for p in params])
+    ewc = EwcState(anchor=anchor, weight=np.ones_like(anchor))
     loss_fn = continual_loss(model, g.nodes[:10], ewc, graph=g)
 
     def epoch():

@@ -4,7 +4,7 @@ import pytest
 from grafenne.graph import HeteroGraph, to_allotropic
 from grafenne.imputation import (DenseFeatures, DenseGnnModel, dense_inputs,
                                  feature_propagation, impute_neighborhood_mean,
-                                 impute_special_label, impute_then_grafenne)
+                                 impute_special_label, resparsify)
 from grafenne.model import LEAKY_SLOPE, GrafenneConfig, GrafenneModel
 from naive_ref import adjacency, leaky, with_destination_block, _mlp, _softmax
 from test_graph import entry_count, random_graph
@@ -262,7 +262,7 @@ def test_dense_forward_dim_mismatch():
 
 def test_impute_then_grafenne_nm_fully_observed():
     g = HeteroGraph([0, 1], [(0, 1)], {0: {0: 1.0, 1: 2.0}, 1: {0: 3.0, 1: 4.0}}, {0: 0, 1: 1})
-    out = impute_then_grafenne(g, "nm")
+    out = resparsify(g, impute_neighborhood_mean(g))
     assert out.feats == g.feats
     assert out.edges == g.edges and out.labels == g.labels
 
@@ -270,7 +270,7 @@ def test_impute_then_grafenne_nm_fully_observed():
 def test_impute_then_grafenne_fp_alt_edges():
     rng = np.random.default_rng(43)
     g = random_graph(rng, n_max=12)
-    out = impute_then_grafenne(g, "fp")
+    out = resparsify(g, feature_propagation(g))
     alt = to_allotropic(out)
     assert len(alt.feat_to_node) == entry_count(out)
     # observed entries survive re-sparsification (values come from the graph, nonzero)
@@ -294,16 +294,10 @@ def test_impute_then_grafenne_matches_the_entry_loop(method):
                if abs(dense.values[i, j]) >= RESPARSIFY_EPS}
         if row:
             want[v] = row
-    got = impute_then_grafenne(g, method, iterations=40).feats
+    got = resparsify(g, dense).feats
     assert ([(v, list(fmap.items())) for v, fmap in got.items()]
             == [(v, list(fmap.items())) for v, fmap in g.replace(feats=want).feats.items()])
     assert any(abs(x) < RESPARSIFY_EPS for x in dense.values.ravel())  # some entries drop
-
-
-def test_impute_then_grafenne_unknown_method():
-    g = HeteroGraph([0], [], {0: {0: 1.0}}, {})
-    with pytest.raises(ValueError, match="unknown imputation method"):
-        impute_then_grafenne(g, "zeros")
 
 
 @pytest.mark.parametrize("method", ["nm+sage", "fp+gat"])

@@ -182,6 +182,39 @@ def test_forward_matches_naive_reference(backend):
             assert np.allclose(hf.values[i], hf_ref[f], atol=1e-9), (backend, trial, f)
 
 
+@pytest.mark.parametrize("backend", ["sage", "gat", "gin"])
+@pytest.mark.parametrize("capped", [False, True])
+def test_a_featureless_graph_takes_the_one_attention_path(backend, capped):
+    """No feature entries: phases 1 and 3 attend over empty layouts, the
+    graph states match the naive reference, and every phase-3 parameter
+    and every phase-1 parameter that scores or carries a feature message
+    gets an all-zero gradient. The caps are set on every layout; the
+    graph cap equals the largest in-degree, so no edge is dropped."""
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, n_max=10).replace(feats={})
+    alt = to_allotropic(g)
+    assert (alt.m, len(alt.feat_to_node)) == (0, 0)
+    top = max(int(np.diff(alt.node_to_node.indptr).max()), 1)
+    caps = dict(cap_features=1, cap_nodes=1, cap_graph=top) if capped else {}
+    model = with_epsilon(GrafenneModel(small_cfg(layers=3, phase2=backend, **caps), 3), 0.3)
+    for name, p in model.params.items():  # zero biases would make every state zero
+        if name.endswith(("/b0", "/b1")):
+            p.values = rng.normal(size=p.values.shape)
+    hg, hf = model.forward(alt)
+    assert np.abs(hg.values).max() > 0.1
+    assert hf.shape == (0, 3)
+    hg_ref, _ = naive_forward(model, g)
+    for i, v in enumerate(g.nodes):
+        assert np.allclose(hg.values[i], hg_ref[v], atol=1e-9), (backend, v)
+    T.backward(T.cross_entropy(model.logits(hg), np.zeros(g.num_nodes, dtype=np.int64)))
+    silent = [p for name, p in model.params.items()
+              if "/p3/" in name or name.split("/")[-1] in ("W2", "w3", "w4", "W6")]
+    assert len(silent) == 2 * 9 + 3 * 4  # p3 in layers 0 and 1; p1 in all three
+    for p in silent:
+        assert np.array_equal(p.grad, np.zeros_like(p.values)), p.name
+    assert model.params["head/b"].grad.any()  # the sweep reached the model
+
+
 def test_uniform_attention_when_messages_identical():
     # two features with equal value and equal embeddings: alpha = 1/2 each
     cfg = small_cfg(layers=1, dim=2)
