@@ -7,9 +7,9 @@ tests/test_golden.py recomputes and compares bit for bit.
 The runs go through public entry points only: method_model + train for
 every method on two graphs, with and without sampling caps; link
 prediction; run_stream for every strategy on a c11-sized graph over a
-short stream; and recovery_probe. Regenerating the file is a numerics
-change: the change that does it states the drift the test reported, and
-why.
+short stream; and the feature-recovery probe of tests/probe.py.
+Regenerating the file is a numerics change: the change that does it
+states the drift the test reported, and why.
 """
 
 import argparse
@@ -22,13 +22,14 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from grafenne.continual import STRATEGIES, StreamConfig, run_stream
 from grafenne.graph import apply_missing_mask, load_graph, make_split
-from grafenne.model import recovery_probe
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import METHODS, TrainConfig, make_link_split, method_model, train
+from probe import recovery_probe
 
 GOLDEN = ROOT / "tests" / "golden.npz"
 CAPS = ((0, 0, 0), (3, 5, 2))

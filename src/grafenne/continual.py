@@ -148,20 +148,14 @@ def _sum_loss(model, g, nodes, labels=None):
     return lambda h: T.mul(mean(h), count)
 
 
-def continual_loss(model, affected_train_nodes, ewc, graph=None):
+def continual_loss(model, affected_train_nodes, ewc, graph):
     """loss(h): the sum of per-node task losses on the affected nodes, read
     from the node states h of the current graph, plus lam / 2 times the
     quadratic importance-weighted penalty against ewc's anchor, one
     tensor.ewc_penalty node over the model's trainable parameters, which
     raises unless the anchor and weight have one entry per parameter entry.
     Nodes and labels are looked up once, here, for every epoch of a timestamp."""
-    affected = sorted(affected_train_nodes)
-    if affected:
-        if graph is None:
-            raise ValueError("continual_loss needs the current graph")
-        task = _sum_loss(model, graph, affected)
-    else:
-        task = lambda h: T.Tensor(np.asarray(0.0))
+    task = _sum_loss(model, graph, sorted(affected_train_nodes))
     params, half = model.trainable_parameters(), ewc.lam / 2.0
     anchor, weight = ewc.anchor, ewc.weight
     return lambda h: T.add(task(h), T.mul(T.ewc_penalty(params, anchor, weight), half))
@@ -220,6 +214,8 @@ def run_stream(g_1, deltas, strategy, cfg=None):
     cfg = cfg if cfg is not None else StreamConfig()
     cfg.validate()
     split = make_split(g_1, cfg.split_fractions, seed=cfg.seed)
+    if not split.train:
+        raise GraphError("empty train split")
     train_pool = set(split.train)
     test_pool = set(split.test)
     model_cfg = cfg.model_config()

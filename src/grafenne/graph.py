@@ -322,12 +322,6 @@ class AllotropicGraph(_Derives):
     def m(self):
         return len(self.feat_ids)
 
-    @property
-    def graph_edges(self):
-        """The graph edges as a tuple of (u, v) int tuples, built afresh
-        from graph_edge_array on each access."""
-        return tuple(map(tuple, self.graph_edge_array.tolist()))
-
 
 def to_allotropic(g):
     """Build G^alt: one feature node per distinct feature, weighted

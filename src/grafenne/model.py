@@ -34,7 +34,6 @@ import numpy as np
 
 from . import tensor as T
 from .graph import by_destination
-from .optim import descend
 
 _PHASE2 = ("sage", "gat", "gin")
 LEAKY_SLOPE = 0.2  # of every LeakyReLU activation
@@ -340,49 +339,3 @@ def _joint_layout(alt):
     feat = fe.src + n
     return by_destination((n + m, n + m), (graph.src, graph.dst), (fe.dst, feat),
                           (feat, fe.dst))
-
-
-def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):
-    """Train a phase-1-only stack to regress x_v from the allotropic encoding.
-
-    Feature-node embeddings are fixed one-hot, graph nodes start at zero
-    (so the combine reduces to a function of the aggregate alone), and each
-    message pairs the feature identity with the edge value:
-    m_v(i) = [onehot_i ; x_v[i] * 1_d].  The aggregate is learnable as a
-    per-message MLP followed by a sum and a combine MLP, which is where
-    the reconstruction x_v[i] = m[i] * m[d+i] has to be picked up.
-    Returns (trained MSE, untrained MSE)."""
-    rng = np.random.default_rng([seed, 29])
-    x = rng.normal(size=(trials, d))
-    if hidden is None:
-        hidden = max(32, 16 * d)
-
-    # row (v, i) of the message matrix is [onehot_i ; x_v[i] * 1_d]
-    msgs = np.concatenate(
-        [np.tile(np.eye(d), (trials, 1)), np.repeat(x.reshape(-1, 1), d, axis=1)], axis=1
-    )
-    seg = np.repeat(np.arange(trials), d)
-
-    prng = np.random.default_rng([seed, 31])
-
-    def mlp(name, d_in):  # d_in -> hidden -> d
-        return [T.Parameter(glorot(prng, (d_in, hidden)), f"probe/{name}/A0"),
-                T.Parameter(np.zeros(hidden), f"probe/{name}/b0"),
-                T.Parameter(glorot(prng, (hidden, d)), f"probe/{name}/A1"),
-                T.Parameter(np.zeros(d), f"probe/{name}/b1")]
-
-    phi, rho = mlp("msg", 2 * d), mlp("comb", d)
-    m_in = T.Tensor(msgs)
-    target = T.Tensor(x)
-
-    def mse():
-        per_msg = T.mlp(m_in, phi)
-        agg = T.segment_sum(per_msg, seg, trials)
-        out = T.mlp(agg, rho)
-        diff = T.sub(out, target)
-        return T.mean_all(T.mul(diff, diff))
-
-    untrained = mse().item()
-    for _ in descend(phi + rho, mse, epochs, lr):
-        pass
-    return mse().item(), untrained

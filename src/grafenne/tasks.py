@@ -285,7 +285,10 @@ def _link_task(split):
 
 def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
                  caps=(0, 0, 0)):
-    """Build (model, forward) for one experiment method on one graph."""
+    """Build (model, forward) for one experiment method, a METHODS name,
+    on one graph."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
     num_classes = g.num_classes if task == "node_classification" else None
     base = dict(layers=layers, dim=dim, seed=seed, cap_features=caps[0],
                 cap_nodes=caps[1], cap_graph=caps[2])
@@ -308,14 +311,11 @@ def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
     if method == "vanilla_alt":
         model = VanillaAltModel(GrafenneConfig(phase2="sage", **base), num_classes)
         return model, allotropic_forward(model, g)
-    imp, _, backend = method.partition("+")
-    if imp in ("nm", "fp") and backend in ("grafenne", "sage", "gat", "gin"):
-        dense = (impute_neighborhood_mean(g) if imp == "nm"
-                 else feature_propagation(g, fp_iterations))
-        if backend == "grafenne":
-            return grafenne_on(resparsify(g, dense), "sage")
-        return dense_on(g, backend, dense)
-    raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    imp, _, backend = method.partition("+")  # nm or fp, then sage or grafenne
+    dense = impute_neighborhood_mean(g) if imp == "nm" else feature_propagation(g, fp_iterations)
+    if backend == "grafenne":
+        return grafenne_on(resparsify(g, dense), "sage")
+    return dense_on(g, backend, dense)
 
 
 def run_experiment(g, method, p=0.0, cfg=None, dim=64, layers=2, fp_iterations=40,

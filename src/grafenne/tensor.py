@@ -52,10 +52,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self):
         if self.values.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
@@ -141,18 +137,6 @@ def add(a, b):
     return _node(a.values + b.values, (a, b), _bw)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape))
-
-    return _node(a.values - b.values, (a, b), _bw)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.values, b.values
@@ -167,34 +151,20 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """(m,k) @ (k,n) -> (m,n), or (m,k) @ (k,) -> (m,)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim not in (1, 2) or b.values.ndim not in (1, 2):
-        raise ValueError(f"matmul expects 1-D or 2-D operands, got {a.shape} @ {b.shape}")
-    if a.values.shape[-1] != b.values.shape[0]:
+    if a.values.ndim != 2 or b.values.ndim not in (1, 2):
+        raise ValueError(f"matmul expects a 2-D left and a 1-D or 2-D right operand, "
+                         f"got {a.shape} @ {b.shape}")
+    if a.values.shape[1] != b.values.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
 
     def _bw(g):
-        if a.values.ndim == 2 and b.values.ndim == 2:
-            if a.requires_grad:
-                _accumulate(a, g @ bv.T)
-            if b.requires_grad:
-                _accumulate(b, av.T @ g)
-        elif a.values.ndim == 2:  # (m,k) @ (k,) -> (m,)
-            if a.requires_grad:
-                _accumulate(a, g[:, None] * bv[None, :])
-            if b.requires_grad:
-                _accumulate(b, av.T @ g)
-        elif b.values.ndim == 2:  # (k,) @ (k,n) -> (n,)
-            if a.requires_grad:
-                _accumulate(a, bv @ g)
-            if b.requires_grad:
-                _accumulate(b, av[:, None] * g[None, :])
-        else:  # dot product -> scalar
-            if a.requires_grad:
-                _accumulate(a, g * bv)
-            if b.requires_grad:
-                _accumulate(b, g * av)
+        if a.requires_grad:
+            _accumulate(a, g @ bv.T if bv.ndim == 2 else g[:, None] * bv[None, :])
+        if b.requires_grad:
+            _accumulate(b, av.T @ g)
 
     return _node(av @ bv, (a, b), _bw)
 
@@ -498,12 +468,6 @@ def stack_rows(rows):
 def sum_all(x):
     x = as_tensor(x)
     return _node(x.values.sum(), (x,), lambda g: _accumulate(x, g))
-
-
-def mean_all(x):
-    x = as_tensor(x)
-    inv = 1.0 / x.values.size
-    return _node(x.values.mean(), (x,), lambda g: _accumulate(x, g * inv))
 
 
 def ewc_penalty(params, anchor, weight):

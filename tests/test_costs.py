@@ -18,12 +18,12 @@ from grafenne import model as model_mod
 from grafenne import tensor as T
 from grafenne.continual import (EwcState, STRATEGIES, StreamConfig, _sum_loss, _train_plain,
                                 compute_importance, continual_loss, run_stream)
-from grafenne.graph import (AllotropicGraph, HeteroGraph, apply_missing_mask, make_split,
-                            to_allotropic)
-from grafenne.model import GrafenneConfig, GrafenneModel, recovery_probe
+from grafenne.graph import HeteroGraph, apply_missing_mask, make_split, to_allotropic
+from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import TrainConfig, method_model, train
+from probe import recovery_probe
 
 
 def _graph():
@@ -127,7 +127,6 @@ def test_static_set_up_and_training_read_edges_as_arrays(monkeypatch):
     never build the edge tuples."""
     g = _graph()
     monkeypatch.setattr(HeteroGraph, "edges", property(_no_tuples))
-    monkeypatch.setattr(AllotropicGraph, "graph_edges", property(_no_tuples))
     g_inf = apply_missing_mask(g, 0.5, 1)
     g_train = g_inf.replace(feats={v: {f: w for f, w in fmap.items() if f < 10}
                                    for v, fmap in g_inf.feats.items()})

@@ -108,11 +108,11 @@ def test_to_allotropic_toy_counts():
     alt = to_allotropic(toy())
     assert alt.n + alt.m == 3 + 2
     fe = alt.feat_to_node
-    assert len(alt.graph_edges) + len(fe) == 1 + 3
+    assert len(alt.graph_edge_array) + len(fe) == 1 + 3
     triples = {(int(alt.node_ids[v]), int(alt.feat_ids[f]), w)
                for v, f, w in zip(fe.dst, fe.src, fe.weight)}
     assert triples == {(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)}
-    assert alt.graph_edges == ((0, 1),)
+    assert alt.graph_edge_array.tolist() == [[0, 1]]
     # node C (id 2) has no feature edges
     assert not (alt.node_ids[fe.dst] == 2).any()
 
@@ -121,7 +121,7 @@ def test_to_allotropic_no_features():
     g = HeteroGraph([0, 1], [(0, 1)], {}, {})
     alt = to_allotropic(g)
     assert alt.m == 0 and alt.n == 2
-    assert len(alt.graph_edges) == 1 and len(alt.feat_to_node) == 0
+    assert len(alt.graph_edge_array) == 1 and len(alt.feat_to_node) == 0
 
 
 def test_allotropic_invariants_random_graphs():
@@ -130,7 +130,7 @@ def test_allotropic_invariants_random_graphs():
         g = random_graph(rng)
         alt = to_allotropic(g)
         assert alt.n + alt.m == g.num_nodes + len(g.feature_ids())
-        assert len(alt.graph_edges) + len(alt.feat_to_node) == g.num_edges + entry_count(g)
+        assert len(alt.graph_edge_array) + len(alt.feat_to_node) == g.num_edges + entry_count(g)
         assert project_back(alt) == g.feats
 
 

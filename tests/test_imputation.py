@@ -242,13 +242,15 @@ def test_dense_param_count_grows_with_features():
     cfg = GrafenneConfig(layers=2, dim=8, phase2="sage", seed=0)
     small = DenseGnnModel(cfg, in_dim=10)
     big = DenseGnnModel(cfg, in_dim=100)
-    assert sum(p.size for p in big.params.values()) > sum(p.size for p in small.params.values())
+    assert (sum(p.values.size for p in big.params.values())
+            > sum(p.values.size for p in small.params.values()))
     # the allotropic model's trainable core is feature-count invariant
     ga = GrafenneModel(GrafenneConfig(layers=2, dim=8, phase2="sage", seed=0))
     gb = GrafenneModel(GrafenneConfig(layers=2, dim=8, phase2="sage", seed=0))
     ga.table.ensure(range(10))
     gb.table.ensure(range(100))
-    assert sum(p.size for p in ga.params.values()) == sum(p.size for p in gb.params.values())
+    assert (sum(p.values.size for p in ga.params.values())
+            == sum(p.values.size for p in gb.params.values()))
 
 
 def test_dense_forward_dim_mismatch():
@@ -300,7 +302,7 @@ def test_impute_then_grafenne_matches_the_entry_loop(method):
     assert any(abs(x) < RESPARSIFY_EPS for x in dense.values.ravel())  # some entries drop
 
 
-@pytest.mark.parametrize("method", ["nm+sage", "fp+gat"])
+@pytest.mark.parametrize("method", ["nm+sage", "fp+sage"])
 def test_an_imputed_dense_cell_builds_the_graph_layout_once(monkeypatch, method):
     """The imputer and the dense model read one edge layout per graph."""
     from grafenne import imputation

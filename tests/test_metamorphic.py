@@ -1,8 +1,10 @@
 """Metamorphic relations from the paper's structural claims.
 
 GRAFENNE passes messages over G^alt, so relabelling the graph nodes
-permutes the graph states and leaves the feature states as they are.
-Sums run in layout order, which a relabelling reorders, so the two sides
+permutes the graph states and leaves the feature states as they are, and
+renaming the features, each embedding row moving with its feature, leaves
+the graph states as they are and renames the feature states. Sums run
+in layout order, which a relabelling reorders, so the two sides
 agree to rounding (within 1e-12), not bit for bit. A sampling cap at or
 above a layout's largest in-degree keeps every edge of it, so such caps
 give the uncapped outputs bit for bit.
@@ -71,3 +73,30 @@ def test_caps_at_or_above_every_in_degree_change_nothing(backend, seed, slack):
     hg, hf = build(GrafenneModel, backend, seed % 97).forward(alt)
     hg_c, hf_c = build(GrafenneModel, backend, seed % 97, caps).forward(alt)
     assert np.array_equal(hg_c.values, hg.values) and np.array_equal(hf_c.values, hf.values)
+
+
+@pytest.mark.parametrize("cls, backend", MODELS)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.data())
+def test_relabelling_features_with_their_embeddings_renames_feature_states_only(
+        cls, backend, seed, data):
+    """Feature ids are names: renaming them, each embedding row moving
+    with its feature, leaves the graph states as they are and gives each
+    renamed feature its old state."""
+    g = random_graph(np.random.default_rng(seed), n_max=12)
+    old = g.feature_ids()
+    perm = data.draw(st.permutations(range(len(old))))
+    new = {f: 1000 + k for f, k in zip(old, perm)}
+    h = g.replace(feats={v: {new[f]: w for f, w in fmap.items()} for v, fmap in g.feats.items()})
+    model, renamed = build(cls, backend, seed % 97), build(cls, backend, seed % 97)
+    hg, hf = model.forward(to_allotropic(g))
+    table, moved = model.table, renamed.table
+    moved.ensure([new[f] for f in old])
+    rows = moved.weight.values.copy()
+    rows[[moved.row[new[f]] for f in old]] = table.weight.values[[table.row[f] for f in old]]
+    moved.weight.values = rows
+    hg2, hf2 = renamed.forward(to_allotropic(h))
+    np.testing.assert_allclose(hg2.values, hg.values, rtol=0, atol=1e-12)
+    at = {f: i for i, f in enumerate(sorted(new.values()))}
+    np.testing.assert_allclose(hf2.values[[at[new[f]] for f in old]], hf.values,
+                               rtol=0, atol=1e-12)

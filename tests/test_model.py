@@ -11,11 +11,12 @@ from grafenne.continual import StreamConfig, compute_importance, run_stream
 from grafenne.graph import Edges, HeteroGraph, make_split, to_allotropic
 from grafenne.imputation import DenseGnnModel, dense_inputs, impute_special_label
 from grafenne.model import (FeatureEmbeddingTable, GrafenneConfig, GrafenneModel,
-                            VanillaAltModel, init_states, recovery_probe)
+                            VanillaAltModel, init_states)
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import allotropic_forward, method_model
 from checkpoint import load_checkpoint, save_checkpoint
+from probe import recovery_probe, sub
 from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp,
                        with_destination_block, with_self_block)
 from test_graph import random_graph, toy
@@ -257,7 +258,7 @@ def test_edge_channel_matches_direct_form():
         s_src = T.matmul(T.leaky_relu(T.matmul(h_t, w_src_t), 0.2), T.slice_rows(w_att_t, 0, d))
         col = T.Tensor(weights.reshape(-1, 1))
         channel = T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), T.slice_rows(w_att_t, d, 2 * d))
-        channel = T.sub(channel, T.gather_rows(channel, edges.indptr[dst]))
+        channel = sub(channel, T.gather_rows(channel, edges.indptr[dst]))
         score = T.add(T.gather_rows(s_src, edges.src), channel)
         return T.spmm(T.segment_softmax(score, dst, 4), edges, T.matmul(h_t, w_msg_t))
 
@@ -361,7 +362,8 @@ def test_inductivity_parameter_counts():
     g_big = random_graph(np.random.default_rng(1), n_max=40)
     small.forward(to_allotropic(g_small))
     big.forward(to_allotropic(g_big))
-    assert sum(p.size for p in small.params.values()) == sum(p.size for p in big.params.values())
+    assert (sum(p.values.size for p in small.params.values())
+            == sum(p.values.size for p in big.params.values()))
     # table grows by exactly one row of dim entries per new feature
     rows = small.table.weight.shape[0]
     small.table.ensure([999])
@@ -375,7 +377,7 @@ def test_unseen_nodes_and_features_forward():
     g = random_graph(np.random.default_rng(5), n_max=10)
     model = GrafenneModel(small_cfg(), num_classes=2)
     model.forward(to_allotropic(g))
-    count = sum(p.size for p in model.params.values())
+    count = sum(p.values.size for p in model.params.values())
     new_nodes = tuple((max(g.nodes) + 1 + i, None) for i in range(5))
     new_feats = tuple((v, 1000 + (i % 3), 0.5) for i, (v, _) in enumerate(new_nodes))
     delta = StreamDelta(t=2, add_nodes=new_nodes,
@@ -384,7 +386,7 @@ def test_unseen_nodes_and_features_forward():
     g2, _ = apply_delta(g, delta)
     hg, hf = model.forward(to_allotropic(g2))
     assert np.isfinite(hg.values).all() and np.isfinite(hf.values).all()
-    assert sum(p.size for p in model.params.values()) == count
+    assert sum(p.values.size for p in model.params.values()) == count
 
 
 def test_phase_state_separation():

@@ -148,7 +148,7 @@ def test_rebuild_equivalence_after_delta():
     assert np.array_equal(a.feat_to_node.dst, b.feat_to_node.dst)
     assert np.array_equal(a.feat_to_node.weight, b.feat_to_node.weight)
     assert np.array_equal(a.node_to_node.src, b.node_to_node.src)
-    assert a.graph_edges == b.graph_edges
+    assert np.array_equal(a.graph_edge_array, b.graph_edge_array)
 
 
 def _apply_edges_per_node(g, delta):

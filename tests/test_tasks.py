@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,16 +23,17 @@ def sep_graph(seed=3):
 
 
 def test_link_score_cases():
-    a = T.Tensor(np.array([1.0, 0.0]))
-    b = T.Tensor(np.array([0.0, 1.0]))
+    # one row of node states per pair, as the link task gathers them
+    a = T.Tensor(np.array([[1.0, 0.0]]))
+    b = T.Tensor(np.array([[0.0, 1.0]]))
     assert link_score(a, b).item() == 0.0
     # a zero logit is probability one half: its cross entropy is log 2 for either target
-    assert T.bce_with_logits(link_score(a, b), 1.0).item() == pytest.approx(np.log(2.0))
-    assert T.bce_with_logits(link_score(a, b), 0.0).item() == pytest.approx(np.log(2.0))
-    u = T.Tensor(np.array([1.0, 0.0]))
+    assert T.bce_with_logits(link_score(a, b), [1.0]).item() == pytest.approx(np.log(2.0))
+    assert T.bce_with_logits(link_score(a, b), [0.0]).item() == pytest.approx(np.log(2.0))
+    u = T.Tensor(np.array([[1.0, 0.0]]))
     assert link_score(u, u).item() == pytest.approx(1.0)
-    x = T.Tensor(np.array([0.3, -0.7, 2.0]))
-    y = T.Tensor(np.array([1.5, 0.4, -0.2]))
+    x = T.Tensor(np.array([[0.3, -0.7, 2.0]]))
+    y = T.Tensor(np.array([[1.5, 0.4, -0.2]]))
     assert link_score(x, y).item() == pytest.approx(link_score(y, x).item())
     hu = T.Tensor(np.array([[1.0, 2.0], [0.0, 1.0]]))
     hv = T.Tensor(np.array([[3.0, 4.0], [5.0, 6.0]]))
@@ -332,10 +335,17 @@ def test_run_result_display_rule():
     assert std_row[4] == "std" and float(std_row[6]) == pytest.approx(0.0005) == r.std
 
 
-def test_method_model_unknown():
+def test_method_model_unknown(monkeypatch):
+    """Only METHODS names build, and any other is rejected before an imputer runs."""
+    def no_imputation(*args):
+        raise AssertionError("imputed for an unknown method")
+
+    monkeypatch.setattr(tasks, "impute_neighborhood_mean", no_imputation)
+    monkeypatch.setattr(tasks, "feature_propagation", no_imputation)
     g = sep_graph()
-    with pytest.raises(ValueError, match="unknown method"):
-        method_model("pagnn", g, "node_classification")
+    for method in ("pagnn", "nm+gat", "nm+gin", "fp+gat", "fp+gin", "fp+vanilla_alt"):
+        with pytest.raises(ValueError, match=f"unknown method '{re.escape(method)}'"):
+            method_model(method, g, "node_classification")
 
 
 @pytest.mark.parametrize("method", METHODS)
