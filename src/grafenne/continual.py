@@ -216,6 +216,8 @@ def run_stream(g_1, deltas, strategy, cfg=None):
     split = make_split(g_1, cfg.split_fractions, seed=cfg.seed)
     if not split.train:
         raise GraphError("empty train split")
+    if not split.test:
+        raise GraphError("test set is empty at this timestamp")
     train_pool = set(split.train)
     test_pool = set(split.test)
     model_cfg = cfg.model_config()

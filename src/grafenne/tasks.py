@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import tensor as T
 from .graph import (GraphError, apply_missing_mask, make_split, partition, remove_edges,
@@ -131,7 +130,16 @@ def auc_roc(scores, targets):
     n0 = int((~pos).sum())
     if n1 == 0 or n0 == 0:
         raise ValueError("auc_roc needs both classes present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return math.nan  # a NaN score has no rank, so the AUC is undefined
+    # each block of tied scores shares the mean of its 1-based sorted
+    # positions start + 1 .. end, an exact half, as in scipy's rankdata
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import grafenne.continual as continual
 import grafenne.tensor as T
 from grafenne.continual import (EwcState, ReplayBuffer, StreamConfig, StreamRecord,
                                 compute_importance, continual_loss, run_stream,
                                 sample_U, stream_rows, write_stream_csv, _entries_changed,
                                 _train_plain)
-from grafenne.graph import make_split, to_allotropic
+from grafenne.graph import GraphError, make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.optim import zero_grad
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
@@ -421,6 +422,19 @@ def test_run_stream_unknown_strategy():
     g = drift_graph(n=20)
     with pytest.raises(ValueError, match="unknown strategy"):
         run_stream(g, [], "GEM", quick_cfg())
+
+
+def test_run_stream_checks_the_test_split_before_any_epoch(monkeypatch):
+    g = drift_graph(n=20)
+    v = g.nodes[0]
+    g = g.replace(labels={v: g.labels[v]})  # one labelled node, so train holds it
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran before the empty test split was found")
+
+    monkeypatch.setattr(continual, "_train_plain", no_epoch)
+    with pytest.raises(GraphError, match="^test set is empty at this timestamp$"):
+        run_stream(g, [], "FT", quick_cfg())
 
 
 def test_stream_csv_roundtrip(tmp_path):

@@ -1,8 +1,9 @@
 """Cost ledger: tape nodes per forward and per training epoch at fixed
 small shapes, reverse sweeps per importance pass and tape orders per
-epoch, no cyclic garbage after whole runs, no edge tuples on the set-up
-and training path, one draw per embedding row, no tape alive past its
-epoch and the traced memory peak of one training call.
+epoch, array concatenations per Adam step, no cyclic garbage after whole
+runs, no edge tuples on the set-up and training path, one draw per
+embedding row, no tape alive past its epoch and the traced memory peak of
+one training call.
 
 A pinned count may only go down, or go up with a stated reason.
 """
@@ -20,6 +21,7 @@ from grafenne.continual import (EwcState, STRATEGIES, StreamConfig, _sum_loss, _
                                 compute_importance, continual_loss, run_stream)
 from grafenne.graph import HeteroGraph, apply_missing_mask, make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
+from grafenne.optim import adam_step
 from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import TrainConfig, method_model, train
@@ -115,6 +117,28 @@ def test_one_tape_order_per_training_epoch(monkeypatch):
     orders = _calls(monkeypatch, "_topo_order")
     result = train(model, g, split, cfg, forward, record_history=True)
     assert len(result.history) == 5 and len(orders) == 5
+
+
+# one for the values and one for the gradients (grad_vector); the moments
+# are kept as vectors and the new values are views of one
+ADAM_STEP_CONCATENATIONS = 2
+
+
+def test_array_concatenations_per_adam_step(monkeypatch):
+    g = _graph()
+    model, forward = method_model("grafenne", g, "node_classification", dim=8, layers=2)
+    params = model.trainable_parameters()
+    T.backward(T.sum_all(model.logits(forward())))
+    state = adam_step(params, 0.01)  # the first step allocates the moments
+    calls, concatenate = [], np.concatenate
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    adam_step(params, 0.01, state)
+    assert len(calls) == ADAM_STEP_CONCATENATIONS
 
 
 def _no_tuples(self):

@@ -8,6 +8,14 @@ in layout order, which a relabelling reorders, so the two sides
 agree to rounding (within 1e-12), not bit for bit. A sampling cap at or
 above a layout's largest in-degree keeps every edge of it, so such caps
 give the uncapped outputs bit for bit.
+
+With one shared feature of value 1.0 on every node, GRAFENNE sees only
+the structure. Graphs that 1-WL cannot tell apart (two triangles, a
+6-cycle) must give the same multiset of graph states, which a leak of node
+ids would break. The paper's claim of expressiveness is relative to the
+backbone, and mean and attention aggregation are weaker than 1-WL (Xu et
+al. 2019), so where the dense backbone on the same features separates a
+pair (a 4-node path, a 4-node star), GRAFENNE with that backbone must too.
 """
 
 import numpy as np
@@ -16,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafenne.graph import HeteroGraph, to_allotropic
+from grafenne.imputation import DenseGnnModel, dense_inputs, impute_special_label
 from grafenne.model import GrafenneConfig, GrafenneModel, VanillaAltModel
 from test_graph import random_graph
 
@@ -26,7 +35,10 @@ MODELS = [(GrafenneModel, "sage"), (GrafenneModel, "gat"), (GrafenneModel, "gin"
 def build(cls, backend, seed, caps=(0, 0, 0)):
     cfg = GrafenneConfig(layers=2, dim=6, phase2=backend, seed=seed, cap_features=caps[0],
                          cap_nodes=caps[1], cap_graph=caps[2])
-    model = cls(cfg, 3)
+    return with_gin_epsilon(cls(cfg, 3))
+
+
+def with_gin_epsilon(model):
     for name, p in model.params.items():  # a non-zero GIN epsilon weighs the self term
         if name.endswith("/epsilon"):
             p.values = np.array(0.3)
@@ -100,3 +112,50 @@ def test_relabelling_features_with_their_embeddings_renames_feature_states_only(
     at = {f: i for i, f in enumerate(sorted(new.values()))}
     np.testing.assert_allclose(hf2.values[[at[new[f]] for f in old]], hf.values,
                                rtol=0, atol=1e-12)
+
+
+def one_feature_graph(n, edges):
+    return HeteroGraph(list(range(n)), edges, {v: {0: 1.0} for v in range(n)},
+                       {v: 0 for v in range(n)})
+
+
+TWO_TRIANGLES = one_feature_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+SIX_CYCLE = one_feature_graph(6, [(v, (v + 1) % 6) for v in range(6)])
+PATH = one_feature_graph(4, [(0, 1), (1, 2), (2, 3)])
+STAR = one_feature_graph(4, [(0, 1), (0, 2), (0, 3)])
+SEPARATED = 1e-6  # far above the rounding of equal states, 1e-16 here
+
+
+def sorted_states(h):
+    """The rows of h in lexicographic order, keyed on rows rounded to 1e-9,
+    so that rows equal to rounding keep one order."""
+    return h[np.lexsort(np.round(h, 9).T)]
+
+
+def grafenne_gap(backend, seed, g, h):
+    model = build(GrafenneModel, backend, seed)
+    states = [sorted_states(model.forward(to_allotropic(x))[0].values) for x in (g, h)]
+    return np.abs(states[0] - states[1]).max()
+
+
+def dense_gap(backend, seed, g, h):
+    model = with_gin_epsilon(
+        DenseGnnModel(GrafenneConfig(layers=2, dim=6, phase2=backend, seed=seed), 1, 3))
+    states = [sorted_states(model.forward(*dense_inputs(x, impute_special_label(x))).values)
+              for x in (g, h)]
+    return np.abs(states[0] - states[1]).max()
+
+
+@pytest.mark.parametrize("backend", ["sage", "gat", "gin"])
+@pytest.mark.parametrize("seed", range(4))
+def test_graphs_1wl_cannot_tell_apart_give_equal_graph_states(backend, seed):
+    assert grafenne_gap(backend, seed, TWO_TRIANGLES, SIX_CYCLE) <= 1e-12
+
+
+@pytest.mark.parametrize("backend", ["sage", "gat", "gin"])
+@pytest.mark.parametrize("seed", range(4))
+def test_grafenne_separates_a_path_from_a_star_where_its_dense_backbone_does(backend, seed):
+    if dense_gap(backend, seed, PATH, STAR) > SEPARATED:
+        assert grafenne_gap(backend, seed, PATH, STAR) > SEPARATED
+    else:  # mean and attention aggregation of equal inputs cannot count neighbours
+        assert backend != "gin"

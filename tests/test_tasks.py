@@ -1,7 +1,11 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata  # the oracle only: the package does not import scipy.stats
 
 import grafenne.tasks as tasks
 import grafenne.tensor as T
@@ -132,6 +136,32 @@ def test_auc_trapezoid_oracle():
         if t.min() == t.max():
             continue
         assert auc_roc(s, t) == pytest.approx(trapezoid_auc(s, t), abs=1e-12)
+
+
+def rankdata_auc(scores, targets):
+    """auc_roc's formula over scipy.stats.rankdata's average ranks."""
+    ranks = rankdata(np.asarray(scores, dtype=np.float64))
+    pos = np.asarray(targets) == 1
+    n1, n0 = int(pos.sum()), int((~pos).sum())
+    return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+
+
+# few distinct values force ties; -0.0 ties with 0.0, and each infinity with itself
+_SCORE = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.5, -1.25]),
+                   st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SCORE, st.integers(0, 1)), min_size=2, max_size=60))
+def test_auc_ranks_equal_scipy_rankdata_average_ranks(pairs):
+    scores, targets = map(list, zip(*pairs))
+    targets[:2] = [1, 0]  # both classes present
+    assert auc_roc(scores, targets) == rankdata_auc(scores, targets)
+
+
+def test_auc_of_a_nan_score_is_nan():
+    assert math.isnan(auc_roc([0.3, math.nan, 0.1, 0.1], [1, 0, 1, 0]))
+    assert math.isnan(rankdata_auc([0.3, math.nan, 0.1, 0.1], [1, 0, 1, 0]))
 
 
 # ---------------------------------------------------------------- splits
