@@ -52,9 +52,18 @@ def _within(x, lo, hi=math.inf):
     return x
 
 
+def _int64(s):
+    """An integer no larger than int64's maximum: counts, sizes and seeds
+    end up in int64 arrays."""
+    x = int(s)
+    if x > 2**63 - 1:
+        raise ValueError(f"{x} exceeds 2^63 - 1")
+    return x
+
+
 _KINDS = {
-    "nat": lambda s: _within(int(s), 0),
-    "pos": lambda s: _within(int(s), 1),
+    "nat": lambda s: _within(_int64(s), 0),
+    "pos": lambda s: _within(_int64(s), 1),
     "float": _float,
     "prob": lambda s: _within(_float(s), 0.0, 1.0),
     "str": str,
@@ -212,7 +221,8 @@ def _atomic(path, write_fn):
 def _map_cells(fn, payloads, workers):
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # the pool forks every worker on its first submit: no more than there are cells
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as ex:
         return list(ex.map(fn, payloads))  # ex.map keeps submission order
 
 
@@ -370,8 +380,9 @@ def _schema_epilog(schema):
             d = f"[default {default}]"
         out.append(f"  {key:<{width}}  {kind:<6} {help_} {d}".rstrip())
     out.append("\nLines are 'key = value'; '#' starts a comment line. Unknown or"
-               "\nduplicate keys abort with exit code 2. A nat is an integer >= 0, a pos"
-               "\none >= 1 and a prob a number in [0, 1]; a plural kind is a comma list."
+               "\nduplicate keys abort with exit code 2. A nat is an integer in [0, 2^63 - 1],"
+               "\na pos one in [1, 2^63 - 1] and a prob a number in [0, 1]; a plural kind"
+               "\nis a comma list."
                "\n\nexit codes: 0 success, 2 configuration error, 3 data error,"
                "\n4 numerical error (a NaN or infinite training or validation loss, or a"
                "\nnon-finite parameter after training). NaN and infinite numbers are"

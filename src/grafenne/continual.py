@@ -1,14 +1,16 @@
 """Streaming-graph training: EWC, fine-tuning, replay, and oracle strategies.
 
-Timestamp 1 trains on the initial snapshot; each later timestamp applies a
-delta and adapts on the affected training nodes only (except ORACLE, which
-retrains from scratch). Whole-graph test accuracy is reported per timestamp
+One loop runs every timestamp. Its first step, t=1, trains a fresh model on
+the initial snapshot, as ORACLE retrains from scratch on every later
+non-empty delta; the other strategies apply each delta and adapt on the
+affected training nodes only. Whole-graph test accuracy is reported per timestamp
 against the split fixed at t=1. EWC's penalty is one tensor.ewc_penalty
 node, and its importance pass sweeps one shared tape once per node. A NaN
 or infinite training loss raises FloatingPointError.
 """
 
 import csv
+import itertools
 import time
 import warnings
 from dataclasses import dataclass
@@ -55,20 +57,6 @@ class StreamConfig:
     def model_config(self):
         return GrafenneConfig(layers=self.layers, dim=self.dim, phase2=self.phase2,
                               seed=self.seed).validate()
-
-    def replay_capacity(self):
-        return self.u_size if self.er_capacity is None else self.er_capacity
-
-
-@dataclass
-class EwcState:
-    """EWC's anchor and importance weight, each one vector over the
-    concatenated entries of model.trainable_parameters(), the layout Adam
-    and tensor.ewc_penalty share: nothing grows with stream length."""
-
-    lam: float = 100000.0
-    anchor: np.ndarray = None
-    weight: np.ndarray = None
 
 
 class ReplayBuffer:
@@ -148,16 +136,16 @@ def _sum_loss(model, g, nodes, labels=None):
     return lambda h: T.mul(mean(h), count)
 
 
-def continual_loss(model, affected_train_nodes, ewc, graph):
+def continual_loss(model, affected_train_nodes, graph, lam, anchor, weight):
     """loss(h): the sum of per-node task losses on the affected nodes, read
-    from the node states h of the current graph, plus lam / 2 times the
-    quadratic importance-weighted penalty against ewc's anchor, one
-    tensor.ewc_penalty node over the model's trainable parameters, which
-    raises unless the anchor and weight have one entry per parameter entry.
+    from the node states h of the current graph, plus lam / 2 times EWC's
+    quadratic importance-weighted penalty against the anchor, one
+    tensor.ewc_penalty node. The anchor and the weight are vectors over the
+    concatenated entries of model.trainable_parameters(), the layout Adam
+    shares; ewc_penalty raises unless each has one entry per parameter entry.
     Nodes and labels are looked up once, here, for every epoch of a timestamp."""
     task = _sum_loss(model, graph, sorted(affected_train_nodes))
-    params, half = model.trainable_parameters(), ewc.lam / 2.0
-    anchor, weight = ewc.anchor, ewc.weight
+    params, half = model.trainable_parameters(), lam / 2.0
     return lambda h: T.add(task(h), T.mul(T.ewc_penalty(params, anchor, weight), half))
 
 
@@ -206,8 +194,10 @@ def _entries_changed(before, model):
 def run_stream(g_1, deltas, strategy, cfg=None):
     """Train through a stream of deltas with one strategy.
 
-    Returns (records, final model); one StreamRecord per timestamp,
-    including t=1's initial full training."""
+    Returns (records, final model), one StreamRecord per timestamp. The
+    loop's first step is t=1, which trains a fresh model on g_1 as ORACLE
+    retrains on every non-empty delta; deltas are read one at a time,
+    each after the previous timestamp's record."""
     strategy = strategy.upper()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; known: {', '.join(STRATEGIES)}")
@@ -220,51 +210,38 @@ def run_stream(g_1, deltas, strategy, cfg=None):
         raise GraphError("test set is empty at this timestamp")
     train_pool = set(split.train)
     test_pool = set(split.test)
-    model_cfg = cfg.model_config()
-
-    def fresh_model():
-        return GrafenneModel(model_cfg, g_1.num_classes)
-
-    def full_train(model, g, fwd):
-        pool = sorted(train_pool)
-        task = _sum_loss(model, g, pool)
-        _train_plain(model, fwd, lambda h: T.mul(task(h), 1.0 / len(pool)), cfg.epochs, cfg.lr)
-
-    records = []
-    g = g_1
-    model = fresh_model()
-    t0 = time.perf_counter()
-    # one allotropic forward per snapshot serves training, importance and evaluation
-    fwd = allotropic_forward(model, g)
-    full_train(model, g, fwd)
-    secs = time.perf_counter() - t0
-    records.append(StreamRecord(strategy, 1, _evaluate(model, g, test_pool, fwd), secs,
-                                _entries_changed(({}, {}), model)))
-
-    ewc = EwcState(lam=cfg.lam)
-    buffer = ReplayBuffer(cfg.replay_capacity(), seed=cfg.seed)
+    buffer = ReplayBuffer(cfg.u_size if cfg.er_capacity is None else cfg.er_capacity,
+                          seed=cfg.seed)
     if strategy == "ER":
         for v in sorted(train_pool):
-            buffer.add(v, g.labels[v])
+            buffer.add(v, g_1.labels[v])
 
-    for delta in deltas:
-        g, affected = apply_delta(g, delta)
-        for v, label in delta.add_nodes:
-            if label is not None:
-                train_pool.add(v)
-        for v in delta.del_nodes:
-            train_pool.discard(v)
-            test_pool.discard(v)
-        affected_train = sorted(v for v in affected
-                                if v in train_pool and v in g.labels)
-        before = (_snapshot(model.trainable_parameters()), dict(model.table.row))
+    records = []
+    g, model = g_1, None
+    for delta in itertools.chain([None], deltas):
+        if delta is not None:
+            g, affected = apply_delta(g, delta)
+            for v, label in delta.add_nodes:
+                if label is not None:
+                    train_pool.add(v)
+            for v in delta.del_nodes:
+                train_pool.discard(v)
+                test_pool.discard(v)
+            affected_train = sorted(v for v in affected
+                                    if v in train_pool and v in g.labels)
+        before = (({}, {}) if model is None else
+                  (_snapshot(model.trainable_parameters()), dict(model.table.row)))
         t0 = time.perf_counter()
-        retrain = strategy == "ORACLE" and not delta.is_empty()
+        retrain = delta is None or (strategy == "ORACLE" and not delta.is_empty())
         if retrain:
-            model = fresh_model()
+            model = GrafenneModel(cfg.model_config(), g_1.num_classes)
+        # one allotropic forward per snapshot serves training, importance and evaluation
         fwd = allotropic_forward(model, g)
         if retrain:
-            full_train(model, g, fwd)
+            pool = sorted(train_pool)
+            task = _sum_loss(model, g, pool)
+            _train_plain(model, fwd, lambda h: T.mul(task(h), 1.0 / len(pool)),
+                         cfg.epochs, cfg.lr)
         elif strategy != "ORACLE" and affected_train:
             if strategy == "EWC":
                 u = sample_U(train_pool, min(cfg.u_size, len(train_pool)),
@@ -272,10 +249,10 @@ def run_stream(g_1, deltas, strategy, cfg=None):
                 affected_set = set(affected_train)
                 unaffected = tuple(v for v in u if v not in affected_set)
                 omega = compute_importance(model, g, unaffected, forward=fwd)
-                ewc.weight = np.concatenate([w.ravel() for w in omega.values()])
-                ewc.anchor = np.concatenate([p.values.ravel()
-                                             for p in model.trainable_parameters()])
-                loss_fn = continual_loss(model, affected_train, ewc, graph=g)
+                weight = np.concatenate([w.ravel() for w in omega.values()])
+                anchor = np.concatenate([p.values.ravel()
+                                         for p in model.trainable_parameters()])
+                loss_fn = continual_loss(model, affected_train, g, cfg.lam, anchor, weight)
             elif strategy == "FT":
                 loss_fn = _sum_loss(model, g, affected_train)
             else:  # ER: the affected nodes plus the replayed ones, then buffer the former
@@ -287,7 +264,7 @@ def run_stream(g_1, deltas, strategy, cfg=None):
                 loss_fn = _sum_loss(model, g, nodes, labels)
             _train_plain(model, fwd, loss_fn, cfg.stream_epochs, cfg.lr)
         secs = time.perf_counter() - t0
-        records.append(StreamRecord(strategy, delta.t,
+        records.append(StreamRecord(strategy, 1 if delta is None else delta.t,
                                     _evaluate(model, g, test_pool, fwd), secs,
                                     _entries_changed(before, model)))
     return records, model

@@ -436,7 +436,8 @@ def load_graph(edge_file, feature_file, label_file):
             raise DataError(f"{label_file}:{lineno}: duplicate label for node '{name}'")
         try:
             labels_by_name[name] = int(cls)
-        except ValueError:
+            np.int64(labels_by_name[name])  # OverflowError outside int64
+        except (ValueError, OverflowError):
             raise DataError(f"{label_file}:{lineno}: bad class id '{cls}'") from None
 
     feats_by_name = {}

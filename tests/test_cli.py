@@ -1,11 +1,17 @@
 import csv
+import io
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grafenne.cli as cli
 from grafenne.cli import ConfigError, build_graph, main, read_config, _SCHEMAS
 from grafenne.graph import load_graph, to_allotropic, write_allotropic
 from test_graph import translate_features
@@ -470,6 +476,116 @@ def test_workers_below_one_exits_2(tmp_path, capsys):
         assert main([command, "--config", conf, "--out", str(tmp_path / "o.csv"),
                      "--workers", "0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_workers_are_capped_at_the_cell_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Records the pool size it is asked for and maps in this process,
+        so that no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    conf = write(tmp_path / "run.conf", toy_source() + "methods = sage\nseeds = 0,1\nepochs = 2\n")
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    assert main(["run", "--config", conf, "--out", str(one), "--workers", "1"]) == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    assert main(["run", "--config", conf, "--out", str(many), "--workers", "1000000"]) == 0
+    assert sizes == [2]
+    assert one.read_bytes() == many.read_bytes()
+
+
+_BEYOND_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command, key, line", [("stream", "synth_nodes", 1), ("run", "dim", 5)])
+def test_a_key_beyond_int64_is_one_config_error_line(tmp_path, capsys, command, key, line):
+    code, err = _synth_cell(tmp_path, capsys, command, f"{key} = {_BEYOND_INT64}\n")
+    conf = tmp_path / "c.conf"
+    assert (code, err) == (2, [f"config error: {conf}:{line}: bad {key}: "
+                               f"{_BEYOND_INT64} exceeds 2^63 - 1"])
+
+
+def test_a_class_id_beyond_int64_is_one_data_error_line(tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("n00\t999999999999999999999\n", encoding="utf-8")
+    conf = write(tmp_path / "c.conf", f"edges = {DATA/'edges.tsv'}\n"
+                 f"features = {DATA/'features.tsv'}\nlabels = {labels}\n"
+                 + _CELL_KEYS["run"])
+    assert main(["run", "--config", conf, "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {labels}:1: bad class id '999999999999999999999'"]
+
+
+# --------------------------------------------------------------------- fuzz
+
+_TOY_LINES = {k: (DATA / f"{k}.tsv").read_text(encoding="utf-8").splitlines()
+              for k in ("edges", "features", "labels")}
+_BAD_FIELDS = ("", "nan", "inf", "-1", "n99", _BEYOND_INT64)
+_FUZZ_KEYS = ("epochs", "dim", "layers", "seeds", "p", "lr", "patience", "neg_ratio",
+              "fp_iterations", "caps")
+
+
+@st.composite
+def _mutated(draw, lines):
+    """lines with at most two mutations, each dropping, duplicating or
+    inserting a line or replacing one field with a bad one."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("drop", "duplicate", "insert", "field")))
+        i = draw(st.integers(0, len(lines)))
+        if op == "insert" or i == len(lines):
+            fields = draw(st.lists(st.sampled_from(_BAD_FIELDS + ("n00", "f0", "1.0", "0")),
+                                   min_size=1, max_size=4))
+            lines.insert(i, "\t".join(fields))
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split("\t")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+            lines[i] = "\t".join(fields)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(tsv=st.fixed_dictionaries({k: _mutated(v) for k, v in _TOY_LINES.items()}),
+       command=st.sampled_from(("run", "transform")),
+       method=st.sampled_from(tuple(cli.METHODS)),
+       task=st.sampled_from(("node_classification", "link_prediction")),
+       epochs=st.integers(1, 2), dim=st.integers(1, 4),
+       bad_key=st.none() | st.sampled_from(_FUZZ_KEYS), bad_value=st.sampled_from(_BAD_FIELDS))
+def test_cli_fuzz_is_an_exit_code_and_at_most_one_stderr_line(
+        tsv, command, method, task, epochs, dim, bad_key, bad_value):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        keys = {}
+        for name, lines in tsv.items():
+            keys[name] = write(tmp / f"{name}.tsv", "".join(f"{line}\n" for line in lines))
+        if command == "run":
+            keys.update(methods=method, task=task, seeds=0, epochs=epochs, patience=2,
+                        dim=dim, lr=0.01, fp_iterations=2)
+            if bad_key is not None:
+                keys[bad_key] = bad_value
+        conf = write(tmp / "c.conf", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([command, "--config", conf, "--out", str(tmp / "out")])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 # ------------------------------------------------------------- entry point

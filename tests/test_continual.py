@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import grafenne.continual as continual
 import grafenne.tensor as T
-from grafenne.continual import (EwcState, ReplayBuffer, StreamConfig, StreamRecord,
+from grafenne.continual import (ReplayBuffer, StreamConfig, StreamRecord,
                                 compute_importance, continual_loss, run_stream,
                                 sample_U, stream_rows, write_stream_csv, _entries_changed,
                                 _train_plain)
@@ -224,9 +223,8 @@ def test_continual_loss_scalar_penalty():
     anchor, weight = theta.copy(), np.zeros_like(theta)
     anchor[3] -= 0.5
     weight[3] = 1.0
-    ewc = EwcState(lam=2.0, anchor=anchor, weight=weight)
-    full = continual_loss(model, [0, 1], ewc, graph=g)(h).item()
-    task = continual_loss(model, [0, 1], dataclasses.replace(ewc, lam=0.0), graph=g)(h).item()
+    full = continual_loss(model, [0, 1], g, 2.0, anchor, weight)(h).item()
+    task = continual_loss(model, [0, 1], g, 0.0, anchor, weight)(h).item()
     assert full - task == pytest.approx(0.25, abs=1e-12)  # 2/2 * 1 * 0.5^2
 
 
@@ -236,11 +234,11 @@ def test_continual_loss_theta_equal_is_task_only():
     fwd = allotropic_forward(model, g)
     fwd()
     anchor = np.concatenate([p.values.ravel() for p in model.trainable_parameters()])
-    ewc = EwcState(lam=50.0, anchor=anchor, weight=np.ones_like(anchor))
+    weight = np.ones_like(anchor)
     affected = [0, 1, 2]
     h = fwd()
-    full = continual_loss(model, affected, ewc, graph=g)(h).item()
-    plain = continual_loss(model, affected, dataclasses.replace(ewc, lam=0.0), graph=g)(h)
+    full = continual_loss(model, affected, g, 50.0, anchor, weight)(h).item()
+    plain = continual_loss(model, affected, g, 0.0, anchor, weight)(h)
     assert full == pytest.approx(plain.item(), abs=1e-12)
 
 
@@ -251,9 +249,7 @@ def test_continual_loss_lambda_zero_equals_task():
     fwd()
     anchor = np.concatenate([p.values.ravel() for p in model.trainable_parameters()]) + 0.3
     affected = [0, 2]
-    with_pen = continual_loss(model, affected, EwcState(lam=0.0, anchor=anchor,
-                                                        weight=np.ones_like(anchor)),
-                              graph=g)(fwd())
+    with_pen = continual_loss(model, affected, g, 0.0, anchor, np.ones_like(anchor))(fwd())
     row_of = {v: i for i, v in enumerate(g.nodes)}
     rows = np.array([row_of[v] for v in affected])
     ys = np.array([g.labels[v] for v in affected])
@@ -265,18 +261,17 @@ def test_continual_loss_lambda_zero_equals_task():
 
 def test_continual_loss_shape_drift_errors():
     g, model, h, theta = _penalty_case()
-    ewc = EwcState(lam=1.0, anchor=np.zeros(len(theta) + 1), weight=np.zeros(len(theta) + 1))
+    anchor = weight = np.zeros(len(theta) + 1)
     with pytest.raises(ValueError, match=f"an anchor and a weight of {len(theta)} entries"):
-        continual_loss(model, [0, 1], ewc, graph=g)(h)
+        continual_loss(model, [0, 1], g, 1.0, anchor, weight)(h)
 
 
 def test_continual_loss_rejects_params_born_after_the_anchor():
     g, model, h, theta = _penalty_case()
-    ewc = EwcState(lam=2.0, anchor=theta, weight=np.ones_like(theta))
     # a feature first seen after the anchor was taken grows the embedding table
     model.table.ensure([max(model.table.row) + 1])
     with pytest.raises(ValueError, match=f"an anchor and a weight of {len(theta) + 4} entries"):
-        continual_loss(model, [0, 1], ewc, graph=g)(h)
+        continual_loss(model, [0, 1], g, 2.0, theta, np.ones_like(theta))(h)
 
 
 # -------------------------------------------------------------- buffers
@@ -294,17 +289,6 @@ def test_replay_buffer_reservoir():
     for v in range(10):
         empty.add(v, 0)
     assert len(empty.entries()) == 0
-
-
-def test_ewc_state_storage_is_flat():
-    # one anchor vector plus one weight vector, regardless of how often they turn over
-    names = {f.name for f in dataclasses.fields(EwcState)}
-    assert names == {"lam", "anchor", "weight"}
-    st = EwcState()
-    for t in range(5):
-        st.anchor = np.full(3, t, dtype=float)
-        st.weight = np.full(3, t, dtype=float)
-    assert st.anchor.shape == st.weight.shape == (3,)
 
 
 # ------------------------------------------------------------ run_stream
@@ -437,6 +421,25 @@ def test_run_stream_checks_the_test_split_before_any_epoch(monkeypatch):
         run_stream(g, [], "FT", quick_cfg())
 
 
+def test_run_stream_reads_each_delta_after_the_previous_record(monkeypatch):
+    # a caller that times a delta from one request to the next relies on this
+    events = []
+    train, evaluate = continual._train_plain, continual._evaluate
+
+    def logged(name, fn):
+        return lambda *args: (events.append(name), fn(*args))[1]
+
+    def deltas():
+        for t in (2, 3):
+            events.append(f"read {t}")
+            yield StreamDelta(t=t)
+
+    monkeypatch.setattr(continual, "_train_plain", logged("train", train))
+    monkeypatch.setattr(continual, "_evaluate", logged("evaluate", evaluate))
+    run_stream(drift_graph(n=24), deltas(), "FT", quick_cfg())
+    assert events == ["train", "evaluate", "read 2", "evaluate", "read 3", "evaluate"]
+
+
 def test_stream_csv_roundtrip(tmp_path):
     recs = [StreamRecord("FT", 1, 0.875, 1.23, 42),
             StreamRecord("FT", 2, 0.75, 0.5, 7)]
@@ -464,3 +467,61 @@ def test_ewc_stream_from_a_featureless_graph_that_gains_features():
     assert set(model.table.row) == {f for _, f, _ in entries}
     # rows of features new at t=3 count whole, on top of the retrained weights
     assert records[2].params_changed > len(model.table.row) * model.table.dim
+
+
+@pytest.mark.parametrize("strategy", ["EWC", "FT", "ER", "ORACLE"])
+def test_node_deltas_move_the_training_pool_and_the_test_denominator(strategy, monkeypatch):
+    # t=2 adds a labelled and an unlabelled node, t=3 deletes a test and a
+    # training node (and gives a surviving training node a feature, so every
+    # adapting strategy trains after the deletion), t=4 is empty
+    g = drift_graph(n=40)
+    cfg = quick_cfg()
+    split = make_split(g, cfg.split_fractions, seed=cfg.seed)
+    train, test = sorted(split.train), sorted(split.test)
+    labelled, unlabelled = max(g.nodes) + 1, max(g.nodes) + 2
+    feature = min(g.feature_ids())
+    gone_test, gone_train, kept = test[0], train[0], train[1]
+    deltas = [
+        StreamDelta(t=2, add_nodes=((labelled, 0), (unlabelled, None)),
+                    add_edges=((labelled, train[2]), (unlabelled, test[1])),
+                    add_feats=((labelled, feature, 1.0), (unlabelled, feature, 1.0))),
+        StreamDelta(t=3, del_nodes=(gone_test, gone_train),
+                    add_feats=((kept, max(g.feature_ids()) + 1, 1.0),)),
+        StreamDelta(t=4),
+    ]
+    # one entry per timestamp: the node lists of its losses and its test denominator
+    log = []
+    apply, sum_loss, accuracy = continual.apply_delta, continual._sum_loss, continual.node_accuracy
+
+    def logged_apply(g, delta):
+        log.append({"losses": []})
+        return apply(g, delta)
+
+    def logged_sum_loss(model, g, nodes, labels=None):
+        log[-1]["losses"].append(list(nodes))
+        return sum_loss(model, g, nodes, labels)
+
+    def logged_accuracy(model, h, rows, ys):
+        log[-1]["tested"] = len(rows)
+        return accuracy(model, h, rows, ys)
+
+    log.append({"losses": []})  # t=1
+    monkeypatch.setattr(continual, "apply_delta", logged_apply)
+    monkeypatch.setattr(continual, "_sum_loss", logged_sum_loss)
+    monkeypatch.setattr(continual, "node_accuracy", logged_accuracy)
+    records, _ = run_stream(g, deltas, strategy, cfg)
+    assert [r.t for r in records] == [1, 2, 3, 4]
+    assert [step["tested"] for step in log] == [len(test)] * 2 + [len(test) - 1] * 2
+    assert log[0]["losses"] == [train]
+    assert log[1]["losses"] and all(labelled in nodes for nodes in log[1]["losses"])
+    assert all(unlabelled not in nodes for step in log for nodes in step["losses"])
+    assert log[2]["losses"] and not log[3]["losses"]
+    assert all(v not in nodes for step in log[2:] for nodes in step["losses"]
+               for v in (gone_test, gone_train))
+    if strategy == "ER":
+        # the buffer held the deleted node: t=2 replayed it, t=3 does not
+        assert gone_train in log[1]["losses"][0]
+        assert kept in log[2]["losses"][0]
+    if strategy == "ORACLE":
+        assert log[1]["losses"] == [sorted(train + [labelled])]
+        assert log[2]["losses"] == [sorted(set(train + [labelled]) - {gone_train})]

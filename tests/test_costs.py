@@ -17,7 +17,7 @@ import pytest
 
 from grafenne import model as model_mod
 from grafenne import tensor as T
-from grafenne.continual import (EwcState, STRATEGIES, StreamConfig, _sum_loss, _train_plain,
+from grafenne.continual import (STRATEGIES, StreamConfig, _sum_loss, _train_plain,
                                 compute_importance, continual_loss, run_stream)
 from grafenne.graph import HeteroGraph, apply_missing_mask, make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
@@ -80,8 +80,7 @@ def test_tape_nodes_per_ewc_training_epoch(monkeypatch):
     forward()  # the embedding rows exist before the snapshot, as in a stream
     params = model.trainable_parameters()
     anchor = np.concatenate([p.values.ravel() for p in params])
-    ewc = EwcState(anchor=anchor, weight=np.ones_like(anchor))
-    loss_fn = continual_loss(model, g.nodes[:10], ewc, graph=g)
+    loss_fn = continual_loss(model, g.nodes[:10], g, 100000.0, anchor, np.ones_like(anchor))
 
     def epoch():
         T.backward(loss_fn(forward()))
