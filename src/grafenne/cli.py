@@ -8,17 +8,22 @@ and duplicate keys are hard errors — silent typos corrupt experiments.
 Only ``run`` and ``stream`` take ``--seed`` and ``--workers``.
 
 Exit codes: 0 success, 2 config/usage error, 3 data error, 4 numerical
-error (a NaN or infinite training or validation loss, or a parameter
-left non-finite by training). A NaN or infinite number is a config error
-in a float key and a data error in a feature value.
+error (a NaN or infinite training or validation loss, an Adam second
+moment that is not finite, or a parameter left non-finite by training).
+A NaN or infinite number is a config error in a float key and a data
+error in a feature value. Commands run with NumPy's floating-point
+warnings off: those finite checks report a divergence, in one line.
 """
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from .continual import (STRATEGIES, StreamConfig, run_stream, stream_rows,
                         write_stream_csv)
@@ -221,8 +226,10 @@ def _atomic(path, write_fn):
 def _map_cells(fn, payloads, workers):
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    # the pool forks every worker on its first submit: no more than there are cells
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as ex:
+    # the pool forks every worker on its first submit: no more than there are
+    # cells; each turns NumPy's floating-point warnings off, as main does
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads)),
+                             initializer=functools.partial(np.seterr, all="ignore")) as ex:
         return list(ex.map(fn, payloads))  # ex.map keeps submission order
 
 
@@ -384,9 +391,10 @@ def _schema_epilog(schema):
                "\na pos one in [1, 2^63 - 1] and a prob a number in [0, 1]; a plural kind"
                "\nis a comma list."
                "\n\nexit codes: 0 success, 2 configuration error, 3 data error,"
-               "\n4 numerical error (a NaN or infinite training or validation loss, or a"
-               "\nnon-finite parameter after training). NaN and infinite numbers are"
-               "\nrejected in config files (2) and in feature files (3).")
+               "\n4 numerical error (a NaN or infinite training or validation loss, an"
+               "\nAdam second moment that is not finite, or a non-finite parameter after"
+               "\ntraining). NaN and infinite numbers are rejected in config files (2)"
+               "\nand in feature files (3).")
     return "\n".join(out)
 
 
@@ -420,7 +428,8 @@ def main(argv=None):
         cfg = read_config(args.config, _SCHEMAS[args.command])
         if cfg.get("timing", "none") not in ("none", "wall"):
             raise ConfigError(f"timing must be none or wall, got {cfg['timing']!r}")
-        return _COMMANDS[args.command](cfg, args)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -47,6 +47,9 @@ def adam_step(params, lr, state=None):
     A missing gradient counts as zero, so parameters outside the current
     loss still decay their momentum. Values are rebound to views of a new
     vector, not written in place, so live tapes keep their forward arrays.
+    A second moment that is not finite raises FloatingPointError before any
+    value is rebound: an infinite one makes every later step 0, so training
+    would stall on finite weights and report a plausible accuracy.
     """
     if state is None:
         state = AdamState()
@@ -64,6 +67,12 @@ def adam_step(params, lr, state=None):
     m += (1.0 - BETA1) * g
     v *= BETA2
     v += (1.0 - BETA2) * g * g
+    if not np.isfinite(v).all():
+        name = next(p.name for p, part in zip(params, split_vector(v, params))
+                    if not np.isfinite(part).all())
+        raise FloatingPointError(f"Adam's second moment of parameter {name} is not finite at "
+                                 f"step {t}: a NaN or infinite gradient, or one whose square "
+                                 f"overflows")
     new = values - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     for p, part in zip(params, split_vector(new, params)):
         p.values = part

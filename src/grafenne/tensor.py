@@ -290,7 +290,11 @@ def _product(edges, alpha, x, transpose=False):
 def _sddmm(g, x, edges):
     """<g[dst[e]], x[src[e]]> for every edge e: the gradient of S_alpha @ x
     with respect to alpha. Edges go in layout-order blocks of at most 64k
-    gathered entries, which stay in cache; each row's sum is unchanged."""
+    gathered entries, which stay in cache; each row's sum is unchanged.
+    Both operands are made C-contiguous once per call: np.take copies a
+    strided source whole on every call, so a column slice of a wider
+    gradient would otherwise be copied once per block."""
+    g, x = np.ascontiguousarray(g), np.ascontiguousarray(x)
     out = np.empty(len(edges))
     step = max(65536 // max(g.shape[1], 1), 1)
     for lo in range(0, len(edges), step):
@@ -399,6 +403,7 @@ def attention(h, edges, w_src, w_att, w_msg, slope, coef=None, w_edge=None):
     p = _softmax(score, dst, num_dst)
 
     def _bw(g):
+        g = np.ascontiguousarray(g)  # one copy of a column slice, for both products
         if h.requires_grad or w_msg.requires_grad:
             gm = _product(edges, p, g, transpose=True)
         if any(t.requires_grad for t in parents[:3] + parents[4:]):  # a score input

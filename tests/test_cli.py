@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -438,15 +439,39 @@ def test_translate_non_finite_exits_3(tmp_path, capsys, value):
     assert not out.exists()
 
 
+# an lr of 1e300 throws the weights to overflow after one Adam step
+NAN_LOSS = ("dataset = toy\nmethods = sage\np = 0\nepochs = 5\nlr = 1e300\ndim = 8\n"
+            "layers = 2\npatience = 5\n")
+# an lr of 1e20 makes the second step's gradient square overflow Adam's v:
+# without the moment check, every later step is 0 and the run reports 0.5
+INFINITE_MOMENT = ("dataset = toy\nmethods = grafenne_gat\np = 0.5\nepochs = 5\n"
+                   "lr = 99999999999999999999\ndim = 8\nlayers = 2\npatience = 5\n")
+
+
 def test_run_non_finite_loss_exits_4(tmp_path, capsys):
-    # an lr of 1e300 throws the weights to overflow after one Adam step
-    conf = write(tmp_path / "run.conf", toy_source() +
-                 "dataset = toy\nmethods = sage\np = 0\nseeds = 0\n"
-                 "epochs = 5\nlr = 1e300\ndim = 8\nlayers = 2\npatience = 5\n")
+    conf = write(tmp_path / "run.conf", toy_source() + NAN_LOSS + "seeds = 0\n")
     out = tmp_path / "o.csv"
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--config", conf, "--out", str(out)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "numerical error: validation loss is nan at epoch 1 of 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers,seeds", [(1, "0"), (2, "0,1")])
+@pytest.mark.parametrize("config,error", [
+    (NAN_LOSS, "validation loss is nan at epoch 1 of 5"),
+    (INFINITE_MOMENT, "Adam's second moment of parameter layer0/p1/W6 is not finite at step 2"),
+], ids=["nan-loss", "infinite-moment"])
+def test_a_diverging_run_is_exit_4_and_one_stderr_line(tmp_path, config, error, workers, seeds):
+    conf = write(tmp_path / "run.conf", toy_source() + config + f"seeds = {seeds}\n")
+    out = tmp_path / "o.csv"
+    proc = subprocess.run([sys.executable, "-m", "grafenne.cli", "run", "--config", conf,
+                           "--out", str(out), "--workers", str(workers)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"numerical error: {error}")
     assert not out.exists()
 
 
@@ -483,9 +508,9 @@ def test_workers_are_capped_at_the_cell_count(tmp_path, monkeypatch):
 
     class InlineExecutor:
         """Records the pool size it is asked for and maps in this process,
-        so that no process starts."""
+        so that no process starts; a worker initializer is not run here."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -592,12 +617,10 @@ def test_cli_fuzz_is_an_exit_code_and_at_most_one_stderr_line(
 
 
 def test_module_entrypoint(tmp_path):
-    conf = write(tmp_path / "run.conf", toy_source() +
-                 "dataset = toy\nmethods = sage\np = 0\nseeds = 0\n"
-                 "epochs = 5\nlr = 0.01\ndim = 8\nlayers = 2\npatience = 5\n")
+    # the bundled sanity config, whose paths are relative to the repository
     out = tmp_path / "o.csv"
     proc = subprocess.run([sys.executable, "-m", "grafenne.cli", "run",
-                           "--config", conf, "--out", str(out)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+                           "--config", "configs/toy_run.conf", "--out", str(out)],
+                          capture_output=True, text=True, cwd=DATA.parent.parent)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert out.exists()

@@ -2,8 +2,8 @@
 small shapes, reverse sweeps per importance pass and tape orders per
 epoch, array concatenations per Adam step, no cyclic garbage after whole
 runs, no edge tuples on the set-up and training path, one draw per
-embedding row, no tape alive past its epoch and the traced memory peak of
-one training call.
+embedding row, no tape alive past its epoch, no strided gather source in
+a backward and the traced memory peak of one training call.
 
 A pinned count may only go down, or go up with a stated reason.
 """
@@ -241,6 +241,24 @@ def test_no_forward_output_outlives_its_epoch_in_plain_descent():
     loss_fn = _sum_loss(model, g, g.nodes[:10])
     assert _cyclic_garbage(lambda: _train_plain(model, checked, loss_fn, 4, 0.01)) == 0
     assert len(outputs) == 4
+
+
+def test_every_gather_source_of_a_backward_is_contiguous(monkeypatch):
+    # np.take copies a strided source whole on every call: the combine's
+    # concat hands each attention a column slice of its gradient, which the
+    # SDDMM would otherwise copy once per block
+    g = _graph()
+    model, forward = method_model("grafenne", g, "node_classification", dim=16, layers=2)
+    loss = _sum_loss(model, g, g.nodes[:10])(forward())
+    sources, take = [], np.take
+
+    def spied(a, *args, **kwargs):
+        sources.append(np.asarray(a).flags.c_contiguous)
+        return take(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spied)
+    T.backward(loss)
+    assert sources and all(sources), sources
 
 
 # tracemalloc peak of the train call below, in bytes, pinned with a 3%

@@ -299,6 +299,54 @@ def test_blocked_sddmm_equals_the_one_shot_product(e):
     assert blocked.shape == (e,) and np.array_equal(blocked, one_shot)
 
 
+def _three_blocks(d):
+    """A layout of enough edges for three _sddmm blocks at width d, a
+    destination's gradient and a source's operand as column slices of
+    arrays twice as wide (the combine's concat hands such slices back)."""
+    rng = np.random.default_rng(d)
+    k, n, e = 50, 40, 2 * (65536 // d) + 100
+    edges = Edges(rng.integers(0, n, size=e), np.sort(rng.integers(0, k, size=e)), (k, n))
+    return rng, edges, rng.normal(size=(k, 2 * d))[:, d:], rng.normal(size=(n, 2 * d))[:, d:]
+
+
+@pytest.mark.parametrize("d", [1, 8, 64])
+def test_sddmm_of_strided_operands_equals_that_of_their_contiguous_copies(d):
+    _, edges, g, x = _three_blocks(d)
+    assert not g.flags.c_contiguous and not x.flags.c_contiguous
+    strided = T._sddmm(g, x, edges)
+    assert np.array_equal(strided, T._sddmm(g.copy(), x.copy(), edges))
+
+
+@pytest.mark.parametrize("d", [1, 8, 64])
+def test_attention_backward_of_a_column_slice_equals_that_of_its_copy(d, monkeypatch):
+    rng, edges, g, _ = _three_blocks(d)
+    c = 3
+    arrays = [rng.normal(size=(edges.shape[1], c)), rng.normal(size=(c, d)),
+              rng.normal(size=(2 * d,)), rng.normal(size=(c, d)), rng.normal(size=(d,))]
+    coef = rng.uniform(-1.5, 1.5, size=(len(edges), 2))
+    seen, sddmm = [], T._sddmm
+
+    def spied(g, x, edges):
+        seen.append(g.flags.c_contiguous)
+        return sddmm(g, x, edges)
+
+    monkeypatch.setattr(T, "_sddmm", spied)
+    grads = []
+    for sliced in (True, False):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = T.attention(leaves[0], edges, *leaves[1:4], 0.2, coef, leaves[4])
+        if sliced:  # the concat's backward hands out a column slice of its gradient
+            full = np.concatenate([np.ones((edges.shape[0], d)), g], axis=1)
+            loss = T.sum_all(T.mul(T.concat([np.zeros((edges.shape[0], d)), out], axis=1), full))
+        else:
+            loss = T.sum_all(T.mul(out, g.copy()))
+        T.backward(loss)
+        grads.append([leaf.grad for leaf in leaves])
+    assert seen == [True, True]  # the backward made the slice contiguous first
+    for strided, contiguous in zip(*grads):
+        assert np.array_equal(strided, contiguous)
+
+
 def test_slice_rows_backward_adds_into_the_slice():
     x = T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     out = T.slice_rows(x, 1, 3)
@@ -665,6 +713,20 @@ def test_adam_rejects_a_parameter_list_or_gradient_that_changed_size():
     with pytest.raises(ValueError, match="4 values, 4 gradients, 2 moments"):
         adam_step([table.weight], lr=0.1, state=state)
     assert state.step == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160])
+def test_adam_raises_on_a_second_moment_that_is_not_finite(bad):
+    # 1e160 is finite, but its square overflows: v would be inf, every
+    # later step 0, and training would stall on finite weights
+    p, q, r = (T.Parameter(np.full(3, 0.5), name) for name in "pqr")
+    state = adam_step([p, q, r], lr=0.1)
+    before = [x.values for x in (p, q, r)]
+    p.grad, q.grad, r.grad = np.ones(3), np.array([1.0, bad, 1.0]), np.full(3, bad)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="second moment of parameter q is not finite at step 2"):
+        adam_step([p, q, r], lr=0.1, state=state)
+    assert all(x.values is b for x, b in zip((p, q, r), before))  # nothing rebound
 
 
 def test_a_tape_built_before_a_step_reads_its_forward_values():
