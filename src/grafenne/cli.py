@@ -348,8 +348,10 @@ def cmd_translate(cfg, args):
         if len(fields) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
         name, fname, val = fields
-        v = feature_value(val, path, lineno)
-        lines.append(f"{name}\t{fname}\t{a * v + b!r}\n")
+        w = a * feature_value(val, path, lineno) + b
+        if not math.isfinite(w):  # run would reject the file
+            raise DataError(f"{path}:{lineno}: translated value {w!r} is not finite")
+        lines.append(f"{name}\t{fname}\t{w!r}\n")
 
     def write(tmp):
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .graph import GraphError, make_split
+from .graph import SPLIT_FRACTIONS, GraphError, make_split
 from .model import GrafenneConfig, GrafenneModel
 from .optim import check_finite_params, descend, grad_vector, split_vector, zero_grad
 from .stream import apply_delta
@@ -39,7 +39,7 @@ class StreamConfig:
     layers: int = 2
     phase2: str = "sage"
     seed: int = 0
-    split_fractions: tuple = (0.6, 0.2, 0.2)
+    split_fractions: tuple = SPLIT_FRACTIONS
 
     def validate(self):
         if self.epochs < 1 or self.stream_epochs < 1:

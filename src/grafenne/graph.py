@@ -348,6 +348,9 @@ def apply_missing_mask(g, p, seed):
     return g.replace(feats=(g.feat_node[keep], g.feat_id[keep], g.feat_value[keep]))
 
 
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # train, validation, test
+
+
 @dataclass(frozen=True)
 class Split:
     train: tuple
@@ -372,7 +375,7 @@ def partition(items, fractions, perm):
             for k in range(len(sizes))]
 
 
-def make_split(g, fractions=(0.6, 0.2, 0.2), seed=0):
+def make_split(g, fractions=SPLIT_FRACTIONS, seed=0):
     """Random disjoint train/val/test over labeled nodes, by partition."""
     labeled = sorted(v for v in g.nodes if v in g.labels)
     perm = np.random.default_rng(seed).permutation(len(labeled))

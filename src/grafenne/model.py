@@ -9,20 +9,21 @@ projects to zero, so layer 0's phase 1 has no self part either: its
 combine reads the aggregate alone, and no graph state exists before it.
 
 Phases 1 and 3 are _attend with graph and feature roles swapped, around
-tensor.attention, the GAT backbone's attention too. LeakyReLU acts
-elementwise, so the paper's score w . LR(h_v W_dst || h_u W_src || x_uv w_e)
-of an edge u -> v is a sum of three terms, and the softmax over v's edges
-cancels the h_v one: no model builds it. The edge channel uses LR's
-positive homogeneity, LR(x w) = |x| LR(sign(x) w),
-so it costs two d-vector scores and one per-edge vector. Every
+tensor.attention, the GAT backbone's attention too. LeakyReLU, of the one
+slope tensor.LEAKY_SLOPE, acts elementwise, so the paper's score
+w . LR(h_v W_dst || h_u W_src || x_uv w_e) of an edge u -> v is a sum of
+three terms, and the softmax over v's edges cancels the h_v one: no model
+builds it. The edge channel uses LR's positive homogeneity,
+LR(x w) = |x| LR(sign(x) w), so it costs two d-vector scores and one
+per-edge vector. Every
 aggregation is one tape node over a graph.Edges layout, so no (edges, d)
 tensor is ever materialized: an attention, projections, scores, softmax
 per destination and weighted sum, is tensor.attention, a SAGE layer
-tensor.sage, GIN's neighbour sum tensor.spmm, and every MLP, the head
-included, tensor.mlp. The layouts, their sparse matrices and what the
-layers derive from them (split edge weights, GAT's self-loops, SAGE's
-degrees, the vanilla joint graph) are built once per graph, through
-Edges.derived and AllotropicGraph.derived.
+tensor.sage, GIN's unweighted neighbour sum tensor.spmm, and every MLP,
+the head included, tensor.mlp. The layouts, their sparse matrices and
+what the layers derive from them (split edge weights, GAT's self-loops,
+SAGE's degrees, the vanilla joint graph and its graph-node rows) are
+built once per graph, through Edges.derived and AllotropicGraph.derived.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from . import tensor as T
 from .graph import by_destination
 
 _PHASE2 = ("sage", "gat", "gin")
-LEAKY_SLOPE = 0.2  # of every LeakyReLU activation
 GIN_EPSILON = 0.0  # initial value of GIN's learnable epsilon
 
 # attention parameters: src score, edge vector, attention vector, self, message
@@ -194,9 +194,8 @@ class ModelBase:
             return sage_layer(h, edges, p[f"{prefix}/W13"])
         if backend == "gat":  # attention over in-neighbours plus a self-loop
             return T.attention(h, edges.derived(_self_looped), p[f"{prefix}/W14"],
-                               p[f"{prefix}/w15"], p[f"{prefix}/W16"], LEAKY_SLOPE)
-        return gin_layer(h, edges, p[f"{prefix}/epsilon"],
-                         self._mlp_params(f"{prefix}/mlp"), LEAKY_SLOPE)
+                               p[f"{prefix}/w15"], p[f"{prefix}/W16"])
+        return gin_layer(h, edges, p[f"{prefix}/epsilon"], self._mlp_params(f"{prefix}/mlp"))
 
     def trainable_parameters(self):
         """Every parameter; the list is fixed from construction on."""
@@ -206,7 +205,7 @@ class ModelBase:
     def logits(self, h):
         if self.num_classes is None:
             raise ValueError("model built without a classification head")
-        return T.mlp(h, [self.params["head/W"], self.params["head/b"]], None)
+        return T.mlp(h, [self.params["head/W"], self.params["head/b"]])
 
 
 class GrafenneModel(ModelBase):
@@ -255,10 +254,9 @@ class GrafenneModel(ModelBase):
         along the weighted Edges layout `edges`."""
         w_src, w_edge, w_att, w_self, w_msg = (
             self.params.get(f"layer{l}/{phase}/{name}") for name in _ATTEND_PARAMS[phase])
-        agg = T.attention(h_src, edges, w_src, w_att, w_msg, LEAKY_SLOPE,
-                          edges.derived(_sign_split), w_edge)
+        agg = T.attention(h_src, edges, w_src, w_att, w_msg, edges.derived(_sign_split), w_edge)
         combined = agg if h_dst is None else T.concat([T.matmul(h_dst, w_self), agg], axis=1)
-        return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"), LEAKY_SLOPE)
+        return T.mlp(combined, self._mlp_params(f"layer{l}/{phase}/mlp"))
 
     def _phase1(self, l, alt, hg, hf, rng):
         edges = _capped(alt.feat_to_node, self.config.cap_features, rng)
@@ -300,11 +298,11 @@ def sage_layer(h, edges, w):
     return T.sage(h, edges, edges.derived(_inverse_degree), w)
 
 
-def gin_layer(h, edges, epsilon, mlp_params, slope):
+def gin_layer(h, edges, epsilon, mlp_params):
     """MLP((1 + epsilon) h + sum of in-neighbours)."""
-    neigh = T.spmm(edges.derived(T._ones), edges, h)  # neighbour sums
+    neigh = T.spmm(edges, h)  # neighbour sums
     scaled = T.mul(h, T.add(epsilon, 1.0))
-    return T.mlp(T.add(scaled, neigh), mlp_params, slope)
+    return T.mlp(T.add(scaled, neigh), mlp_params)
 
 
 class VanillaAltModel(ModelBase):
@@ -328,7 +326,11 @@ class VanillaAltModel(ModelBase):
         for l in range(self.config.layers):
             h = sage_layer(h, edges, self.params[f"layer{l}/W"])
         # no output reads the feature states: a plain view, off the tape
-        return T.slice_rows(h, 0, n), T.Tensor(h.values[n:n + m])
+        return T.gather_rows(h, alt.derived(_graph_rows)), T.Tensor(h.values[n:n + m])
+
+
+def _graph_rows(alt):  # the joint layout's graph-node rows
+    return np.arange(alt.n)
 
 
 def _joint_layout(alt):

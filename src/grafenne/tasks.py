@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .graph import (GraphError, apply_missing_mask, make_split, partition, remove_edges,
-                    to_allotropic)
+from .graph import (SPLIT_FRACTIONS, GraphError, apply_missing_mask, make_split, partition,
+                    remove_edges, to_allotropic)
 from .imputation import (DenseGnnModel, dense_inputs, feature_propagation,
                          impute_neighborhood_mean, impute_special_label, resparsify)
 from .model import GrafenneConfig, GrafenneModel, VanillaAltModel
@@ -154,14 +154,14 @@ class LinkSplit:
     graph: object  # training graph: val/test positives removed
 
 
-def make_link_split(g, fractions=(0.6, 0.2, 0.2), seed=0, neg_ratio=1.0):
-    """Edge-level split with fixed disjoint negatives per partition."""
+def make_link_split(g, seed=0, neg_ratio=1.0):
+    """Edge-level split by SPLIT_FRACTIONS, fixed disjoint negatives per partition."""
     if g.num_edges < 3:
         raise GraphError("too few edges for a link split")
     rng = np.random.default_rng([seed, 53])
-    pos_parts = partition(g.edges, fractions, rng.permutation(g.num_edges))
+    pos_parts = partition(g.edges, SPLIT_FRACTIONS, rng.permutation(g.num_edges))
     negs = negative_sample(g, k_per_pos=neg_ratio, seed=seed)
-    neg_parts = partition(negs, fractions, rng.permutation(len(negs)))
+    neg_parts = partition(negs, SPLIT_FRACTIONS, rng.permutation(len(negs)))
     graph = remove_edges(g, pos_parts[1] + pos_parts[2])
     return LinkSplit(pos_parts[0], pos_parts[1], pos_parts[2],
                      neg_parts[0], neg_parts[1], neg_parts[2], graph)

@@ -27,7 +27,8 @@ values and gradients are bit for bit those of the staged composition. The
 sparse ones (spmm too) multiply through a graph.Edges layout's CSR matrix
 and its CSC transpose, built once per layout and shared by every call,
 which rebinds their values to its own edge weights right before each
-product, forward and backward.
+product, forward and backward. Staged ops that the program does not run
+are in tests/probe.py.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import weakref
 
 import numpy as np
 import scipy.sparse as sp
+
+LEAKY_SLOPE = 0.2  # of every LeakyReLU, as in GAT
 
 
 class Tensor:
@@ -108,11 +111,6 @@ def _accumulate(node, g):
         node.grad = g if g.shape == shape else np.broadcast_to(g, shape).copy()
     else:
         node.grad = node.grad + g
-
-
-def _owned_grad(x):
-    """x.grad as an array the caller may write into: a copy, or zeros."""
-    return np.zeros_like(x.values) if x.grad is None else x.grad.copy()
 
 
 def _unbroadcast(g, shape):
@@ -192,26 +190,23 @@ def concat(parts, axis=0):
     return _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), _bw)
 
 
-def _leaky(x, slope):
+def _leaky(x):
     """leaky_relu's values, an array even when x is 0-d."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu slope {slope} outside [0, 1]")
-    o = np.multiply(x, slope, out=np.empty_like(x))
+    o = np.multiply(x, LEAKY_SLOPE, out=np.empty_like(x))
     return np.maximum(x, o, out=o)
 
 
-def _leaky_grad(x, slope):
-    """leaky_relu's derivative, 1 where x >= 0 (the subgradient at 0 takes
-    the positive branch) else slope: for 0 <= slope <= 1 that is
-    max(x >= 0, slope), which has no branch to mispredict."""
-    return np.maximum(x >= 0, slope)
+def _leaky_grad(x):
+    """leaky_relu's derivative, 1 where x >= 0 (the subgradient at 0 takes the
+    positive branch) else LEAKY_SLOPE: max(x >= 0, LEAKY_SLOPE), branch-free."""
+    return np.maximum(x >= 0, LEAKY_SLOPE)
 
 
-def leaky_relu(x, slope=0.2):
-    """max(x, slope * x), which is LeakyReLU for 0 <= slope <= 1 only."""
+def leaky_relu(x):
+    """max(x, LEAKY_SLOPE * x), which is LeakyReLU as the slope is in [0, 1]."""
     x = as_tensor(x)
     xv = x.values
-    return _node(_leaky(xv, slope), (x,), lambda g: _accumulate(x, g * _leaky_grad(xv, slope)))
+    return _node(_leaky(xv), (x,), lambda g: _accumulate(x, g * _leaky_grad(xv)))
 
 
 def relu(x):
@@ -234,8 +229,8 @@ def gather_rows(x, index):
     x = as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
 
-    def _bw(g):
-        buf = _owned_grad(x)
+    def _bw(g):  # into a copy of x.grad, which may be another node's too
+        buf = np.zeros_like(x.values) if x.grad is None else x.grad.copy()
         np.add.at(buf, index, g)
         x.grad = buf
 
@@ -249,18 +244,6 @@ def segment_sum(x, segment_ids, num_segments):
     vals = np.zeros((num_segments,) + x.values.shape[1:])
     np.add.at(vals, segment_ids, x.values)
     return _node(vals, (x,), lambda g: _accumulate(x, g[segment_ids]))
-
-
-def slice_rows(x, lo, hi):
-    """out = x[lo:hi] along the first axis; backward adds into that slice."""
-    x = as_tensor(x)
-
-    def _bw(g):
-        buf = _owned_grad(x)
-        buf[lo:hi] += g
-        x.grad = buf
-
-    return _node(x.values[lo:hi].copy(), (x,), _bw)
 
 
 def _ones(edges):
@@ -308,31 +291,20 @@ def _check_rows(op, x, edges):
         raise ValueError(f"{op} needs a 2-D input of {edges.shape[1]} rows, got shape {x.shape}")
 
 
-def spmm(alpha, edges, x):
-    """out[r] = sum of alpha[e] * x[edges.src[e]] over the edges e into r.
+def spmm(edges, x):
+    """out[r] = sum of x[edges.src[e]] over the edges e into r.
 
-    The product S_alpha @ x with the sparse S_alpha of the graph.Edges
-    layout `edges` (its row pointer, destinations ascending, checked when
-    it was built; an empty row sums to zero), so the E x d messages
-    alpha[e] * x[src[e]] are never formed. Edges are summed in layout
-    order, as a sequential scatter-add would. Backward is S_alpha^T @ G
-    for x and the SDDMM <G[dst[e]], x[src[e]]> for alpha, which may also
-    be a constant array (ones for a plain sum).
+    The unweighted neighbour sum S_1 @ x with the sparse S_1 of the
+    graph.Edges layout `edges` (its row pointer, destinations ascending,
+    checked when it was built; an empty row sums to zero), so the E x d
+    messages x[src[e]] are never formed. Edges are summed in layout order,
+    as a sequential scatter-add would. Backward is S_1^T @ G.
     """
-    alpha, x = as_tensor(alpha), as_tensor(x)
+    x = as_tensor(x)
     _check_rows("spmm", x, edges)
-    if alpha.shape != (len(edges),):
-        raise ValueError(f"spmm needs one alpha per edge, got shape {alpha.shape} "
-                         f"for {len(edges)} edges")
-    av, xv = alpha.values, x.values
-
-    def _bw(g):
-        if x.requires_grad:
-            _accumulate(x, _product(edges, av, g, transpose=True))
-        if alpha.requires_grad:
-            _accumulate(alpha, _sddmm(g, xv, edges))
-
-    return _node(_product(edges, av, xv), (alpha, x), _bw)
+    ones = edges.derived(_ones)
+    return _node(_product(edges, ones, x.values), (x,),
+                 lambda g: _accumulate(x, _product(edges, ones, g, transpose=True)))
 
 
 def _softmax(scores, ids, num):
@@ -368,11 +340,11 @@ def segment_softmax(scores, segments, num_segments=None):
     return _node(p, (scores,), lambda g: _accumulate(scores, _softmax_backward(p, g, ids, num)))
 
 
-def attention(h, edges, w_src, w_att, w_msg, slope, coef=None, w_edge=None):
+def attention(h, edges, w_src, w_att, w_msg, coef=None, w_edge=None):
     """A whole attention as one tape node: the softmax-weighted sum of the
     messages (h W_msg)[u] along the graph.Edges u -> v into each v, an edge
-    e = u -> v scored as LR(h W_src)[u] . w_att[:d] (LR the LeakyReLU of
-    `slope`), plus, where coef gives each edge two mixing weights, the
+    e = u -> v scored as LR(h W_src)[u] . w_att[:d] (LR the LeakyReLU),
+    plus, where coef gives each edge two mixing weights, the
     edge channel coef[e] . (LR([w_edge; -w_edge]) @ w_att[d:]). A
     per-destination score would cancel in the softmax. Backward is
     S_alpha^T @ G for the messages, the SDDMM <G[dst[e]], msg[src[e]]>,
@@ -392,12 +364,12 @@ def attention(h, edges, w_src, w_att, w_msg, slope, coef=None, w_edge=None):
     dst, src = edges.dst, edges.src
     hv, ws, wa, wm = h.values, w_src.values, w_att.values, w_msg.values
     z = hv @ ws
-    lz = _leaky(z, slope)
+    lz = _leaky(z)
     score = (lz @ wa[:d])[src]
     if coef is not None:
         w_edge, we = parents[4], parents[4].values
         signed = np.stack([we, we * -1.0])
-        ls = _leaky(signed, slope)
+        ls = _leaky(signed)
         score = score + coef @ (ls @ wa[d:])
     mv = hv @ wm
     p = _softmax(score, dst, num_dst)
@@ -414,12 +386,12 @@ def attention(h, edges, w_src, w_att, w_msg, slope, coef=None, w_edge=None):
                 gv = coef.T @ ds
                 g_att.append(ls.T @ gv)
                 if w_edge.requires_grad:
-                    g_signed = (gv[:, None] * wa[d:][None, :]) * _leaky_grad(signed, slope)
+                    g_signed = (gv[:, None] * wa[d:][None, :]) * _leaky_grad(signed)
                     _accumulate(w_edge, g_signed[0])
                     _accumulate(w_edge, g_signed[1] * -1.0)
             if w_att.requires_grad:
                 _accumulate(w_att, g_att[0] if coef is None else np.concatenate(g_att))
-            gz = (gs[:, None] * wa[:d][None, :]) * _leaky_grad(z, slope)
+            gz = (gs[:, None] * wa[:d][None, :]) * _leaky_grad(z)
             if w_src.requires_grad:
                 _accumulate(w_src, hv.T @ gz)
             if h.requires_grad:
@@ -508,11 +480,11 @@ def ewc_penalty(params, anchor, weight):
     return _node(total, tuple(params), _bw)
 
 
-def mlp(x, weights, slope=0.2):
+def mlp(x, weights):
     """Affine stack on a matrix x as one tape node: weights is a flat
-    [W0, b0, W1, b1, ...] list, and LeakyReLU of `slope` follows every
-    layer but the last (slope None: identity). The backward runs the layers
-    in reverse: the bias sum, h.T @ g and g @ W.T, then the slope mask."""
+    [W0, b0, W1, b1, ...] list, and LeakyReLU follows every layer but the
+    last, so a one-layer stack is affine. The backward runs the layers in
+    reverse: the bias sum, h.T @ g and g @ W.T, then the slope mask."""
     if len(weights) % 2 != 0:
         raise ValueError("mlp expects alternating weight/bias parameters")
     x = as_tensor(x)
@@ -525,9 +497,9 @@ def mlp(x, weights, slope=0.2):
     for i, (w, b) in enumerate(zip(ws, weights[1::2])):
         ins.append(h)
         h = h @ w + b.values
-        if slope is not None and i < len(ws) - 1:
+        if i < len(ws) - 1:
             pre.append(h)
-            h = _leaky(h, slope)
+            h = _leaky(h)
 
     def _bw(g):
         for i in range(len(ws) - 1, -1, -1):
@@ -540,9 +512,7 @@ def mlp(x, weights, slope=0.2):
                 if x.requires_grad:
                     _accumulate(x, g @ ws[0].T)
             else:
-                g = g @ ws[i].T
-                if slope is not None:
-                    g = g * _leaky_grad(pre[i - 1], slope)
+                g = (g @ ws[i].T) * _leaky_grad(pre[i - 1])
 
     return _node(h, (x, *weights), _bw)
 
@@ -618,14 +588,10 @@ def sweep(root, seed, order):
             node._backward()
 
 
-def _check_loss(loss):
+def backward(loss):
+    """Reverse sweep from a scalar loss; accumulates into .grad."""
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing to differentiate")
-
-
-def backward(loss):
-    """Reverse sweep from a scalar loss; accumulates into .grad."""
-    _check_loss(loss)
     sweep(loss, np.ones_like(loss.values), _topo_order(loss))

@@ -11,7 +11,7 @@ import numpy as np
 
 from grafenne import tensor as T
 from grafenne.graph import Edges
-from probe import mean_all, sub
+from probe import mean_all, spmm, sub
 
 
 def fd_grad(f, arrays, eps=1e-6):
@@ -69,7 +69,7 @@ def _case_chain(rng):
 
     def build(x):
         a_, b_, c_, d_ = x
-        h = T.leaky_relu(T.add(T.matmul(a_, b_), c_), 0.2)
+        h = T.leaky_relu(T.add(T.matmul(a_, b_), c_))
         return T.sum_all(T.matmul(h, d_))
 
     return build, [a, b, c, d]
@@ -82,7 +82,7 @@ def _case_pointwise(rng):
 
     def build(x):
         a_, b_ = x
-        return mean_all(T.mul(T.leaky_relu(a_, 0.2), T.relu(sub(b_, a_))))
+        return mean_all(T.mul(T.leaky_relu(a_), T.relu(sub(b_, a_))))
 
     return build, [a, b]
 
@@ -111,7 +111,7 @@ def _case_mlp_ce(rng):
 
     def build(x):
         xs_, w1_, b1_, w2_, b2_ = x
-        logits = T.mlp(xs_, [w1_, b1_, w2_, b2_], 0.2)
+        logits = T.mlp(xs_, [w1_, b1_, w2_, b2_])
         return T.cross_entropy(logits, labels)
 
     return build, [xs, w1, b1, w2, b2]
@@ -215,9 +215,9 @@ def _case_deep(rng):
 
     def build(x):
         a_, b_, c_, e_ = x
-        h = T.leaky_relu(T.matmul(a_, b_), 0.2)
+        h = T.leaky_relu(T.matmul(a_, b_))
         h = T.mul(T.relu(T.add(h, c_)), a_)
-        h = T.leaky_relu(h, 0.2)
+        h = T.leaky_relu(h)
         return T.bce_with_logits(T.matmul(h, e_), targets)
 
     return build, [a, b, c, e]
@@ -250,8 +250,8 @@ def _case_spmm(rng):
 
     def build(x):
         xs_, alpha_ = x
-        learned = T.spmm(alpha_, edges, xs_)
-        summed = T.spmm(np.ones(e), edges, T.leaky_relu(xs_))
+        learned = spmm(alpha_, edges, xs_)
+        summed = T.spmm(edges, T.leaky_relu(xs_))
         return T.sum_all(T.mul(T.add(learned, summed), u))
 
     return build, [xs, alpha]
@@ -272,8 +272,8 @@ def _case_fused_attention(rng):
 
     def build(x):
         h_, w_src_, w_att_, w_msg_, w_edge_, w_gat_ = x
-        channel = T.attention(h_, edges, w_src_, w_att_, w_msg_, 0.2, coef, w_edge_)
-        plain = T.attention(h_, edges, w_src_, w_gat_, w_msg_, 0.2)
+        channel = T.attention(h_, edges, w_src_, w_att_, w_msg_, coef, w_edge_)
+        plain = T.attention(h_, edges, w_src_, w_gat_, w_msg_)
         return T.sum_all(T.mul(T.add(channel, plain), u))
 
     return build, [h, w_src, w_att, w_msg, w_edge, w_gat]

@@ -21,7 +21,7 @@ non-zero (with_self_block), so every comparison confirms that they cancel.
 
 import numpy as np
 
-from grafenne.model import LEAKY_SLOPE
+from grafenne.tensor import LEAKY_SLOPE
 
 
 def leaky(x, slope=LEAKY_SLOPE):

@@ -1,9 +1,10 @@
-"""The feature-recovery probe (c05) and the two tape ops only it and the
-staged references use: sub and mean_all.
+"""The feature-recovery probe (c05) and the tape ops only it, c01 and the
+staged references use: sub, mean_all, slice_rows and the weighted spmm
+that tensor.attention fuses.
 
 No program path reads these; they are built from the package's own tape
-(tensor._node) and training loop (optim.descend), so their gradients go
-through the same reverse sweep as every program op.
+(tensor._node, its sparse products) and training loop (optim.descend), so
+their gradients go through the same reverse sweep as every program op.
 """
 
 import numpy as np
@@ -29,6 +30,38 @@ def mean_all(x):
     x = T.as_tensor(x)
     inv = 1.0 / x.values.size
     return T._node(x.values.mean(), (x,), lambda g: T._accumulate(x, g * inv))
+
+
+def slice_rows(x, lo, hi):
+    """out = x[lo:hi] along the first axis; backward adds into that slice."""
+    x = T.as_tensor(x)
+
+    def _bw(g):
+        buf = np.zeros_like(x.values) if x.grad is None else x.grad.copy()
+        buf[lo:hi] += g
+        x.grad = buf
+
+    return T._node(x.values[lo:hi].copy(), (x,), _bw)
+
+
+def spmm(alpha, edges, x):
+    """out[r] = sum of alpha[e] * x[edges.src[e]] over the edges e into r:
+    S_alpha @ x, the weighted tensor.spmm. Backward is S_alpha^T @ G for x
+    and the SDDMM <G[dst[e]], x[src[e]]> for alpha."""
+    alpha, x = T.as_tensor(alpha), T.as_tensor(x)
+    T._check_rows("spmm", x, edges)
+    if alpha.shape != (len(edges),):  # _product rebinds the matrix data unchecked
+        raise ValueError(f"spmm needs one alpha per edge, got shape {alpha.shape} "
+                         f"for {len(edges)} edges")
+    av, xv = alpha.values, x.values
+
+    def _bw(g):
+        if x.requires_grad:
+            T._accumulate(x, T._product(edges, av, g, transpose=True))
+        if alpha.requires_grad:
+            T._accumulate(alpha, T._sddmm(g, xv, edges))
+
+    return T._node(T._product(edges, av, xv), (alpha, x), _bw)
 
 
 def recovery_probe(d, trials, seed=0, epochs=400, lr=0.01, hidden=None):

@@ -24,7 +24,7 @@ from grafenne.optim import zero_grad
 
 from conftest import ACCEPTANCE
 from naive_ref import naive_forward
-from probe import mean_all, recovery_probe, sub
+from probe import mean_all, recovery_probe, slice_rows, spmm, sub
 from test_graph import random_graph, toy, translate_features
 from test_stream import C11_GRAPH, C11_STREAM
 
@@ -83,7 +83,7 @@ class _Builder:
 
 
 # the ops c01 composes that only tests use, kept beside the probe
-_TEST_OPS = {"sub": sub, "mean_all": mean_all}
+_TEST_OPS = {"sub": sub, "mean_all": mean_all, "slice_rows": slice_rows}
 
 
 def _dim(rng):
@@ -136,7 +136,7 @@ def _apply_op(b, name):
         n = b.shapes[i][0]
         lo = int(rng.integers(0, n))
         hi = int(rng.integers(lo + 1, n + 1))
-        b._emit(lambda ts, i=i, lo=lo, hi=hi: T.slice_rows(ts[i], lo, hi),
+        b._emit(lambda ts, i=i, lo=lo, hi=hi: slice_rows(ts[i], lo, hi),
                 (hi - lo,) + b.shapes[i][1:])
     elif name == "segment_sum":
         i = b.pick(lambda s: len(s) >= 1 and s[0] >= 1)
@@ -167,14 +167,12 @@ def _apply_op(b, name):
         rows = np.sort(rng.integers(0, k, size=e))  # rows never hit are empty
         cols = rng.integers(0, n, size=e)           # columns repeat
         edges = Edges(cols, rows, (k, n))
-        if rng.random() < 0.5:
-            alpha = rng.uniform(-1.5, 1.5, size=e)  # constant weights
-            b._emit(lambda ts, i=i, a=alpha, edges=edges:
-                    T.spmm(a, edges, ts[i]), (k, b.shapes[i][1]))
-        else:
-            j = b.leaf((e,))                        # learned weights
+        if rng.random() < 0.5:                      # the program's neighbour sum
+            b._emit(lambda ts, i=i, edges=edges: T.spmm(edges, ts[i]), (k, b.shapes[i][1]))
+        else:                                       # learned weights, the probe's
+            j = b.leaf((e,))
             b._emit(lambda ts, i=i, j=j, edges=edges:
-                    T.spmm(ts[j], edges, ts[i]), (k, b.shapes[i][1]))
+                    spmm(ts[j], edges, ts[i]), (k, b.shapes[i][1]))
     elif name == "attention":
         i = b.pick(lambda s: len(s) == 2)
         if i is None:
@@ -191,11 +189,11 @@ def _apply_op(b, name):
             coef = rng.uniform(-1.5, 1.5, size=(e, 2))
             w_att, w_edge = b.leaf((2 * d,)), b.leaf((d,))
             b._emit(lambda ts, i=i, ws=(w_src, w_att, w_msg), we=w_edge, c=coef, edges=edges:
-                    T.attention(ts[i], edges, *(ts[w] for w in ws), 0.2, c, ts[we]), (k, o))
+                    T.attention(ts[i], edges, *(ts[w] for w in ws), c, ts[we]), (k, o))
         else:
             w_att = b.leaf((d,))
             b._emit(lambda ts, i=i, ws=(w_src, w_att, w_msg), edges=edges:
-                    T.attention(ts[i], edges, *(ts[w] for w in ws), 0.2), (k, o))
+                    T.attention(ts[i], edges, *(ts[w] for w in ws)), (k, o))
     elif name == "sage":
         i = b.pick(lambda s: len(s) == 2)
         if i is None:

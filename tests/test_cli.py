@@ -439,6 +439,16 @@ def test_translate_non_finite_exits_3(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_translate_to_a_non_finite_value_is_one_data_error_line(tmp_path, capsys):
+    feats = DATA / "features.tsv"
+    conf = write(tmp_path / "t.conf", f"features = {feats}\nscale = 1e308\nshift = 1e308\n")
+    out = tmp_path / "o.tsv"
+    assert main(["translate", "--config", conf, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"data error: {feats}:1: translated value inf "
+                                       "is not finite\n")
+    assert not out.exists()
+
+
 # an lr of 1e300 throws the weights to overflow after one Adam step
 NAN_LOSS = ("dataset = toy\nmethods = sage\np = 0\nepochs = 5\nlr = 1e300\ndim = 8\n"
             "layers = 2\npatience = 5\n")

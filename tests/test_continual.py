@@ -298,28 +298,6 @@ def _final_params(model):
     return {p.name: p.values.copy() for p in model.trainable_parameters()}
 
 
-def test_ewc_lambda_zero_matches_ft():
-    g = drift_graph()
-    deltas = small_stream(g)
-    recs_ft, m_ft = run_stream(g, deltas, "FT", quick_cfg())
-    recs_ewc, m_ewc = run_stream(g, deltas, "EWC", quick_cfg(lam=0.0))
-    assert [r.accuracy for r in recs_ft] == [r.accuracy for r in recs_ewc]
-    pf, pe = _final_params(m_ft), _final_params(m_ewc)
-    assert pf.keys() == pe.keys()
-    for k in pf:
-        assert np.array_equal(pf[k], pe[k]), k
-
-
-def test_er_capacity_zero_matches_ft():
-    g = drift_graph()
-    deltas = small_stream(g)
-    _, m_ft = run_stream(g, deltas, "FT", quick_cfg())
-    _, m_er = run_stream(g, deltas, "ER", quick_cfg(er_capacity=0))
-    pf, pe = _final_params(m_ft), _final_params(m_er)
-    for k in pf:
-        assert np.array_equal(pf[k], pe[k]), k
-
-
 @pytest.mark.parametrize("strategy", ["FT", "EWC", "ER", "ORACLE"])
 def test_empty_deltas_flat_trace(strategy):
     g = drift_graph(n=24)
@@ -525,3 +503,94 @@ def test_node_deltas_move_the_training_pool_and_the_test_denominator(strategy, m
     if strategy == "ORACLE":
         assert log[1]["losses"] == [sorted(train + [labelled])]
         assert log[2]["losses"] == [sorted(set(train + [labelled]) - {gone_train})]
+
+
+# ------------------------------------------- relations between the strategies
+# Each follows from a strategy's definition and must hold bit for bit, in
+# every record and in the final parameters: EWC's penalty vanishes at
+# lam = 0 or with no importance nodes, a replay buffer of capacity 0
+# replays nothing, an empty delta trains nothing, and ORACLE retrains from
+# scratch, so it keeps no memory of how a snapshot was reached.
+
+def _relation_graph():
+    return make_community_graph(n=80, classes=3, feats_per_class=4, p_in=0.1, p_out=0.01,
+                                density=0.5, noise=0.05, seed=4)
+
+
+def _relation_stream(g):
+    return generate_stream(g, T=4, p_n=0.2, p_f_add=0.1, p_f_del=0.3, p_e_add=0.02,
+                           p_e_del=0.02, seed=6)
+
+
+def _relation_cfg(**kw):
+    return quick_cfg(**{**dict(epochs=20, stream_epochs=5, dim=6, layers=2, u_size=10), **kw})
+
+
+@pytest.fixture(scope="module")
+def relation_runs():
+    """strategy -> (records, final model) over the relation stream."""
+    g = _relation_graph()
+    deltas = _relation_stream(g)
+    return {s: run_stream(g, deltas, s, _relation_cfg()) for s in ("FT", "EWC", "ER", "ORACLE")}
+
+
+def _trace(records):
+    """Everything a record holds but the strategy's name and its wall time."""
+    return [(r.t, r.accuracy, r.params_changed) for r in records]
+
+
+def _same_model(a, b):
+    pa, pb = _final_params(a), _final_params(b)
+    return (pa.keys() == pb.keys() and a.table.row == b.table.row
+            and all(np.array_equal(pa[k], pb[k]) for k in pa))
+
+
+def _assert_equals_ft(relation_runs, strategy, **keys):
+    """strategy, run with `keys`, equals FT; run without them, it does not."""
+    g = _relation_graph()
+    records, model = run_stream(g, _relation_stream(g), strategy, _relation_cfg(**keys))
+    ft_records, ft_model = relation_runs["FT"]
+    assert not _same_model(relation_runs[strategy][1], ft_model)
+    assert _trace(records) == _trace(ft_records)
+    assert _same_model(model, ft_model)
+
+
+def test_ewc_lambda_zero_matches_ft(relation_runs):
+    _assert_equals_ft(relation_runs, "EWC", lam=0.0)
+
+
+def test_er_capacity_zero_matches_ft(relation_runs):
+    _assert_equals_ft(relation_runs, "ER", er_capacity=0)
+
+
+def test_ewc_without_importance_nodes_matches_ft(relation_runs):
+    with pytest.warns(UserWarning, match="empty node set"):
+        _assert_equals_ft(relation_runs, "EWC", u_size=0)
+
+
+@pytest.mark.parametrize("strategy", ["FT", "EWC", "ER", "ORACLE"])
+def test_an_empty_delta_changes_no_record_and_no_parameter(strategy, relation_runs):
+    g = _relation_graph()
+    deltas = _relation_stream(g)
+    with_empty = deltas[:2] + [StreamDelta(t=deltas[1].t)] + deltas[2:]
+    records, model = run_stream(g, with_empty, strategy, _relation_cfg())
+    base_records, base_model = relation_runs[strategy]
+    inserted = records.pop(3)
+    assert (inserted.accuracy, inserted.params_changed) == (records[2].accuracy, 0)
+    assert _trace(records) == _trace(base_records)
+    assert _same_model(model, base_model)
+
+
+def test_oracle_does_not_remember_how_a_snapshot_was_reached(relation_runs):
+    g = _relation_graph()
+    deltas = _relation_stream(g)
+    d = deltas[1]
+    edges = StreamDelta(t=d.t, add_edges=d.add_edges, del_edges=d.del_edges)
+    feats = StreamDelta(t=d.t, add_feats=d.add_feats, del_feats=d.del_feats)
+    assert not (edges.is_empty() or feats.is_empty())
+    records, model = run_stream(g, deltas[:1] + [edges, feats] + deltas[2:], "ORACLE",
+                                _relation_cfg())
+    base_records, base_model = relation_runs["ORACLE"]
+    assert records[3].accuracy == base_records[2].accuracy  # g_3, reached in two steps
+    assert _trace(records[4:]) == _trace(base_records[3:])
+    assert _same_model(model, base_model)

@@ -56,7 +56,7 @@ FORWARD_NODES = {
     "grafenne": 14,
     "grafenne_gat": 14,
     "grafenne_gin": 22,   # GIN's spmm, epsilon add, mul and add per layer
-    "vanilla_alt": 6,     # gather, concat, 2 sage, the graph-state slice, head
+    "vanilla_alt": 6,     # gather, concat, 2 sage, the graph-state gather, head
     "sage": 3,
     "gat": 3,
     "gin": 10,            # layer 0's spmm reads constant inputs: no node

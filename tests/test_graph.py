@@ -387,6 +387,14 @@ def test_make_split_rules():
         make_split(g, (0.9, 0.2, 0.2), seed=0)
 
 
+def test_make_split_checks_its_fractions():
+    g = HeteroGraph(range(10), [], {}, {v: 0 for v in range(10)})
+    with pytest.raises(ValueError, match="> 1"):
+        make_split(g, (0.9, 0.2, 0.2), seed=0)
+    with pytest.raises(ValueError, match="bad fractions"):
+        make_split(g, (0.6, -0.2, 0.6), seed=0)
+
+
 def test_make_split_remainder_to_train():
     g = HeteroGraph(range(11), [], {}, {v: 0 for v in range(11)})
     s = make_split(g, (0.6, 0.2, 0.2), seed=0)

@@ -5,7 +5,8 @@ from grafenne.graph import HeteroGraph, to_allotropic
 from grafenne.imputation import (DenseFeatures, DenseGnnModel, dense_inputs,
                                  feature_propagation, impute_neighborhood_mean,
                                  impute_special_label, resparsify)
-from grafenne.model import LEAKY_SLOPE, GrafenneConfig, GrafenneModel
+from grafenne.model import GrafenneConfig, GrafenneModel
+from grafenne.tensor import LEAKY_SLOPE
 from naive_ref import adjacency, leaky, with_destination_block, _mlp, _softmax
 from test_graph import entry_count, random_graph
 

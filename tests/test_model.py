@@ -16,7 +16,7 @@ from grafenne.stream import generate_stream
 from grafenne.synth import make_community_graph
 from grafenne.tasks import allotropic_forward, method_model
 from checkpoint import load_checkpoint, save_checkpoint
-from probe import recovery_probe, sub
+from probe import recovery_probe, slice_rows, spmm, sub
 from naive_ref import (adjacency, leaky, naive_forward, naive_vanilla_forward, _mlp,
                        with_destination_block, with_self_block)
 from test_graph import random_graph, toy
@@ -255,16 +255,16 @@ def test_edge_channel_matches_direct_form():
         return [out.values] + [leaf.grad for leaf in leaves]
 
     def direct(h_t, w_src_t, w_att_t, w_msg_t, w3_t):
-        s_src = T.matmul(T.leaky_relu(T.matmul(h_t, w_src_t), 0.2), T.slice_rows(w_att_t, 0, d))
+        s_src = T.matmul(T.leaky_relu(T.matmul(h_t, w_src_t)), slice_rows(w_att_t, 0, d))
         col = T.Tensor(weights.reshape(-1, 1))
-        channel = T.matmul(T.leaky_relu(T.mul(col, w3_t), 0.2), T.slice_rows(w_att_t, d, 2 * d))
+        channel = T.matmul(T.leaky_relu(T.mul(col, w3_t)), slice_rows(w_att_t, d, 2 * d))
         channel = sub(channel, T.gather_rows(channel, edges.indptr[dst]))
         score = T.add(T.gather_rows(s_src, edges.src), channel)
-        return T.spmm(T.segment_softmax(score, dst, 4), edges, T.matmul(h_t, w_msg_t))
+        return spmm(T.segment_softmax(score, dst, 4), edges, T.matmul(h_t, w_msg_t))
 
     coef = edges.derived(model_module._sign_split)
     got = run(lambda h_t, w_src_t, w_att_t, w_msg_t, w3_t:
-              T.attention(h_t, edges, w_src_t, w_att_t, w_msg_t, 0.2, coef, w3_t))
+              T.attention(h_t, edges, w_src_t, w_att_t, w_msg_t, coef, w3_t))
     want = run(direct)
     assert np.any(want[-1] != 0.0) and np.any(want[3][d:] != 0.0)  # the channel trains
     for a, b in zip(got, want):

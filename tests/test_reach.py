@@ -10,7 +10,10 @@ cli.main plus the naive reference, runs under a call tracer, and every
 function, method and property of the package must be entered. A name only
 tests reach, or a function nothing calls, belongs under tests/ or nowhere.
 The ops that bench/tracing.py wraps by name (its TENSOR_OPS) are exempt,
-read from that file, until the benchmark stops naming them.
+read from that file, until the benchmark stops naming them. The same
+traffic records the scalar arguments of every public tensor op: a
+parameter that the program only ever passes one value is a constant
+written as an argument.
 """
 
 import ast
@@ -20,7 +23,11 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import grafenne
+import grafenne.tensor as T
 from grafenne.cli import main
 from grafenne.graph import load_graph
 from grafenne.model import GrafenneConfig, GrafenneModel
@@ -93,13 +100,28 @@ def test_the_scan_sees_definitions_and_every_kind_of_use():
 # ------------------------------------------------------------ traced traffic
 
 
-def traced(run):
-    """The code objects of every frame entered while run() runs. Calls are
-    recorded and no line is traced; the previous trace function returns."""
-    entered = set()
+SCALARS = (int, float, str, type(None), np.generic)  # bool is an int
+OTHER = object()  # the one value every non-scalar argument counts as
+
+
+def traced(run, watch=None):
+    """The code objects of every frame entered while run() runs, and, for
+    each code object of `watch` (code -> function name), a map
+    (function name, parameter) -> the set of values its arguments took,
+    each non-scalar argument counted as OTHER. Calls are recorded and no
+    line is traced; the previous trace function returns."""
+    entered, seen = set(), {}
+    watch = watch or {}
 
     def tracer(frame, event, arg):
-        entered.add(frame.f_code)
+        code = frame.f_code
+        entered.add(code)
+        if code in watch:
+            args = frame.f_locals
+            for param in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]:
+                value = args[param]
+                seen.setdefault((watch[code], param), set()).add(
+                    value if isinstance(value, SCALARS) else OTHER)
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -107,7 +129,7 @@ def traced(run):
         run()
     finally:
         sys.settrace(previous)
-    return entered
+    return entered, seen
 
 
 def _code_of(obj):
@@ -200,13 +222,35 @@ def program_traffic(tmp):
     return run
 
 
-def test_the_program_s_traffic_enters_every_function_of_the_package(tmp_path):
+def public_tensor_ops():
+    """code object -> name of every public module-level function of tensor."""
+    return {fn.__code__: name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__
+            and not name.startswith("_")}
+
+
+@pytest.fixture(scope="module")
+def traffic(tmp_path_factory):
+    """The program's traffic, traced once: (entered code, tensor op arguments)."""
+    return traced(program_traffic(tmp_path_factory.mktemp("traffic")), public_tensor_ops())
+
+
+def test_the_program_s_traffic_enters_every_function_of_the_package(traffic):
     scope = functions_in_scope()
     exempt = {f"tensor.{op}" for op in benchmark_tensor_ops()}
-    entered = traced(program_traffic(tmp_path))
+    entered, _ = traffic
     missed = sorted({name for code, name in scope.items()
                      if code not in entered and name not in exempt})
     assert not missed, f"never entered by the program's traffic: {missed}"
+
+
+def test_no_tensor_op_parameter_takes_one_scalar_value_only(traffic):
+    _, seen = traffic
+    assert ("attention", "coef") in seen  # the ops the program runs were recorded
+    fixed = sorted(f"{op}({param}={next(iter(values))!r})"
+                   for (op, param), values in seen.items()
+                   if len(values) == 1 and OTHER not in values)
+    assert not fixed, f"parameters the program passes one value only: {fixed}"
 
 
 def test_the_scope_holds_methods_properties_and_functions_but_not_generated_code():
@@ -226,6 +270,19 @@ def test_the_tracer_records_calls_and_restores_the_previous_tracer():
         return 1
 
     before = sys.gettrace()
-    entered = traced(outer)
+    entered, _ = traced(outer)
     assert {outer.__code__, inner.__code__} <= entered
     assert sys.gettrace() is before
+
+
+def test_the_tracer_records_the_scalar_arguments_of_watched_functions():
+    def op(x, k, name="a", *, flag=None):
+        return x
+
+    def run():
+        op(np.ones(2), 3)
+        op(1.5, np.int64(3), flag=True)
+
+    _, seen = traced(run, {op.__code__: "op"})
+    assert seen == {("op", "x"): {OTHER, 1.5}, ("op", "k"): {3}, ("op", "name"): {"a"},
+                    ("op", "flag"): {None, True}}

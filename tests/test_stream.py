@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grafenne.graph import GraphError, HeteroGraph, to_allotropic
+from grafenne.graph import GraphError, HeteroGraph, project_back, to_allotropic
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
 from grafenne.synth import make_community_graph
 from test_graph import random_graph, toy
@@ -191,3 +194,142 @@ def test_apply_delta_node_deletion_matches_per_node_rule():
         apply_delta(g, StreamDelta(t=4, del_nodes=(v, v)))
     with pytest.raises(GraphError, match=rf"t=4: bad edge addition \({v},{g.nodes[1]}\)"):
         apply_delta(g, StreamDelta(t=4, del_nodes=(v,), add_edges=((v, g.nodes[1]),)))
+
+
+# ------------------------------------------- drawn deltas against a replay
+# generate_stream makes no node deltas, so these streams are drawn: node
+# additions (labelled or not) and deletions with every other kind of
+# operation, some with one operation drawn from the whole id universe,
+# which is often a bad one.
+
+NODE_IDS, FEAT_IDS = range(10), range(4)
+VALUES = st.sampled_from([0.5, 1.0, 2.0, -1.5])
+LABELS = st.none() | st.integers(0, 2)
+
+
+def replay(state, delta):
+    """The state (nodes, edges, feats, labels), as sets and dicts, after
+    `delta`, applied one operation at a time in apply_delta's order: edge
+    deletions, feature deletions, node deletions, node additions, edge
+    additions, feature additions. The first bad operation raises apply_delta's
+    GraphError."""
+    nodes, edges = set(state[0]), set(state[1])
+    feats = {v: dict(m) for v, m in state[2].items()}
+    labels = dict(state[3])
+
+    def bad(what):
+        return GraphError(f"t={delta.t}: {what}")
+
+    for u, v in delta.del_edges:
+        e = (min(u, v), max(u, v))
+        if e not in edges:
+            raise bad(f"deleting nonexistent edge {e}")
+        edges.remove(e)
+    for v, f in delta.del_feats:
+        if v not in nodes or f not in feats.get(v, {}):
+            raise bad(f"deleting nonexistent feature ({v},{f})")
+        del feats[v][f]
+    for v in delta.del_nodes:
+        if v not in nodes:
+            raise bad(f"deleting nonexistent node {v}")
+        nodes.remove(v)
+        edges = {e for e in edges if v not in e}
+        feats.pop(v, None)
+        labels.pop(v, None)
+    for v, label in delta.add_nodes:
+        if v in nodes:
+            raise bad(f"adding existing node {v}")
+        nodes.add(v)
+        if label is not None:
+            labels[v] = label
+    for u, v in delta.add_edges:
+        if u == v or u not in nodes or v not in nodes:
+            raise bad(f"bad edge addition ({u},{v})")
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            raise bad(f"adding existing edge {e}")
+        edges.add(e)
+    for v, f, w in delta.add_feats:
+        if v not in nodes:
+            raise bad(f"feature addition on missing node {v}")
+        if f in feats.get(v, {}):
+            raise bad(f"adding existing feature ({v},{f})")
+        feats.setdefault(v, {})[f] = w
+    return nodes, edges, {v: m for v, m in feats.items() if m}, labels
+
+
+def _draw_state(data):
+    nodes = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=8))
+    pairs = [(u, v) for u in sorted(nodes) for v in sorted(nodes) if u < v]
+    edges = data.draw(st.sets(st.sampled_from(pairs), max_size=10)) if pairs else set()
+    feats = {v: data.draw(st.dictionaries(st.sampled_from(FEAT_IDS), VALUES, max_size=3))
+             for v in sorted(nodes)}
+    labels = data.draw(st.dictionaries(st.sampled_from(sorted(nodes)), st.integers(0, 2)))
+    return nodes, edges, {v: m for v, m in feats.items() if m}, labels
+
+
+def _draw_delta(data, state, t):
+    """A valid delta from `state`: up to three operations of each kind."""
+    nodes, edges, feats, _ = state
+
+    def some(items):
+        items = sorted(items)
+        return data.draw(st.lists(st.sampled_from(items), unique=True, max_size=3)) if items else []
+
+    del_edges = [e[::-1] if data.draw(st.booleans()) else e for e in some(edges)]
+    del_feats = some((v, f) for v, m in feats.items() for f in m)
+    del_nodes = some(nodes)
+    alive = nodes - set(del_nodes)
+    add_nodes = [(v, data.draw(LABELS)) for v in some(set(NODE_IDS) - alive)]
+    now = alive | {v for v, _ in add_nodes}
+    gone = {(min(e), max(e)) for e in del_edges}
+    kept = {e for e in edges if e not in gone and set(e) <= alive}
+    add_edges = some((u, v) for u in now for v in now if u < v and (u, v) not in kept)
+    held = {(v, f) for v, m in feats.items() for f in m if v in alive} - set(del_feats)
+    add_feats = [(v, f, data.draw(VALUES))
+                 for v, f in some((v, f) for v in now for f in FEAT_IDS if (v, f) not in held)]
+    return StreamDelta(t=t, add_nodes=tuple(add_nodes), del_nodes=tuple(del_nodes),
+                       add_edges=tuple(add_edges), del_edges=tuple(del_edges),
+                       add_feats=tuple(add_feats), del_feats=tuple(del_feats))
+
+
+def _draw_injection(data, delta):
+    """delta with one operation drawn from the whole id universe inserted
+    at a drawn position among the operations of a drawn kind."""
+    node, feat = st.sampled_from(NODE_IDS), st.sampled_from(FEAT_IDS)
+    kinds = {"add_nodes": st.tuples(node, LABELS), "del_nodes": node,
+             "add_edges": st.tuples(node, node), "del_edges": st.tuples(node, node),
+             "add_feats": st.tuples(node, feat, VALUES), "del_feats": st.tuples(node, feat)}
+    kind = data.draw(st.sampled_from(sorted(kinds)))
+    ops = list(getattr(delta, kind))
+    ops.insert(data.draw(st.integers(0, len(ops))), data.draw(kinds[kind]))
+    return dataclasses.replace(delta, **{kind: tuple(ops)})
+
+
+def _as_state(g):
+    return set(g.nodes), set(g.edges), g.feats, g.labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drawn_deltas_match_a_replay_and_a_bad_one_changes_nothing(data):
+    state = _draw_state(data)
+    g = HeteroGraph(*state)
+    assert _as_state(g) == state
+    for t in range(2, 2 + data.draw(st.integers(1, 4))):
+        delta = _draw_delta(data, state, t)
+        if data.draw(st.booleans()):
+            delta = _draw_injection(data, delta)
+        try:
+            want = replay(state, delta)
+        except GraphError as e:
+            before = _as_state(g) + (g.num_classes,)
+            with pytest.raises(GraphError) as raised:
+                apply_delta(g, delta)
+            assert str(raised.value) == str(e)
+            assert _as_state(g) + (g.num_classes,) == before
+            continue
+        g, affected = apply_delta(g, delta)
+        state = want
+        assert _as_state(g) == want and affected == delta.affected_nodes()
+        assert project_back(to_allotropic(g)) == g.feats

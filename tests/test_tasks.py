@@ -184,14 +184,6 @@ def test_make_link_split_properties():
     assert sp.graph.nodes == g.nodes
 
 
-def test_make_link_split_checks_its_fractions():
-    g = sep_graph()
-    with pytest.raises(ValueError, match="> 1"):
-        make_link_split(g, (0.9, 0.2, 0.2), seed=0)
-    with pytest.raises(ValueError, match="bad fractions"):
-        make_link_split(g, (0.6, -0.2, 0.6), seed=0)
-
-
 # ---------------------------------------------------------------- training
 
 
