@@ -16,8 +16,8 @@ warnings off: those finite checks report a divergence, in one line.
 """
 
 import argparse
-import dataclasses
 import functools
+import itertools
 import math
 import os
 import sys
@@ -25,15 +25,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .continual import (STRATEGIES, StreamConfig, run_stream, stream_rows,
-                        write_stream_csv)
+from .continual import STRATEGIES, STREAM_HEADER, StreamConfig, run_stream, stream_rows
 from .graph import (DataError, GraphError, feature_value, load_graph, to_allotropic,
                     write_allotropic)
 from .model import GrafenneConfig
 from .stream import generate_stream
 from .synth import make_community_graph
-from .tasks import (METHODS, RunResult, TrainConfig, result_rows,
-                    run_experiment, write_results_csv)
+from .tasks import (METHODS, RESULT_HEADER, TrainConfig, result_rows, run_experiment,
+                    write_results_csv)
 
 
 class ConfigError(ValueError):
@@ -109,7 +108,6 @@ _SCHEMAS = {
         ("fp_iterations", "pos", 40, "feature-propagation iterations"),
         ("caps", "nats", (0, 0, 0), "sampling caps per phase (0 = no cap)"),
         ("timing", "str", "none", "none (byte-stable CSV) | wall"),
-        ("out", "str", None, "output CSV path (or --out)"),
     ),
     "stream": _SOURCE_KEYS + (
         ("strategies", "strs", STRATEGIES,
@@ -132,16 +130,12 @@ _SCHEMAS = {
         ("phase2", "str", "sage", "sage | gat | gin"),
         ("seed", "nat", 0, "model/split seed"),
         ("timing", "str", "none", "none (byte-stable CSV) | wall"),
-        ("out", "str", None, "output CSV path (or --out)"),
     ),
-    "transform": _SOURCE_KEYS + (
-        ("out", "str", None, "output dump path (or --out)"),
-    ),
+    "transform": _SOURCE_KEYS,
     "translate": (
         ("features", "str", REQUIRED, "feature TSV to rewrite"),
         ("scale", "float", REQUIRED, "multiplier a in value <- a*value + b"),
         ("shift", "float", 0.0, "offset b"),
-        ("out", "str", None, "output TSV path (or --out)"),
     ),
 }
 
@@ -210,11 +204,10 @@ def _distinct(key, values):
     return values
 
 
-def _resolve_out(cfg, args):
-    out = args.out if args.out else cfg.get("out")
-    if not out:
-        raise ConfigError("no output path: set --out or the 'out' key")
-    return out
+def _resolve_out(args):
+    if not args.out:
+        raise ConfigError("no output path: set --out")
+    return args.out
 
 
 def _atomic(path, write_fn):
@@ -234,9 +227,7 @@ def _map_cells(fn, payloads, workers):
 
 
 def _run_cell(payload):
-    g, method, p, tc, dim, layers, fp_iterations, caps = payload
-    return run_experiment(g, method, p=p, cfg=tc, dim=dim, layers=layers,
-                          fp_iterations=fp_iterations, caps=caps)
+    return run_experiment(*payload)
 
 
 def cmd_run(cfg, args):
@@ -257,32 +248,18 @@ def cmd_run(cfg, args):
         GrafenneConfig(layers=cfg["layers"], dim=cfg["dim"], **caps).validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    out = _resolve_out(cfg, args)
+    out = _resolve_out(args)
     g = build_graph(cfg)
 
-    payloads, index = [], []
-    for method in cfg["methods"]:
-        for p in cfg["p"]:
-            for seed in seeds:
-                tc = dataclasses.replace(train_cfg, seeds=(seed,))
-                payloads.append((g, method, p, tc, cfg["dim"], cfg["layers"],
-                                 cfg["fp_iterations"], tuple(cfg["caps"])))
-                index.append((method, p, seed))
-    results = dict(zip(index, _map_cells(_run_cell, payloads, args.workers)))
-
-    rows = []
-    for method in cfg["methods"]:
-        for p in cfg["p"]:
-            values, secs, metric = {}, {}, None
-            for seed in seeds:
-                res = results[(method, p, seed)]
-                metric = res.metric
-                values.update(res.values)
-                secs.update(res.seconds_by_seed)
-            merged = RunResult(metric, values, secs)
-            rows.extend(result_rows(cfg["dataset"], method, cfg["task"], p,
-                                    merged, timing=cfg["timing"]))
-    _atomic(out, lambda tmp: write_results_csv(tmp, rows))
+    grid = list(itertools.product(cfg["methods"], cfg["p"]))  # one cell per seed of each
+    results = _map_cells(_run_cell, [
+        (g, method, p, seed, train_cfg, cfg["dim"], cfg["layers"], cfg["fp_iterations"],
+         tuple(cfg["caps"])) for method, p in grid for seed in seeds], args.workers)
+    k = len(seeds)
+    rows = [row for i, (method, p) in enumerate(grid)
+            for row in result_rows(cfg["dataset"], method, cfg["task"], p,
+                                   results[i * k:(i + 1) * k], timing=cfg["timing"])]
+    _atomic(out, lambda tmp: write_results_csv(tmp, RESULT_HEADER, rows))
     return 0
 
 
@@ -306,7 +283,7 @@ def cmd_stream(cfg, args):
         scfg.validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    out = _resolve_out(cfg, args)
+    out = _resolve_out(args)
     g = build_graph(cfg)
     deltas = generate_stream(g, T=cfg["T"], p_n=cfg["p_n"],
                              p_f_add=cfg["p_f_add"], p_f_del=cfg["p_f_del"],
@@ -316,19 +293,19 @@ def cmd_stream(cfg, args):
     per_strategy = _map_cells(_stream_cell, payloads, args.workers)
     rows = [row for records in per_strategy
             for row in stream_rows(records, timing=cfg["timing"])]
-    _atomic(out, lambda tmp: write_stream_csv(tmp, rows))
+    _atomic(out, lambda tmp: write_results_csv(tmp, STREAM_HEADER, rows))
     return 0
 
 
 def cmd_transform(cfg, args):
-    out = _resolve_out(cfg, args)
+    out = _resolve_out(args)
     alt = to_allotropic(build_graph(cfg))
     _atomic(out, lambda tmp: write_allotropic(alt, tmp))
     return 0
 
 
 def cmd_translate(cfg, args):
-    out = _resolve_out(cfg, args)
+    out = _resolve_out(args)
     path = cfg["features"]
     a, b = cfg["scale"], cfg["shift"]
     lines = []
@@ -410,7 +387,7 @@ def make_parser():
                            epilog=_schema_epilog(schema),
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", help="output path (overrides the 'out' key)")
+        p.add_argument("--out", help="output path (required)")
         if name in ("run", "stream"):
             p.add_argument("--workers", type=int, default=1,
                            help="parallel experiment cells (default 1)")

@@ -9,7 +9,6 @@ node, and its importance pass sweeps one shared tape once per node. A NaN
 or infinite training loss raises FloatingPointError.
 """
 
-import csv
 import itertools
 import time
 import warnings
@@ -281,9 +280,3 @@ def stream_rows(records, timing="none"):
                      str(r.params_changed)))
     return rows
 
-
-def write_stream_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(STREAM_HEADER)
-        w.writerows(rows)

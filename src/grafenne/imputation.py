@@ -19,14 +19,10 @@ RESPARSIFY_EPS = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class DenseFeatures:
-    """Dense feature matrix plus observed-entry mask.
-
-    Rows follow node_ids order, columns follow feat_ids order; mask is True
-    exactly where the sparse map had an entry.
-    """
+    """Dense feature matrix: rows follow node_ids order, columns follow
+    feat_ids order."""
 
     values: np.ndarray
-    mask: np.ndarray
     node_ids: tuple
     feat_ids: tuple
 
@@ -54,7 +50,8 @@ def _adjacency_matrix(g):
 
 def impute_special_label(g):
     """Missing entries get the special value 0; observed entries are copied."""
-    return DenseFeatures(*_expand(g))
+    vals, _, node_ids, feat_ids = _expand(g)
+    return DenseFeatures(vals, node_ids, feat_ids)
 
 
 def impute_neighborhood_mean(g):
@@ -69,7 +66,7 @@ def impute_neighborhood_mean(g):
     fallback = np.broadcast_to(col_mean, vals.shape)
     nbr_mean = np.divide(nbr_sum, nbr_cnt, out=np.array(fallback), where=nbr_cnt > 0)
     out = np.where(mask, vals, nbr_mean)
-    return DenseFeatures(out, mask, node_ids, feat_ids)
+    return DenseFeatures(out, node_ids, feat_ids)
 
 
 def feature_propagation(g, iterations=40):
@@ -93,7 +90,7 @@ def feature_propagation(g, iterations=40):
     for _ in range(iterations):
         x = a_hat @ x
         np.put(x, at, observed)
-    return DenseFeatures(x, mask, node_ids, feat_ids)
+    return DenseFeatures(x, node_ids, feat_ids)
 
 
 def resparsify(g, dense):

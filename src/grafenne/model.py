@@ -229,17 +229,15 @@ class GrafenneModel(ModelBase):
                 self._add(rng, f"layer{l}/{phase}/{name}", shape)
         self._add_mlp(rng, f"layer{l}/{phase}/mlp", 2 * d if has_self else d, d)
 
-    def forward(self, alt, rng=None):
+    def forward(self, alt):
         """Run L triple-phase layers; returns (graph states, feature states),
         the feature states being those the last layer read: phase 3 runs in
         layers 0..L-2 only, since no output reads the last layer's. With
-        sampling caps set, rng draws the capped edges (by default a fixed
-        one per model seed); without caps it is not used."""
+        sampling caps set, every call draws the capped edges from a new RNG
+        of the model seed, so each call draws the same edges."""
         cfg = self.config
-        if not max(cfg.cap_features, cfg.cap_nodes, cfg.cap_graph):
-            rng = None
-        elif rng is None:
-            rng = np.random.default_rng([cfg.seed, 3571])
+        rng = (np.random.default_rng([cfg.seed, 3571])
+               if max(cfg.cap_features, cfg.cap_nodes, cfg.cap_graph) else None)
         hg, hf = None, init_states(alt, self.table)
         for l in range(cfg.layers):
             hg = self._phase2(l, alt, self._phase1(l, alt, hg, hf, rng), rng)

@@ -1,15 +1,17 @@
 """Task heads, losses, metrics, and the train/eval protocol.
 
 Node classification and link prediction share one full-batch loop with
-best-validation-loss model selection; run_experiment drives the method
-dispatch over seeds and emits the results CSV. Each method's forward returns
+best-validation-loss model selection; run_experiment runs one experiment
+cell (one method, missing rate and seed), and result_rows turns one
+(method, p)'s cells into CSV rows, the only place seeds are aggregated. The
+CLI owns the grid of cells and the CSV file. Each method's forward returns
 the node states the head reads, from inputs built once per graph.
 """
 
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,24 +56,13 @@ class TrainConfig:
 
 @dataclass
 class RunResult:
-    """Per-seed metric values plus wall-clock timing."""
+    """One cell's test metric value keyed by its seed, its training wall
+    time and, when recorded, its per-epoch validation losses."""
 
     metric: str
     values: dict
-    seconds_by_seed: dict = field(default_factory=dict)
+    seconds: float = 0.0
     history: list = None
-
-    @property
-    def mean(self):
-        return float(np.mean(list(self.values.values())))
-
-    @property
-    def std(self):
-        return float(np.std(list(self.values.values())))
-
-    @property
-    def seconds(self):
-        return float(sum(self.seconds_by_seed.values()))
 
 
 def link_score(h_u, h_v):
@@ -206,7 +197,7 @@ def train(model, g, split, cfg, forward, record_history=False):
     """Full-batch training with best-validation-loss model selection;
     forward() returns the node states the head and the losses read.
 
-    Returns a single-seed RunResult keyed by the model's own seed."""
+    Returns a RunResult keyed by the model's own seed."""
     cfg.validate()
     if cfg.task == "link_prediction":
         metric, loss_on, test_metric = _link_task(split)
@@ -215,7 +206,7 @@ def train(model, g, split, cfg, forward, record_history=False):
     history, secs, best_h = _fit(model, cfg, forward, loss_on("train"), loss_on("val"),
                                  record_history)
     seed = model.config.seed
-    return RunResult(metric, {seed: test_metric(T.Tensor(best_h))}, {seed: secs}, history)
+    return RunResult(metric, {seed: test_metric(T.Tensor(best_h))}, secs, history)
 
 
 def _fit(model, cfg, forward, train_loss_fn, val_loss_fn, record_history):
@@ -326,28 +317,20 @@ def method_model(method, g, task, dim=64, layers=2, seed=0, fp_iterations=40,
     return dense_on(g, backend, dense)
 
 
-def run_experiment(g, method, p=0.0, cfg=None, dim=64, layers=2, fp_iterations=40,
+def run_experiment(g, method, p, seed, cfg, dim=64, layers=2, fp_iterations=40,
                    caps=(0, 0, 0)):
-    """Mask, split, train, and evaluate over every seed in the config."""
-    cfg = cfg if cfg is not None else TrainConfig()
-    cfg.validate()
-    values, secs = {}, {}
-    metric = None
-    for seed in cfg.seeds:
-        gm = apply_missing_mask(g, p, seed)
-        if cfg.task == "node_classification":
-            split = make_split(gm, seed=seed)
-            model_graph = gm
-        else:  # the model sees the graph without the held-out links
-            split = make_link_split(gm, seed=seed, neg_ratio=cfg.neg_ratio)
-            model_graph = split.graph
-        model, fwd = method_model(method, model_graph, cfg.task, dim, layers, seed,
-                                  fp_iterations, caps)
-        res = train(model, gm, split, cfg, forward=fwd)
-        metric = res.metric
-        values.update(res.values)
-        secs.update(res.seconds_by_seed)
-    return RunResult(metric, values, secs)
+    """One experiment cell: mask g's features at rate p, split, build the
+    method's model and train it, every draw from `seed`; returns train's
+    RunResult. cfg.seeds is not read: the caller runs one cell per seed."""
+    gm = apply_missing_mask(g, p, seed)
+    if cfg.task == "node_classification":
+        split, model_graph = make_split(gm, seed=seed), gm
+    else:  # the model sees the graph without the held-out links
+        split = make_link_split(gm, seed=seed, neg_ratio=cfg.neg_ratio)
+        model_graph = split.graph
+    model, fwd = method_model(method, model_graph, cfg.task, dim, layers, seed,
+                              fp_iterations, caps)
+    return train(model, gm, split, cfg, forward=fwd)
 
 
 RESULT_HEADER = ("dataset", "method", "task", "p", "seed", "metric", "value", "seconds")
@@ -357,27 +340,33 @@ def _fmt(x):
     return f"{x:.10g}"
 
 
-def result_rows(dataset, method, task, p, result, timing="none"):
-    """One CSV row per seed plus mean/std pseudo-seeds.
+def result_rows(dataset, method, task, p, results, timing="none"):
+    """The CSV rows of one (method, p): one per seed of its per-seed
+    results, in seed order, then the mean and population std over the
+    seeds' values as pseudo-seeds.
 
     timing="none" (the default) writes 0 seconds so reruns are
-    byte-identical; timing="wall" records measured wall-clock time.
+    byte-identical; timing="wall" records each seed's measured wall-clock
+    time and, in the mean row, their sum.
     """
-    rows = []
-    for seed in result.values:
-        secs = result.seconds_by_seed.get(seed, 0.0) if timing == "wall" else 0.0
-        rows.append((dataset, method, task, _fmt(p), str(seed), result.metric,
-                     _fmt(result.values[seed]), _fmt(secs)))
-    total = result.seconds if timing == "wall" else 0.0
-    rows.append((dataset, method, task, _fmt(p), "mean", result.metric,
-                 _fmt(result.mean), _fmt(total)))
-    rows.append((dataset, method, task, _fmt(p), "std", result.metric,
-                 _fmt(result.std), _fmt(0.0)))
+    metric, head = results[0].metric, (dataset, method, task, _fmt(p))
+    wall = timing == "wall"
+    rows, values = [], []
+    for res in results:
+        for seed, value in res.values.items():
+            rows.append((*head, str(seed), metric, _fmt(value),
+                         _fmt(res.seconds if wall else 0.0)))
+            values.append(value)
+    total = sum(res.seconds for res in results) if wall else 0.0
+    rows.append((*head, "mean", metric, _fmt(np.mean(values)), _fmt(total)))
+    rows.append((*head, "std", metric, _fmt(np.std(values)), _fmt(0.0)))
     return rows
 
 
-def write_results_csv(path, rows):
+def write_results_csv(path, header, rows):
+    """A CSV file of one header row, then rows: run's results and stream's
+    records alike."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(RESULT_HEADER)
+        w.writerow(header)
         w.writerows(rows)

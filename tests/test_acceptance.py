@@ -431,14 +431,16 @@ def cora_run(method, task="node_classification", p=0.0, scale=None):
             g = translate_features(g, scale, 0.0)
         cfg = TrainConfig(task=task, epochs=1000, lr=1e-4,
                           seeds=(0, 1, 2, 3, 4), patience=200)
-        _cora_runs[key] = run_experiment(g, method, p=p, cfg=cfg, dim=64, layers=2)
+        _cora_runs[key] = float(np.mean([
+            run_experiment(g, method, p, seed, cfg, dim=64, layers=2).values[seed]
+            for seed in cfg.seeds]))
     return _cora_runs[key]
 
 
 def test_c06_cora_reproduction():
     if cora_graph() is None:
         check("c06 cora reproduction", False, CORA_MISSING)
-    means = {p: 100.0 * cora_run("grafenne", p=p).mean for p in (0.0, 0.5, 0.99)}
+    means = {p: 100.0 * cora_run("grafenne", p=p) for p in (0.0, 0.5, 0.99)}
     ok = means[0.0] >= 82.0 and means[0.5] >= 79.0 and means[0.99] >= 73.0
     check("c06 cora reproduction", ok,
           f"p=0: {means[0.0]:.2f} (>=82), p=0.5: {means[0.5]:.2f} (>=79), "
@@ -448,9 +450,9 @@ def test_c06_cora_reproduction():
 def test_c07_baseline_ordering_p99():
     if cora_graph() is None:
         check("c07 baseline ordering p=0.99", False, CORA_MISSING)
-    graf = 100.0 * cora_run("grafenne", p=0.99).mean
-    sage = 100.0 * cora_run("sage", p=0.99).mean
-    fpg = 100.0 * cora_run("fp+grafenne", p=0.99).mean
+    graf = 100.0 * cora_run("grafenne", p=0.99)
+    sage = 100.0 * cora_run("sage", p=0.99)
+    fpg = 100.0 * cora_run("fp+grafenne", p=0.99)
     ok = graf - sage >= 3.0 and fpg >= graf
     check("c07 baseline ordering p=0.99", ok,
           f"grafenne {graf:.2f} vs sage {sage:.2f} (gap >= 3); "
@@ -460,8 +462,8 @@ def test_c07_baseline_ordering_p99():
 def test_c08_ablation_vs_vanilla_alt():
     if cora_graph() is None:
         check("c08 ablation vs vanilla-on-alt", False, CORA_MISSING)
-    graf = 100.0 * cora_run("grafenne", p=0.0).mean
-    van = 100.0 * cora_run("vanilla_alt", p=0.0).mean
+    graf = 100.0 * cora_run("grafenne", p=0.0)
+    van = 100.0 * cora_run("vanilla_alt", p=0.0)
     check("c08 ablation vs vanilla-on-alt", graf - van >= 3.0,
           f"grafenne {graf:.2f} vs vanilla_alt {van:.2f} (gap >= 3)")
 
@@ -469,15 +471,15 @@ def test_c08_ablation_vs_vanilla_alt():
 def test_c09_link_prediction():
     if cora_graph() is None:
         check("c09 link prediction AUCROC", False, CORA_MISSING)
-    auc = cora_run("grafenne", task="link_prediction").mean
+    auc = cora_run("grafenne", task="link_prediction")
     check("c09 link prediction AUCROC", auc >= 0.84, f"AUCROC {auc:.4f} >= 0.84")
 
 
 def test_c10_translation_robustness():
     if cora_graph() is None:
         check("c10 translation robustness", False, CORA_MISSING)
-    plain = 100.0 * cora_run("grafenne", p=0.0).mean
-    scaled = 100.0 * cora_run("grafenne", p=0.0, scale=10.0).mean
+    plain = 100.0 * cora_run("grafenne", p=0.0)
+    scaled = 100.0 * cora_run("grafenne", p=0.0, scale=10.0)
     check("c10 translation robustness", abs(plain - scaled) <= 1.5,
           f"x10 features: {scaled:.2f} vs {plain:.2f} (|diff| <= 1.5)")
 

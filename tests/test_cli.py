@@ -8,6 +8,7 @@ import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,49 @@ def test_run_seed_flag_selects_one_cell(tmp_path):
     assert main(["run", "--config", toy_run_conf(tmp_path), "--out", str(out),
                  "--seed", "3"]) == 0
     assert [r[4] for r in read_rows(out)[1:]] == ["3", "mean", "std"]
+
+
+def grid_conf(tmp_path, extra=""):
+    """2 methods x 2 missing rates x 3 seeds on the toy graph."""
+    return write(tmp_path / "grid.conf", toy_source() +
+                 "methods = sage,grafenne_gat\np = 0,0.5\nseeds = 0,1,2\n"
+                 "epochs = 8\nlr = 0.01\ndim = 4\npatience = 8\n" + extra)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_cells_are_independent_and_meet_only_in_the_summary(tmp_path, workers):
+    conf = grid_conf(tmp_path)
+    out = tmp_path / "grid.csv"
+    assert main(["run", "--config", conf, "--out", str(out), "--workers", workers]) == 0
+    rows = read_rows(out)[1:]
+    for seed in ("0", "1", "2"):  # each seed's row is the one its own run writes
+        alone = tmp_path / f"seed{seed}.csv"
+        assert main(["run", "--config", conf, "--out", str(alone), "--seed", seed,
+                     "--workers", workers]) == 0
+        assert [r for r in rows if r[4] == seed] == \
+            [r for r in read_rows(alone)[1:] if r[4] == seed]
+    blocks = [rows[i:i + 5] for i in range(0, len(rows), 5)]
+    assert [(b[0][1], b[0][3]) for b in blocks] == [
+        ("sage", "0"), ("sage", "0.5"), ("grafenne_gat", "0"), ("grafenne_gat", "0.5")]
+    for block in blocks:
+        assert [r[4] for r in block] == ["0", "1", "2", "mean", "std"]
+        assert {tuple(r[:4]) for r in block} == {tuple(block[0][:4])}
+        values = [float(r[6]) for r in block[:3]]
+        assert block[3][6] == f"{np.mean(values):.10g}"
+        assert block[4][6] == f"{np.std(values):.10g}"
+
+
+def test_run_wall_timing_sums_the_seeds_in_the_mean_row(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["run", "--config", grid_conf(tmp_path, "timing = wall\n"),
+                 "--out", str(out)]) == 0
+    rows = read_rows(out)[1:]
+    for block in (rows[i:i + 5] for i in range(0, len(rows), 5)):
+        seconds = [float(r[7]) for r in block[:3]]
+        assert all(s > 0 for s in seconds)
+        # .10g rounds each seed's seconds and their sum: 4 x 5e-10 at most
+        assert float(block[3][7]) == pytest.approx(sum(seconds), rel=2e-9)
+        assert block[4][7] == "0"
 
 
 def test_run_config_errors_exit_2(tmp_path, capsys):

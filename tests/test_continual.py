@@ -5,16 +5,15 @@ import pytest
 
 import grafenne.continual as continual
 import grafenne.tensor as T
-from grafenne.continual import (ReplayBuffer, StreamConfig, StreamRecord,
+from grafenne.continual import (STREAM_HEADER, ReplayBuffer, StreamConfig, StreamRecord,
                                 compute_importance, continual_loss, run_stream,
-                                sample_U, stream_rows, write_stream_csv, _entries_changed,
-                                _train_plain)
+                                sample_U, stream_rows, _entries_changed, _train_plain)
 from grafenne.graph import GraphError, make_split, to_allotropic
 from grafenne.model import GrafenneConfig, GrafenneModel
 from grafenne.optim import zero_grad
 from grafenne.stream import StreamDelta, apply_delta, generate_stream
 from grafenne.synth import make_community_graph
-from grafenne.tasks import allotropic_forward
+from grafenne.tasks import allotropic_forward, write_results_csv
 
 
 class ToyModel:
@@ -424,8 +423,8 @@ def test_stream_csv_roundtrip(tmp_path):
     rows = stream_rows(recs)
     assert rows[0] == ("FT", "1", "0.875", "0", "42")
     path = tmp_path / "s.csv"
-    write_stream_csv(path, rows)
-    write_stream_csv(tmp_path / "s2.csv", stream_rows(recs))
+    write_results_csv(path, STREAM_HEADER, rows)
+    write_results_csv(tmp_path / "s2.csv", STREAM_HEADER, stream_rows(recs))
     assert path.read_bytes() == (tmp_path / "s2.csv").read_bytes()
     wall = stream_rows(recs, timing="wall")
     assert wall[0][3] == "1.23"

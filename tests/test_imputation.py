@@ -34,7 +34,7 @@ def test_special_label_all_missing():
     g = HeteroGraph([0, 1, 2], [(0, 1)], {0: {0: 1.0}, 1: {1: 2.0}}, {})
     d = impute_special_label(g)
     assert d.values.shape == (3, 2)
-    assert (d.values[2] == 0.0).all() and not d.mask[2].any()  # node 2 holds nothing
+    assert (d.values[2] == 0.0).all()  # node 2 holds nothing
     empty = impute_special_label(HeteroGraph([0, 1, 2], [(0, 1)], {}, {}))
     assert empty.values.shape == (3, 0) and empty.feat_ids == ()
 
@@ -43,9 +43,8 @@ def test_special_label_mixed_oracle():
     g = HeteroGraph([0, 1, 2], [(0, 1), (1, 2)],
                     {0: {0: 1.5}, 1: {1: -2.0}, 2: {0: 0.5, 1: 3.0}}, {})
     d = impute_special_label(g)
-    ref, mask = expand_brute(g, d.feat_ids)
+    ref, _ = expand_brute(g, d.feat_ids)
     assert np.array_equal(d.values, ref)
-    assert np.array_equal(d.mask, mask)
 
 
 def test_nm_neighbor_mean():
@@ -154,7 +153,6 @@ def test_imputers_preserve_observed():
         for d in (impute_special_label(g), impute_neighborhood_mean(g),
                   feature_propagation(g, 20)):
             assert np.array_equal(d.values[mask], ref[mask])
-            assert np.array_equal(d.mask, mask)
 
 
 def test_dense_sage_hand():

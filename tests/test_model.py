@@ -409,14 +409,10 @@ def test_capped_forward_finite_and_seeded():
     cfg = small_cfg(cap_features=2, cap_nodes=2, cap_graph=2)
     model = GrafenneModel(cfg)
     alt = to_allotropic(g)
-    a, _ = model.forward(alt, rng=np.random.default_rng(1))
-    b, _ = model.forward(alt, rng=np.random.default_rng(1))
-    c, _ = model.forward(alt, rng=np.random.default_rng(2))
-    assert np.array_equal(a.values, b.values)
-    assert np.isfinite(c.values).all()
-    # eval path without an explicit rng is deterministic too
+    # every call draws from the same RNG of the model seed
     d1, _ = model.forward(alt)
     d2, _ = model.forward(alt)
+    assert np.isfinite(d1.values).all()
     assert np.array_equal(d1.values, d2.values)
 
 

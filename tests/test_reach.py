@@ -3,7 +3,10 @@
 The name scan: every public module-level function, class and constant of
 the package must be named somewhere other than its own definition: in the
 package, the benchmark, the scripts, or the naive reference that the
-benchmark's checks load.
+benchmark's checks load. Every attribute a package class declares (a
+dataclass field, or a `self.x =` assignment) must be read as an attribute
+somewhere in those same files: one that is only written holds nothing
+the program uses.
 
 The traced traffic: the program's own traffic, every subcommand through
 cli.main plus the naive reference, runs under a call tracer, and every
@@ -87,6 +90,50 @@ def unreached_names():
 def test_no_public_name_of_the_package_is_reached_only_from_tests():
     unreached = unreached_names()
     assert not unreached, f"named only by tests, or not at all: {unreached}"
+
+
+def _declared(cls):
+    """The attributes a class statement declares: its annotated fields and
+    every `self.x` it assigns."""
+    out = {s.target.id for s in cls.body
+           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+    return out | {sub.attr for sub in ast.walk(cls)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                  and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+
+
+def _read_attributes(node):
+    """Every attribute name a subtree reads (`x.name` in a load)."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def write_only_attributes():
+    """The attributes of package classes that no reader reads, as
+    "module.Class.attribute"."""
+    declared, read = {}, set()
+    for path in READERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == PACKAGE:
+            for stmt in tree.body:
+                if isinstance(stmt, ast.ClassDef):
+                    declared.update({f"{path.stem}.{stmt.name}.{attr}": attr
+                                     for attr in _declared(stmt)})
+        read |= _read_attributes(tree)
+    return sorted(where for where, attr in declared.items() if attr not in read)
+
+
+def test_no_attribute_of_a_package_class_is_only_written():
+    written_only = write_only_attributes()
+    assert not written_only, f"written, never read: {written_only}"
+
+
+def test_the_attribute_scan_sees_fields_self_assignments_and_reads():
+    cls = ast.parse("class C:\n    a: int\n    b = 1\n"
+                    "    def __init__(self, o):\n        self.c, o.d = 1, 2\n"
+                    "        self.e += self.f\n").body[0]
+    assert _declared(cls) == {"a", "c", "e"}
+    assert _read_attributes(cls) == {"f"}
 
 
 def test_the_scan_sees_definitions_and_every_kind_of_use():

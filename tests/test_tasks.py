@@ -12,7 +12,7 @@ import grafenne.tensor as T
 from grafenne.graph import GraphError, HeteroGraph, apply_missing_mask, make_split
 from grafenne.optim import check_finite_loss, check_finite_params, descend
 from grafenne.synth import make_community_graph
-from grafenne.tasks import (METHODS, LinkSplit, RunResult, TrainConfig, accuracy,
+from grafenne.tasks import (METHODS, RESULT_HEADER, LinkSplit, RunResult, TrainConfig, accuracy,
                             auc_roc, link_score, make_link_split,
                             method_model, negative_sample, result_rows,
                             run_experiment, train, write_results_csv)
@@ -189,7 +189,7 @@ def test_make_link_split_properties():
 
 def test_train_separable_reaches_perfect_accuracy():
     cfg = TrainConfig(epochs=200, lr=0.01, seeds=(0,), patience=200)
-    res = run_experiment(sep_graph(), "grafenne", p=0.0, cfg=cfg, dim=16, layers=2)
+    res = run_experiment(sep_graph(), "grafenne", 0.0, 0, cfg, dim=16, layers=2)
     assert res.values[0] == 1.0
 
 
@@ -307,7 +307,7 @@ def test_train_empty_split_errors():
 
 def test_train_link_smoke():
     cfg = TrainConfig(task="link_prediction", epochs=150, lr=0.01, seeds=(0,), patience=150)
-    res = run_experiment(sep_graph(), "grafenne", p=0.0, cfg=cfg, dim=16, layers=2)
+    res = run_experiment(sep_graph(), "grafenne", 0.0, 0, cfg, dim=16, layers=2)
     assert res.metric == "aucroc"
     assert 0.6 < res.values[0] <= 1.0
 
@@ -322,10 +322,11 @@ def test_mask_p0_identity():
 
 
 def test_repeated_seed_is_rejected_before_training():
-    # run_experiment keys results by seed: a repeat would train twice and keep one value
+    # the CLI checks its seed list through TrainConfig: a repeat would run
+    # a cell twice and write its row twice
     cfg = TrainConfig(epochs=1, seeds=(0, 1, 0))
     with pytest.raises(ValueError, match=r"repeated entry in seeds: \(0, 1, 0\)"):
-        run_experiment(sep_graph(), "sage", cfg=cfg)
+        run_experiment(sep_graph(), "sage", 0.0, 0, cfg)
 
 
 def test_run_experiment_rows_deterministic(tmp_path):
@@ -334,27 +335,28 @@ def test_run_experiment_rows_deterministic(tmp_path):
     cfg = TrainConfig(epochs=10, lr=0.01, seeds=(0, 1), patience=10)
 
     def run_rows():
-        res = run_experiment(g, "sage", p=0.5, cfg=cfg, dim=8, layers=1)
+        res = [run_experiment(g, "sage", 0.5, seed, cfg, dim=8, layers=1) for seed in cfg.seeds]
         return result_rows("synthetic", "sage", cfg.task, 0.5, res), res
 
     rows1, res1 = run_rows()
     rows2, res2 = run_rows()
     assert rows1 == rows2
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_results_csv(f1, rows1)
-    write_results_csv(f2, rows2)
+    write_results_csv(f1, RESULT_HEADER, rows1)
+    write_results_csv(f2, RESULT_HEADER, rows2)
     assert f1.read_bytes() == f2.read_bytes()
     seeds_col = [r[4] for r in rows1]
     assert seeds_col == ["0", "1", "mean", "std"]
-    assert float(rows1[2][6]) == pytest.approx(res1.mean)
+    values = [r.values[seed] for r, seed in zip(res1, cfg.seeds)]
+    assert float(rows1[2][6]) == pytest.approx(np.mean(values))
     assert all(r[7] == "0" for r in rows1)  # timing defaults to deterministic zero
 
 
 def test_run_result_display_rule():
     # the std row reports the population std as computed, tiny values included
-    r = RunResult("accuracy", {0: 0.801, 1: 0.802})
-    std_row = result_rows("d", "sage", "node_classification", 0.0, r)[-1]
-    assert std_row[4] == "std" and float(std_row[6]) == pytest.approx(0.0005) == r.std
+    rs = [RunResult("accuracy", {0: 0.801}), RunResult("accuracy", {1: 0.802})]
+    std_row = result_rows("d", "sage", "node_classification", 0.0, rs)[-1]
+    assert std_row[4] == "std" and float(std_row[6]) == pytest.approx(0.0005)
 
 
 def test_method_model_unknown(monkeypatch):
@@ -375,7 +377,7 @@ def test_all_methods_smoke(method):
     g = make_community_graph(n=24, classes=2, feats_per_class=3, p_in=0.25,
                              p_out=0.03, density=0.9, noise=0.0, seed=6)
     cfg = TrainConfig(epochs=3, lr=0.01, seeds=(0,), patience=3)
-    res = run_experiment(g, method, p=0.0, cfg=cfg, dim=6, layers=2)
+    res = run_experiment(g, method, 0.0, 0, cfg, dim=6, layers=2)
     v = res.values[0]
     assert 0.0 <= v <= 1.0 and np.isfinite(v)
 
